@@ -19,6 +19,7 @@ from .errors import (
     EmptyGraph,
     FormatError,
     FrontierPresent,
+    NotCycleBase,
     OmegaUnsupported,
     UnknownVertex,
 )
@@ -97,9 +98,16 @@ class Graph:
             eset.add(e.id)
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e.id!r} has an endpoint outside the vertex list")
+        prefixes: dict[str, tuple[str, str]] = {}
         for src, dst in self.omega_pairs:
             if src not in vset or dst not in vset:
                 raise ValueError(f"omega pair ({src!r}, {dst!r}) has an endpoint outside the vertex list")
+            prefix = f"{src}~{dst}^"
+            if prefix in prefixes:
+                raise ValueError(
+                    f"omega pairs {prefixes[prefix]!r} and {(src, dst)!r} both generate the edge ids {prefix}k"
+                )
+            prefixes[prefix] = (src, dst)
         for e in self.edges:
             if self._parse_omega_id(e.id) is not None:
                 raise ValueError(f"edge id {e.id!r} collides with a generated omega edge id")
@@ -152,6 +160,32 @@ class Graph:
     @cached_property
     def designated_ids(self) -> frozenset[str]:
         return frozenset(self.designated_edge.values())
+
+    @cached_property
+    def _alphabets(self) -> dict[int, dict[str, tuple[tuple[str, str], ...]]]:
+        return {}
+
+    def out_alphabet(self, omega_copies: int = 1) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Outgoing (edge id, range) pairs of each vertex, sorted by edge id.
+
+        Each omega pair contributes its first ``omega_copies`` generated edges.
+        """
+        table = self._alphabets.get(omega_copies)
+        if table is None:
+            out: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
+            for e in self.edges:
+                out[e.src].append((e.id, e.dst))
+            for src, dst in self.omega_pairs:
+                for k in range(1, omega_copies + 1):
+                    out[src].append((omega_edge_id(src, dst, k), dst))
+            table = {v: tuple(sorted(es)) for v, es in out.items()}
+            self._alphabets[omega_copies] = table
+        return table
+
+    @cached_property
+    def analysis(self) -> GraphAnalysis:
+        """Strongly connected components and the facts read off them, computed once."""
+        return GraphAnalysis(self)
 
     # -- vertex kinds ----------------------------------------------------------
 
@@ -292,29 +326,9 @@ def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
     return paths
 
 
-def paths_into(g: Graph, v: str, max_length: int) -> list[Path]:
-    """Paths of every length <= max_length with range v, ordered by (length, lex)."""
-    out: list[Path] = []
-    for r in range(max_length + 1):
-        out.extend(enumerate_paths(g, r, end=v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cycles
 # ---------------------------------------------------------------------------
-
-
-def _cycle_alphabet(g: Graph) -> dict[str, list[tuple[str, str]]]:
-    """Outgoing (edge id, dst) per vertex, with one representative per omega pair."""
-    out: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        out[e.src].append((e.id, e.dst))
-    for src, dst in g.omega_pairs:
-        out[src].append((omega_edge_id(src, dst, 1), dst))
-    for v in out:
-        out[v].sort()
-    return out
 
 
 def _canonical_rotation(edges: tuple[str, ...]) -> tuple[str, ...]:
@@ -327,9 +341,11 @@ def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
     Cycles are returned in canonical rotation (lexicographically least edge
     sequence) and sorted by that sequence.  When the graph has omega pairs,
     one representative per parallel family (the ^1 edge) is enumerated and
-    omega exits appear as ``ω(src->dst)`` markers.
+    omega exits appear as ``ω(src->dst)`` markers.  The enumeration is
+    exhaustive and recursive; the classifier and the SPI search read
+    ``Graph.analysis`` instead.
     """
-    alphabet = _cycle_alphabet(g)
+    alphabet = g.out_alphabet()
     found: set[tuple[str, ...]] = set()
 
     def walk(start: str, at: str, edges: list[str], sources: set[str]) -> None:
@@ -364,11 +380,15 @@ def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
 
 def cycle_base_vertices(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one cycle."""
-    bases: set[str] = set()
-    for cycle, _ in find_cycles(g):
-        for eid in cycle.edges:
-            bases.add(g.edge_endpoints(eid)[0])
-    return frozenset(bases)
+    return g.analysis.cycle_bases
+
+
+def least_cycle_at(g: Graph, v: str) -> Path:
+    """The lexicographically least cycle through v, rotated to start at v."""
+    cycle = g.analysis.least_cycle_at(v)
+    if cycle is None:
+        raise NotCycleBase(f"vertex {v!r} is not the base of a cycle")
+    return cycle
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +401,34 @@ def hereditary_saturated_closure(g: Graph, seed: Iterable[str]) -> frozenset[str
 
     Hereditary: ranges of outgoing edges (omega pairs included) stay inside.
     Saturated: a regular vertex all of whose edge ranges lie inside is pulled in.
+    One worklist pass, O(V + E): each vertex entering the closure pushes its
+    ranges and counts down, for each regular vertex with an edge into it, the
+    edges of that vertex whose range is still outside.
     """
-    closure = set()
+    closure: set[str] = set()
+    todo: list[str] = []
+
+    def enter(v: str) -> None:
+        if v not in closure:
+            closure.add(v)
+            todo.append(v)
+
     for v in seed:
         g.require_vertex(v)
-        closure.add(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(closure):
-            for e in g.out_edges[v]:
-                if e.dst not in closure:
-                    closure.add(e.dst)
-                    changed = True
-            for dst in g.omega_by_src[v]:
-                if dst not in closure:
-                    closure.add(dst)
-                    changed = True
-        for v in g.vertices:
-            if v in closure or not g.is_regular(v):
-                continue
-            if all(e.dst in closure for e in g.out_edges[v]):
-                closure.add(v)
-                changed = True
+        enter(v)
+    outside: dict[str, int] = {}
+    while todo:
+        w = todo.pop()
+        for e in g.out_edges[w]:
+            enter(e.dst)
+        for dst in g.omega_by_src[w]:
+            enter(dst)
+        for e in g.in_edges[w]:
+            u = e.src
+            if u not in closure and g.is_regular(u):
+                outside[u] = outside.get(u, len(g.out_edges[u])) - 1
+                if outside[u] == 0:
+                    enter(u)
     return frozenset(closure)
 
 
@@ -429,19 +454,14 @@ def is_cycle_cofinal(g: Graph) -> bool:
     """Cofinality relative to cycles: every vertex reaches every cycle.
 
     This is vacuously true for acyclic graphs, which is why the classifier
-    below decides simplicity through hereditary saturated sets instead.
+    below decides simplicity through hereditary saturated sets instead.  A
+    vertex reaches a cycle exactly when it reaches the cycle's component.
     """
-    cycles = find_cycles(g)
-    if not cycles:
-        return True
-    cycle_vertex_sets = [
-        {g.edge_endpoints(eid)[0] for eid in cycle.edges} for cycle, _ in cycles
-    ]
-    for v in g.vertices:
-        reach = reachable_from(g, v)
-        if any(not (reach & cvs) for cvs in cycle_vertex_sets):
-            return False
-    return True
+    component = g.analysis.component
+    cyclic = {component[v] for v in g.analysis.cycle_bases}
+    return all(
+        cyclic <= {component[w] for w in reachable_from(g, v)} for v in g.vertices
+    )
 
 
 class Verdict(Enum):
@@ -456,14 +476,160 @@ class Classification:
     witness: Union[Path, frozenset[str], str]
 
 
+def _strong_components(vertices: tuple[str, ...], alphabet) -> dict[str, int]:
+    """Component index of each vertex, by Tarjan's algorithm with an explicit stack."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, int] = {}
+    stack: list[str] = []
+    count = 0
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(alphabet[root]))]
+        while work:
+            v, out = work[-1]
+            for _, w in out:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(alphabet[w])))
+                    break
+                if w not in component:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return component
+
+
+class GraphAnalysis:
+    """Facts read off the strongly connected components (SCCs) of one graph.
+
+    Edges are taken from the one-copy alphabet, so each omega pair is the
+    single edge ``src~dst^1``.  An edge lies on a cycle exactly when both its
+    endpoints share a component.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.alphabet = g.out_alphabet()
+        self.component = _strong_components(g.vertices, self.alphabet)
+        comp = self.component
+        # (edge id, source, range) of every edge lying on a cycle, least id first
+        self.cycle_edges = sorted(
+            (eid, v, dst) for v in g.vertices for eid, dst in self.alphabet[v] if comp[dst] == comp[v]
+        )
+        self.cycle_bases = frozenset(v for _, v, _ in self.cycle_edges)
+        self._least: dict[str, Path] = {}
+
+    @cached_property
+    def _inner_preds(self) -> dict[str, list[str]]:
+        """Sources of the cycle edges into each vertex."""
+        preds: dict[str, list[str]] = {v: [] for v in self.graph.vertices}
+        for _, src, dst in self.cycle_edges:
+            preds[dst].append(src)
+        return preds
+
+    def least_cycle_at(self, v: str) -> Optional[Path]:
+        """The lexicographically least cycle through v, rotated to start at v,
+        or None when v lies on no cycle."""
+        if v not in self.cycle_bases:
+            return None
+        if v not in self._least:
+            self._least[v] = self._greedy_cycle(v)
+        return self._least[v]
+
+    def _greedy_cycle(self, v: str) -> Path:
+        """No cycle through v is a proper prefix of another, so the least one is
+        built greedily: at each step take the least edge whose range is v or
+        can still reach v without revisiting a vertex.  The backward search
+        for the vertices that can runs only where more than one edge remains.
+        """
+        comp, c = self.component, self.component[v]
+        visited = {v}
+        at = v
+        edges: list[str] = []
+        while True:
+            options = [
+                (eid, dst)
+                for eid, dst in self.alphabet[at]
+                if comp[dst] == c and (dst == v or dst not in visited)
+            ]
+            if len(options) > 1:
+                reach = self._reaching(v, visited)
+                options = [(eid, dst) for eid, dst in options if dst == v or dst in reach]
+            eid, at = options[0]
+            edges.append(eid)
+            if at == v:
+                break
+            visited.add(at)
+        return Path(v, tuple(edges))
+
+    def _reaching(self, v: str, visited: set[str]) -> set[str]:
+        """Vertices outside ``visited`` with a path to v through vertices outside it."""
+        preds = self._inner_preds
+        reach: set[str] = set()
+        todo = [v]
+        while todo:
+            for u in preds[todo.pop()]:
+                if u not in reach and u not in visited:
+                    reach.add(u)
+                    todo.append(u)
+        return reach
+
+    @cached_property
+    def classification(self) -> Classification:
+        """The trichotomy, with frontier vertices never used as closure seeds."""
+        g, comp = self.graph, self.component
+        # Condition (L) fails exactly on an SCC that is one cycle without exit:
+        # a cyclic SCC whose every vertex emits one edge and no omega pair.
+        with_exit = {
+            comp[v] for v in g.vertices if len(g.out_edges[v]) != 1 or g.omega_by_src[v]
+        }
+        for _, v, _ in self.cycle_edges:
+            if comp[v] not in with_exit:
+                return Classification(Verdict.NOT_SIMPLE, self.least_cycle_at(v))
+
+        # Vertices of one SCC have the same closure, so each SCC seeds at most once.
+        full = frozenset(g.vertices)
+        seeded: set[int] = set()
+        for v in g.vertices:
+            if v in g.frontier or comp[v] in seeded:
+                continue
+            seeded.add(comp[v])
+            closure = hereditary_saturated_closure(g, [v])
+            if closure != full:
+                return Classification(Verdict.NOT_SIMPLE, closure)
+
+        if self.cycle_edges:
+            return Classification(
+                Verdict.SIMPLE_PURELY_INFINITE, self.least_cycle_at(self.cycle_edges[0][1])
+            )
+        return Classification(Verdict.SIMPLE_ACYCLIC, "acyclic")
+
+
 def classify_graph(g: Graph, frontier: str = "refuse") -> Classification:
     """Decide the NotSimple / SimpleAcyclic / SimplePurelyInfinite trichotomy.
 
-    Simplicity is decided as: every cycle has an exit, and the only hereditary
-    saturated vertex sets are the empty and the full one (checked from every
-    singleton seed).  The witness is a cycle without exit or a proper nontrivial
-    hereditary saturated set for NotSimple, a cycle for SimplePurelyInfinite,
-    and the token "acyclic" otherwise.
+    Simplicity is decided as: every cycle has an exit (condition (L)), and the
+    only hereditary saturated vertex sets are the empty and the full one
+    (checked from every singleton seed, one closure per SCC).  The witness is
+    the least cycle without exit or the closure of the first vertex whose
+    closure is proper for NotSimple, the least cycle in canonical rotation for
+    SimplePurelyInfinite, and the token "acyclic" otherwise.  The result is
+    cached on the graph (``Graph.analysis``).
 
     ``frontier`` controls graphs carrying desingularization truncation markers:
     "refuse" raises, "sink" classifies with frontier vertices understood as
@@ -479,23 +645,7 @@ def classify_graph(g: Graph, frontier: str = "refuse") -> Classification:
             )
         if frontier != "sink":
             raise ValueError("frontier must be 'refuse' or 'sink'")
-
-    cycles = find_cycles(g)
-    for cycle, exits in cycles:
-        if not exits:
-            return Classification(Verdict.NOT_SIMPLE, cycle)
-
-    full = frozenset(g.vertices)
-    for v in g.vertices:
-        if v in g.frontier:
-            continue
-        closure = hereditary_saturated_closure(g, [v])
-        if closure != full:
-            return Classification(Verdict.NOT_SIMPLE, closure)
-
-    if cycles:
-        return Classification(Verdict.SIMPLE_PURELY_INFINITE, cycles[0][0])
-    return Classification(Verdict.SIMPLE_ACYCLIC, "acyclic")
+    return g.analysis.classification
 
 
 # ---------------------------------------------------------------------------

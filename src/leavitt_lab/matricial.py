@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from .graph import Graph, Path, enumerate_paths, find_cycles
+from .graph import Graph, Path, cycle_base_vertices, enumerate_paths
 from .lpa import (
     Element,
     GaussianRational,
@@ -248,7 +248,7 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     if x.graph != g:
         raise ValueError("element is not over the given graph")
     _require_row_finite_finite(g)
-    if find_cycles(g):
+    if cycle_base_vertices(g):
         raise NotAcyclic("the graph has a cycle")
 
     paths = {

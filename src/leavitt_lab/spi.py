@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     HasSources,
-    NotCycleBase,
     NotDegreeFree,
     NotSPI,
     OmegaUnsupported,
@@ -31,8 +30,7 @@ from .graph import (
     classify_graph,
     cycle_base_vertices,
     enumerate_paths,
-    find_cycles,
-    omega_edge_id,
+    least_cycle_at,
 )
 from .lpa import (
     Element,
@@ -53,19 +51,6 @@ from .matricial import degree_zero_witness
 # ---------------------------------------------------------------------------
 
 
-def _out_alphabet(g: Graph, omega_copies: int = 2) -> dict[str, list[tuple[str, str]]]:
-    """Outgoing (edge id, dst) lists with omega pairs materialized up to ^omega_copies."""
-    out: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        out[e.src].append((e.id, e.dst))
-    for src, dst in g.omega_pairs:
-        for k in range(1, omega_copies + 1):
-            out[src].append((omega_edge_id(src, dst, k), dst))
-    for v in out:
-        out[v].sort()
-    return out
-
-
 def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> list[Path]:
     """Closed paths at v of the given length, lexicographic by edge ids.
 
@@ -73,7 +58,7 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     of each pair are explored; that is enough to exhibit incomparable closed
     paths wherever they exist.
     """
-    alphabet = _out_alphabet(g, omega_copies)
+    alphabet = g.out_alphabet(omega_copies)
     found: list[Path] = []
 
     def walk(at: str, edges: list[str]) -> None:
@@ -89,22 +74,6 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     walk(v, [])
     found.sort(key=lambda p: p.edges)
     return found
-
-
-def least_cycle_at(g: Graph, v: str) -> Path:
-    """The lexicographically least cycle through v, rotated to start at v."""
-    best: Optional[tuple[str, ...]] = None
-    for cycle, _ in find_cycles(g):
-        sources = [g.edge_endpoints(eid)[0] for eid in cycle.edges]
-        if v not in sources:
-            continue
-        i = sources.index(v)
-        rotated = cycle.edges[i:] + cycle.edges[:i]
-        if best is None or rotated < best:
-            best = rotated
-    if best is None:
-        raise NotCycleBase(f"vertex {v!r} is not the base of a cycle")
-    return Path(v, best)
 
 
 def _comparable(g: Graph, p: Path, q: Path) -> bool:
@@ -128,7 +97,7 @@ def path_to_cycle_base(g: Graph, v: str) -> Path:
     bases = cycle_base_vertices(g)
     if v in bases:
         return Path(v)
-    alphabet = _out_alphabet(g, omega_copies=1)
+    alphabet = g.out_alphabet()
     frontier: list[Path] = [Path(v)]
     seen = {v}
     while frontier:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from leavitt_lab.graph import Graph
+from leavitt_lab.graph import Graph, find_cycles
 
 
 def _raw_out(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -55,29 +55,41 @@ def all_hereditary_saturated_sets(g: Graph) -> list[frozenset[str]]:
 def oracle_cycles(g: Graph) -> set[tuple[str, ...]]:
     """Cycles (distinct-source closed edge walks) up to rotation, brute force.
 
-    Omega pairs contribute a single representative parallel edge.
+    Every composable edge walk with distinct sources is extended one edge at a
+    time; the closed ones are kept in their least rotation.  Omega pairs
+    contribute a single representative parallel edge.
     """
     edge_list = [(e.id, e.src, e.dst) for e in g.edges]
     for s, d in g.omega_pairs:
         edge_list.append((f"{s}~{d}^1", s, d))
-    by_id = {eid: (src, dst) for eid, src, dst in edge_list}
     cycles: set[tuple[str, ...]] = set()
-    max_len = len(g.vertices)
-    for length in range(1, max_len + 1):
-        for seq in product(list(by_id), repeat=length):
-            ok = True
-            for i in range(length):
-                if by_id[seq[i]][1] != by_id[seq[(i + 1) % length]][0]:
-                    ok = False
-                    break
-            if not ok:
+    walks = [((eid,), (src,), dst) for eid, src, dst in edge_list]
+    while walks:
+        longer = []
+        for seq, sources, at in walks:
+            if at == sources[0]:
+                cycles.add(min(seq[i:] + seq[:i] for i in range(len(seq))))
                 continue
-            sources = [by_id[eid][0] for eid in seq]
-            if len(set(sources)) != length:
+            if at in sources:
                 continue
-            canon = min(seq[i:] + seq[:i] for i in range(length))
-            cycles.add(canon)
+            for eid, src, dst in edge_list:
+                if src == at:
+                    longer.append((seq + (eid,), sources + (src,), dst))
+        walks = longer
     return cycles
+
+
+def oracle_least_cycle_at(g: Graph, v: str) -> tuple[str, ...] | None:
+    """Least rotation starting at v over all cycles through v, or None."""
+    by_id = {e.id: e.src for e in g.edges}
+    by_id.update({f"{s}~{d}^1": s for s, d in g.omega_pairs})
+    best = None
+    for cycle in oracle_cycles(g):
+        for i, eid in enumerate(cycle):
+            if by_id[eid] == v:
+                rotated = cycle[i:] + cycle[:i]
+                best = rotated if best is None or rotated < best else best
+    return best
 
 
 def oracle_cycle_has_exit(g: Graph, cycle: tuple[str, ...]) -> bool:
@@ -94,6 +106,51 @@ def oracle_cycle_has_exit(g: Graph, cycle: tuple[str, ...]) -> bool:
         if om[src]:
             return True
     return False
+
+
+def oracle_closure(g: Graph, seed) -> frozenset[str]:
+    """Hereditary saturated closure by repeated full passes until nothing changes."""
+    out = _raw_out(g)
+    om = _raw_omega_src(g)
+    closure = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(closure):
+            for dst in [d for _, d in out[v]] + om[v]:
+                if dst not in closure:
+                    closure.add(dst)
+                    changed = True
+        for v in g.vertices:
+            if v in closure or not out[v] or om[v]:
+                continue
+            if all(dst in closure for _, dst in out[v]):
+                closure.add(v)
+                changed = True
+    return frozenset(closure)
+
+
+def oracle_classify(g: Graph) -> tuple[str, object]:
+    """(verdict value, witness) by the exhaustive method.
+
+    Every cycle from ``find_cycles`` is checked for an exit, in canonical
+    order; then the closure of each non-frontier vertex, in input order, is
+    compared with the full vertex set.
+    """
+    cycles = find_cycles(g)
+    for cycle, exits in cycles:
+        if not exits:
+            return "NotSimple", cycle
+    full = frozenset(g.vertices)
+    for v in g.vertices:
+        if v in g.frontier:
+            continue
+        closure = oracle_closure(g, [v])
+        if closure != full:
+            return "NotSimple", closure
+    if cycles:
+        return "SimplePurelyInfinite", cycles[0][0]
+    return "SimpleAcyclic", "acyclic"
 
 
 def oracle_is_simple(g: Graph) -> bool:

@@ -86,6 +86,23 @@ def test_classify_exit_2_on_parse_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_classify_exit_2_on_colliding_omega_ids(capsys, tmp_path):
+    path = tmp_path / "collide.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": ["a", "b~c", "a~b", "c"],
+                "edges": [],
+                "omega": [{"src": "a", "dst": "b~c"}, {"src": "a~b", "dst": "c"}],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["classify", "--graph", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "a~b~c^" in err
+
+
 def test_classify_exit_3_on_empty(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices":[],"edges":[]}')

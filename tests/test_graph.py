@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -6,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt_lab import zoo
-from leavitt_lab.errors import EmptyGraph, FrontierPresent, OmegaUnsupported, UnknownVertex
+from leavitt_lab.errors import (
+    EmptyGraph,
+    FormatError,
+    FrontierPresent,
+    NotCycleBase,
+    OmegaUnsupported,
+    UnknownVertex,
+)
 from leavitt_lab.graph import (
     Graph,
     Path,
@@ -20,11 +29,19 @@ from leavitt_lab.graph import (
     graph_to_json,
     hereditary_saturated_closure,
     is_cycle_cofinal,
+    least_cycle_at,
     omega_exit_marker,
 )
+from leavitt_lab.transforms import desingularize
 
 from conftest import random_relabel
-from oracles import oracle_is_simple, oracle_paths
+from oracles import (
+    all_hereditary_saturated_sets,
+    oracle_classify,
+    oracle_is_simple,
+    oracle_least_cycle_at,
+    oracle_paths,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +478,88 @@ def test_closure_traverses_omega_pairs():
     c = classify_graph(g)
     assert c.verdict is Verdict.NOT_SIMPLE
     assert c.witness == frozenset({"w"})
+
+
+def test_colliding_omega_prefixes_rejected():
+    # (a, b~c) and (a~b, c) would both generate the edge ids a~b~c^k
+    vertices = ("a", "b~c", "a~b", "c")
+    with pytest.raises(ValueError, match="both generate"):
+        Graph(vertices, (), (("a", "b~c"), ("a~b", "c")))
+    text = json.dumps(
+        {
+            "vertices": list(vertices),
+            "edges": [],
+            "omega": [{"src": "a", "dst": "b~c"}, {"src": "a~b", "dst": "c"}],
+        }
+    )
+    with pytest.raises(FormatError):
+        graph_from_json(text)
+    # either pair alone owns its generated ids
+    g = Graph(vertices, (), (("a~b", "c"),))
+    assert g.path("a~b", ["a~b~c^1"]).edges == ("a~b~c^1",)
+    assert g.edge_endpoints("a~b~c^7") == ("a~b", "c")
+
+
+# ---------------------------------------------------------------------------
+# the SCC analysis on deep graphs and against the exhaustive oracles
+# ---------------------------------------------------------------------------
+
+
+def test_classify_deep_ring_within_budget():
+    n = 2000
+    verts = tuple(f"v{i}" for i in range(n))
+    ring = tuple((f"e{i}", verts[i], verts[(i + 1) % n]) for i in range(n))
+    g = Graph(verts, ring + (("f", "v0", "v0"),))
+    start = time.perf_counter()
+    c = classify_graph(g)
+    elapsed = time.perf_counter() - start
+    assert c.verdict is Verdict.SIMPLE_PURELY_INFINITE
+    assert c.witness == Path("v0", tuple(f"e{i}" for i in range(n)))
+    assert elapsed < 2.0
+
+
+@st.composite
+def random_graphs(draw, max_vertices=9, min_omega=0, max_omega=2):
+    """Multigraphs with loops, shuffled vertex order and edge ids, and omega pairs."""
+    n = draw(st.integers(1, max_vertices))
+    verts = tuple(draw(st.permutations([f"v{i}" for i in range(n)])))
+    pair = st.tuples(st.sampled_from(verts), st.sampled_from(verts))
+    ends = draw(st.lists(pair, max_size=2 * n))
+    ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+    omega = draw(st.lists(pair, min_size=min_omega, max_size=max_omega))
+    return Graph(verts, tuple((eid, s, d) for eid, (s, d) in zip(ids, ends)), tuple(omega))
+
+
+@st.composite
+def desingularized_graphs(draw):
+    g = draw(random_graphs(max_vertices=5, min_omega=1, max_omega=2))
+    return desingularize(g, draw(st.integers(1, 2)))
+
+
+@given(st.one_of(random_graphs(), desingularized_graphs()))
+@settings(deadline=None, max_examples=250)
+def test_classify_matches_exhaustive_oracle(g):
+    c = classify_graph(g, frontier="sink")
+    assert (c.verdict.value, c.witness) == oracle_classify(g)
+
+
+@given(st.one_of(random_graphs(), desingularized_graphs()))
+@settings(deadline=None, max_examples=150)
+def test_least_cycle_matches_oracle_rotation(g):
+    for v in g.vertices:
+        expected = oracle_least_cycle_at(g, v)
+        if expected is None:
+            with pytest.raises(NotCycleBase):
+                least_cycle_at(g, v)
+        else:
+            assert least_cycle_at(g, v) == Path(v, expected)
+
+
+@given(random_graphs(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_closure_is_least_hereditary_saturated_superset(g, data):
+    seed = data.draw(st.sets(st.sampled_from(g.vertices)))
+    supersets = [s for s in all_hereditary_saturated_sets(g) if seed <= s]
+    least = frozenset.intersection(*supersets)
+    assert least in supersets
+    assert hereditary_saturated_closure(g, seed) == least
