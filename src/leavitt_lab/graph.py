@@ -331,10 +331,6 @@ def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_rotation(edges: tuple[str, ...]) -> tuple[str, ...]:
-    return min(edges[i:] + edges[:i] for i in range(len(edges)))
-
-
 def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
     """All cycles up to rotation, each with its complete exit list.
 
@@ -342,25 +338,38 @@ def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
     sequence) and sorted by that sequence.  When the graph has omega pairs,
     one representative per parallel family (the ^1 edge) is enumerated and
     omega exits appear as ``ω(src->dst)`` markers.  The enumeration is
-    exhaustive and recursive; the classifier and the SPI search read
-    ``Graph.analysis`` instead.
+    exhaustive, with an explicit stack; the classifier and the SPI search
+    read ``Graph.analysis`` instead.
     """
     alphabet = g.out_alphabet()
-    found: set[tuple[str, ...]] = set()
-
-    def walk(start: str, at: str, edges: list[str], sources: set[str]) -> None:
-        for eid, dst in alphabet[at]:
-            if dst == start:
-                found.add(_canonical_rotation(tuple(edges + [eid])))
-            if dst not in sources and dst != start:
-                sources.add(dst)
-                edges.append(eid)
-                walk(start, dst, edges, sources)
-                edges.pop()
-                sources.remove(dst)
-
-    for v in g.vertices:
-        walk(v, v, [], {v})
+    found: list[tuple[str, ...]] = []
+    # A cycle visits distinct sources, so its edges are distinct and its
+    # canonical rotation starts with its least edge.  Each cycle is found
+    # once, from the source of that edge, by walks that use no smaller edge.
+    for start in g.vertices:
+        for first, at in alphabet[start]:
+            if at == start:
+                found.append((first,))
+                continue
+            edges, reached, on_walk = [first], [at], {start, at}
+            frames = [iter(alphabet[at])]
+            while frames:
+                step = next(frames[-1], None)
+                if step is None:
+                    frames.pop()
+                    edges.pop()
+                    on_walk.remove(reached.pop())
+                    continue
+                eid, dst = step
+                if eid < first:
+                    continue
+                if dst == start:
+                    found.append(tuple(edges) + (eid,))
+                elif dst not in on_walk:
+                    edges.append(eid)
+                    reached.append(dst)
+                    on_walk.add(dst)
+                    frames.append(iter(alphabet[dst]))
 
     result = []
     for edges in sorted(found):

@@ -10,7 +10,6 @@ deterministic function of the graph alone.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -34,8 +33,10 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -121,6 +122,15 @@ def monomial_key(m: Monomial) -> tuple:
     return (m.degree, m.alpha.edges, m.alpha.source, m.beta.edges, m.beta.source)
 
 
+def add_term(terms: dict[Monomial, GaussianRational], m: Monomial, c: GaussianRational) -> None:
+    """Add c to the coefficient of m in a term map, dropping m when it cancels to 0."""
+    acc = terms.get(m, GR_ZERO) + c
+    if acc:
+        terms[m] = acc
+    else:
+        terms.pop(m, None)
+
+
 def _is_excluded(g: Graph, m: Monomial) -> bool:
     if not m.alpha.edges or not m.beta.edges:
         return False
@@ -192,11 +202,7 @@ class Element:
         self._check_graph(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            acc = terms.get(m, GR_ZERO) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
+            add_term(terms, m, c)
         return Element(self.graph, terms)
 
     def __neg__(self) -> "Element":
@@ -274,66 +280,50 @@ def from_terms(g: Graph, terms: Mapping[Monomial, GaussianRational]) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def normalize_terms(
-    g: Graph,
-    raw: Mapping[Monomial, GaussianRational],
-    strategy: str = "sorted",
-    rng: Optional[random.Random] = None,
-) -> Element:
+def normalize_terms(g: Graph, raw: Mapping[Monomial, GaussianRational]) -> Element:
     """Rewrite a raw term map into normal form.
 
     Any term (a·e)(b·e)* whose shared last edge e is the designated edge of its
     (regular) source is replaced by a·b* minus the sibling terms (a·h)(b·h)*,
-    h != e, collecting coefficients until no term is excluded.  The rewrite
-    terminates and is confluent; ``strategy`` picks the next redex either as
-    the least term in canonical order ("sorted") or uniformly at random
-    ("random", for confluence testing).
+    h != e.  The siblings are never excluded (e is the only designated edge
+    at its source), so the stub a·b* is the only new redex a rewrite can
+    make, and it is shorter.  Redexes are therefore rewritten longest first,
+    one bucket of equal |a| + |b| at a time: every contribution to a redex
+    has arrived before its bucket is reached, so each redex is rewritten
+    once, with its final coefficient.  The rewrite is confluent, so the
+    normal form does not depend on this order.
     """
-    if strategy not in ("sorted", "random"):
-        raise ValueError("strategy must be 'sorted' or 'random'")
-    if strategy == "random" and rng is None:
-        rng = random.Random(0)
-
     work: dict[Monomial, GaussianRational] = {}
     for m, c in raw.items():
-        if not isinstance(c, GaussianRational):
-            c = gauss(c)
-        if c:
-            acc = work.get(m, GR_ZERO) + c
-            if acc:
-                work[m] = acc
-            else:
-                work.pop(m, None)
-
-    def _add(m: Monomial, c: GaussianRational) -> None:
-        acc = work.get(m, GR_ZERO) + c
-        if acc:
-            work[m] = acc
-        else:
-            work.pop(m, None)
-
-    while True:
-        redexes = [m for m in work if _is_excluded(g, m)]
-        if not redexes:
-            break
-        redexes.sort(key=monomial_key)
-        m = redexes[0] if strategy == "sorted" else rng.choice(redexes)
-        c = work.pop(m)
-        eid = m.alpha.edges[-1]
-        src = g.edge_endpoints(eid)[0]
-        alpha_stub = Path(m.alpha.source, m.alpha.edges[:-1])
-        beta_stub = Path(m.beta.source, m.beta.edges[:-1])
-        _add(Monomial(alpha_stub, beta_stub), c)
-        for sibling in g.out_edges[src]:
-            if sibling.id == eid:
+        add_term(work, m, c if isinstance(c, GaussianRational) else gauss(c))
+    pending: dict[int, list[Monomial]] = {}  # redexes by |a| + |b|
+    for m in work:
+        if _is_excluded(g, m):
+            pending.setdefault(len(m.alpha.edges) + len(m.beta.edges), []).append(m)
+    while pending:
+        size = max(pending)
+        for m in pending.pop(size):
+            c = work.pop(m, None)
+            if c is None:  # cancelled to zero, or queued twice and already rewritten
                 continue
-            _add(
-                Monomial(
-                    Path(alpha_stub.source, alpha_stub.edges + (sibling.id,)),
-                    Path(beta_stub.source, beta_stub.edges + (sibling.id,)),
-                ),
-                -c,
-            )
+            eid = m.alpha.edges[-1]
+            alpha_stub = Path(m.alpha.source, m.alpha.edges[:-1])
+            beta_stub = Path(m.beta.source, m.beta.edges[:-1])
+            stub = Monomial(alpha_stub, beta_stub)
+            if stub not in work and _is_excluded(g, stub):
+                pending.setdefault(size - 2, []).append(stub)
+            add_term(work, stub, c)
+            neg = -c
+            for sibling in g.out_edges[g.edge_endpoints(eid)[0]]:
+                if sibling.id != eid:
+                    add_term(
+                        work,
+                        Monomial(
+                            Path(alpha_stub.source, alpha_stub.edges + (sibling.id,)),
+                            Path(beta_stub.source, beta_stub.edges + (sibling.id,)),
+                        ),
+                        neg,
+                    )
     return Element(g, work)
 
 
@@ -370,13 +360,8 @@ def multiply(x: Element, y: Element) -> Element:
     for m1, c1 in x._terms.items():
         for m2, c2 in y._terms.items():
             m = _monomial_product(g, m1, m2)
-            if m is None:
-                continue
-            acc = raw.get(m, GR_ZERO) + c1 * c2
-            if acc:
-                raw[m] = acc
-            else:
-                raw.pop(m, None)
+            if m is not None:
+                add_term(raw, m, c1 * c2)
     return normalize_terms(g, raw)
 
 
@@ -409,11 +394,7 @@ def path_conjugate_sum(x: Element, r: int) -> Element:
                 Path(p.source, p.edges + m.alpha.edges),
                 Path(p.source, p.edges + m.beta.edges),
             )
-            acc = raw.get(mm, GR_ZERO) + c
-            if acc:
-                raw[mm] = acc
-            else:
-                raw.pop(mm, None)
+            add_term(raw, mm, c)
     return normalize_terms(g, raw)
 
 
@@ -452,21 +433,35 @@ def element_to_json(x: Element) -> str:
     return json.dumps(element_to_json_obj(x), separators=(",", ":"), ensure_ascii=False)
 
 
+def _edge_list(entry: dict, key: str) -> list:
+    edges = entry[key]
+    if not isinstance(edges, list) or not all(isinstance(e, str) for e in edges):
+        raise FormatError(f"bad element term: {key!r} must be a list of edge ids")
+    return edges
+
+
+def _rational(entry: dict, key: str) -> Fraction:
+    value = entry[key]
+    if not isinstance(value, str):
+        raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
+    return Fraction(value)
+
+
 def element_from_json_obj(g: Graph, obj) -> Element:
+    """Parse a list of terms; paths must be lists of edge ids, coefficients strings."""
     if not isinstance(obj, list):
         raise FormatError("element JSON must be a list of terms")
     raw: dict[Monomial, GaussianRational] = {}
     for entry in obj:
         try:
-            alpha = g.path(entry["alpha_src"], entry["alpha"])
-            beta = g.path(entry["beta_src"], entry["beta"])
-            coeff = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
+            alpha = g.path(entry["alpha_src"], _edge_list(entry, "alpha"))
+            beta = g.path(entry["beta_src"], _edge_list(entry, "beta"))
+            coeff = GaussianRational(_rational(entry, "re"), _rational(entry, "im"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError, UnknownVertex) as exc:
             raise FormatError(f"bad element term: {exc}") from exc
         if g.range_of(alpha) != g.range_of(beta):
             raise FormatError("monomial paths must share their range")
-        m = Monomial(alpha, beta)
-        raw[m] = raw.get(m, GR_ZERO) + coeff
+        add_term(raw, Monomial(alpha, beta), coeff)
     return normalize_terms(g, raw)
 
 

@@ -21,6 +21,7 @@ from .lpa import (
     GaussianRational,
     GR_ZERO,
     Monomial,
+    add_term,
     gauss_str,
     involute,
     normalize_terms,
@@ -68,8 +69,7 @@ class BlockDecomposition:
             for i, row in enumerate(matrix):
                 for j, c in enumerate(row):
                     if c:
-                        m = Monomial(ps[i], ps[j])
-                        raw[m] = raw.get(m, GR_ZERO) + c
+                        add_term(raw, Monomial(ps[i], ps[j]), c)
         return normalize_terms(self.graph, raw)
 
     def to_json_obj(self) -> dict:
@@ -150,12 +150,7 @@ def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
             alpha, beta = stack.pop()
             at = g.range_of(alpha)
             if len(alpha.edges) == n or g.is_sink(at):
-                mm = Monomial(alpha, beta)
-                acc = out.get(mm, GR_ZERO) + c
-                if acc:
-                    out[mm] = acc
-                else:
-                    out.pop(mm, None)
+                add_term(out, Monomial(alpha, beta), c)
                 continue
             for e in g.out_edges[at]:
                 stack.append(

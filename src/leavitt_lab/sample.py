@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .graph import Graph, Path, enumerate_paths
-from .lpa import Element, GaussianRational, Monomial, gauss, normalize_terms
+from .lpa import Element, GaussianRational, Monomial, add_term, gauss, normalize_terms
 
 
 def _path_pool(g: Graph, max_len: int) -> dict[str, list[Path]]:
@@ -87,9 +87,7 @@ def random_element(
                     break
             else:
                 continue
-            m = Monomial(alpha, beta)
-            c = random_coefficient(rng, component=component)
-            raw[m] = raw.get(m, gauss(0)) + c
+            add_term(raw, Monomial(alpha, beta), random_coefficient(rng, component=component))
         x = normalize_terms(g, raw)
         if not nonzero or not x.is_zero:
             return x

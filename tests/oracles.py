@@ -7,10 +7,12 @@ modules is meaningful.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
-from leavitt_lab.graph import Graph, find_cycles
+from leavitt_lab.graph import Graph, Path, find_cycles
+from leavitt_lab.lpa import GR_ZERO, Element, GaussianRational, Monomial, monomial_key
 
 
 def _raw_out(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -172,6 +174,63 @@ def oracle_paths(g: Graph, n: int) -> list[tuple[str, tuple[str, ...]]]:
         if all(by_id[seq[i]][1] == by_id[seq[i + 1]][0] for i in range(n - 1)):
             found.append((by_id[seq[0]][0], seq))
     return sorted(found, key=lambda t: t[1])
+
+
+def oracle_redexes(g: Graph, terms) -> list[Monomial]:
+    """The excluded monomials (a·e)(b·e)* of a term map, e designated, in canonical order.
+
+    The designated edge of each regular vertex (one that emits edges and no
+    omega pair) is its least outgoing edge id, read off the raw edge list.
+    """
+    out = _raw_out(g)
+    om = _raw_omega_src(g)
+    designated = {min(eid for eid, _ in out[v]) for v in g.vertices if out[v] and not om[v]}
+    return sorted(
+        (
+            m
+            for m in terms
+            if m.alpha.edges
+            and m.beta.edges
+            and m.alpha.edges[-1] == m.beta.edges[-1]
+            and m.alpha.edges[-1] in designated
+        ),
+        key=monomial_key,
+    )
+
+
+def oracle_normalize(
+    g: Graph, raw: dict[Monomial, GaussianRational], rng: random.Random
+) -> Element:
+    """CK2 normal form by rescanning every term and rewriting a random redex.
+
+    Each step collects every excluded term (a·e)(b·e)*, picks one uniformly
+    at random and replaces it by a·b* minus the siblings (a·h)(b·h)*, h != e,
+    until no term is excluded.
+    """
+    out = _raw_out(g)
+    src_of = {e.id: e.src for e in g.edges}
+    work: dict[Monomial, GaussianRational] = {}
+
+    def add(m: Monomial, c: GaussianRational) -> None:
+        acc = work.get(m, GR_ZERO) + c
+        if acc:
+            work[m] = acc
+        else:
+            work.pop(m, None)
+
+    for m, c in raw.items():
+        add(m, c)
+    while redexes := oracle_redexes(g, work):
+        m = rng.choice(redexes)
+        c = work.pop(m)
+        e = m.alpha.edges[-1]
+        a = Path(m.alpha.source, m.alpha.edges[:-1])
+        b = Path(m.beta.source, m.beta.edges[:-1])
+        add(Monomial(a, b), c)
+        for h, _ in out[src_of[e]]:
+            if h != e:
+                add(Monomial(Path(a.source, a.edges + (h,)), Path(b.source, b.edges + (h,))), -c)
+    return Element(g, work)
 
 
 def oracle_monomial_product(

@@ -253,6 +253,24 @@ def test_normalize_applies_relations(capsys, tmp_path, r2_file):
     ]
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        '{"alpha":"ef","alpha_src":"v","beta":[],"beta_src":"v","re":"1/1","im":"0/1"}',
+        '{"alpha":["e"],"alpha_src":"v","beta":["e"],"beta_src":"v","re":0.1,"im":"0/1"}',
+        '{"alpha":["e"],"alpha_src":"v","beta":["e"],"beta_src":"v","re":"1/1","im":0}',
+    ],
+    ids=["string-path", "float-coefficient", "integer-coefficient"],
+)
+def test_normalize_exit_2_on_loose_element_json(capsys, tmp_path, r2_file, term):
+    elem = tmp_path / "loose.json"
+    elem.write_text(f"[{term}]")
+    code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+
+
 def test_norm_p1_exact(capsys, tmp_path, a2_file):
     g = zoo.a2()
     x = vertex_element(g, "u") + vertex_element(g, "v")

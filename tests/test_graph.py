@@ -38,6 +38,7 @@ from conftest import random_relabel
 from oracles import (
     all_hereditary_saturated_sets,
     oracle_classify,
+    oracle_cycles,
     oracle_is_simple,
     oracle_least_cycle_at,
     oracle_paths,
@@ -518,6 +519,20 @@ def test_classify_deep_ring_within_budget():
     assert elapsed < 2.0
 
 
+def test_find_cycles_on_deep_ring():
+    n = 2000
+    verts = tuple(f"v{i}" for i in range(n))
+    ring = tuple((f"e{i}", verts[i], verts[(i + 1) % n]) for i in range(n))
+    g = Graph(verts, ring + (("f", "v0", "v0"),))
+    cycles = find_cycles(g)
+    assert [c for c, _ in cycles] == [
+        Path("v0", tuple(f"e{i}" for i in range(n))),
+        Path("v0", ("f",)),
+    ]
+    assert cycles[0][1] == ("f",)
+    assert cycles[1][1] == ("e0",)
+
+
 @st.composite
 def random_graphs(draw, max_vertices=9, min_omega=0, max_omega=2):
     """Multigraphs with loops, shuffled vertex order and edge ids, and omega pairs."""
@@ -541,6 +556,12 @@ def desingularized_graphs(draw):
 def test_classify_matches_exhaustive_oracle(g):
     c = classify_graph(g, frontier="sink")
     assert (c.verdict.value, c.witness) == oracle_classify(g)
+
+
+@given(st.one_of(random_graphs(), desingularized_graphs()))
+@settings(deadline=None, max_examples=150)
+def test_find_cycles_matches_oracle(g):
+    assert [c.edges for c, _ in find_cycles(g)] == sorted(oracle_cycles(g))
 
 
 @given(st.one_of(random_graphs(), desingularized_graphs()))

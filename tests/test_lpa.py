@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt_lab import zoo
-from leavitt_lab.errors import GraphMismatch, OmegaUnsupported
+from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
+from leavitt_lab.graph import enumerate_paths
 from leavitt_lab.lpa import (
     GaussianRational,
     Monomial,
@@ -26,7 +28,7 @@ from leavitt_lab.lpa import (
 )
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_monomial_product
+from oracles import oracle_monomial_product, oracle_normalize, oracle_redexes
 
 
 def elem(g, alpha_edges, beta_edges, coeff=1, alpha_src=None, beta_src=None):
@@ -140,8 +142,6 @@ def test_normalize_confluence_two_strategies():
         g = graphs[i % len(graphs)]
         pool = []
         for n in range(4):
-            from leavitt_lab.graph import enumerate_paths
-
             pool.extend(enumerate_paths(g, n))
         raw = {}
         for _ in range(rng.randint(1, 6)):
@@ -150,9 +150,64 @@ def test_normalize_confluence_two_strategies():
             beta = rng.choice(betas)
             m = Monomial(alpha, beta)
             raw[m] = gauss(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-        left = normalize_terms(g, raw, strategy="sorted")
-        rnd = normalize_terms(g, raw, strategy="random", rng=random.Random(i))
-        assert left == rnd
+        assert normalize_terms(g, raw) == oracle_normalize(g, raw, random.Random(i))
+
+
+ZOO = [*zoo.standard_graphs().values(), zoo.spi4(), zoo.line(3), zoo.source_into_rose()]
+ROSES = [zoo.r1(), zoo.r2(), zoo.r3()]
+
+
+@st.composite
+def raw_sums(draw):
+    """A zoo graph and a raw term map: random monomials with paths of length <= 6,
+    plus, on a rose, a conjugation sum k·(sum of p·p* over |p| = r) - k·v that cancels."""
+    g = draw(st.sampled_from(ZOO))
+    forward = g.out_alphabet(2)
+    raw = {}
+
+    def add(m, c):
+        raw[m] = raw.get(m, gauss(0)) + c
+
+    for _ in range(draw(st.integers(1, 8))):
+        start = at = draw(st.sampled_from(g.vertices))
+        alpha = []
+        for _ in range(draw(st.integers(0, 6))):
+            if not forward[at]:
+                break
+            eid, at = draw(st.sampled_from(forward[at]))
+            alpha.append(eid)
+        beta_src, beta = at, []
+        for _ in range(draw(st.integers(0, 6))):
+            if not g.in_edges[beta_src]:
+                break
+            e = draw(st.sampled_from(g.in_edges[beta_src]))
+            beta_src, beta = e.src, [e.id, *beta]
+        coeff = gauss(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        add(Monomial(g.path(start, alpha), g.path(beta_src, beta)), coeff)
+    if g in ROSES and draw(st.booleans()):
+        k = gauss(draw(st.sampled_from([-2, -1, 1, 3])))
+        for p in enumerate_paths(g, draw(st.integers(1, 6))):
+            add(Monomial(p, p), k)
+        add(Monomial(g.path("v"), g.path("v")), -k)
+    return g, raw
+
+
+@given(raw_sums(), st.integers(0, 2**16))
+@settings(deadline=None, max_examples=80)
+def test_normalize_matches_random_order_oracle(sample, seed):
+    g, raw = sample
+    x = normalize_terms(g, raw)
+    assert x == oracle_normalize(g, raw, random.Random(seed))
+    assert oracle_redexes(g, dict(x.terms())) == []
+
+
+def test_path_conjugate_sum_depth_8_within_budget(r3):
+    v = vertex_element(r3, "v")
+    start = time.perf_counter()
+    x = path_conjugate_sum(v, 8)
+    elapsed = time.perf_counter() - start
+    assert x == v
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +452,19 @@ def test_element_json_normalizes_on_load(r2):
 
 
 def test_element_json_rejects_garbage(r2):
-    from leavitt_lab.errors import FormatError
-
     with pytest.raises(FormatError):
         element_from_json(r2, '[{"alpha":["zzz"],"alpha_src":"v","beta":[],"beta_src":"v","re":"1","im":"0"}]')
     with pytest.raises(FormatError):
         element_from_json(r2, '{"not":"a list"}')
+    # paths are lists of edge-id strings and coefficients exact rational strings;
+    # a string path is not split into edges, a JSON number is not converted
+    term = '"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"1/2","im":"0"'
+    for field, loose in [
+        ('"alpha":["e"]', '"alpha":"ef"'),
+        ('"beta":["f"]', '"beta":["f",1]'),
+        ('"re":"1/2"', '"re":0.1'),
+        ('"im":"0"', '"im":1'),
+    ]:
+        with pytest.raises(FormatError, match="must be"):
+            element_from_json(r2, "[{" + term.replace(field, loose) + "}]")
+
