@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     FrontierPresent,
     HasSources,
+    InternalError,
     LeavittError,
     NoInfiniteEmitters,
     NotASubgraph,
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
     except (UnknownVertex, NotASubgraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 8
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 1
     except LeavittError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,10 @@ class LeavittError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InternalError(LeavittError, RuntimeError):
+    """An internal invariant failed: a defect in this package, not bad input."""
+
+
 class FormatError(LeavittError):
     """Malformed JSON input (graph, element, or witness files)."""
 

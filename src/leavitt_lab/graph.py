@@ -682,6 +682,12 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(graph_to_json_obj(g), separators=(",", ":"), ensure_ascii=False)
 
 
+def _json_id(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, not {value!r}")
+    return value
+
+
 def graph_from_json_obj(obj) -> Graph:
     if not isinstance(obj, dict):
         raise FormatError("graph JSON must be an object")
@@ -692,11 +698,21 @@ def graph_from_json_obj(obj) -> Graph:
             if isinstance(entry, str):
                 vertices.append(entry)
             else:
-                vertices.append(entry["id"])
+                vertices.append(_json_id(entry["id"], "vertex id"))
                 if entry.get("frontier"):
                     frontier.append(entry["id"])
-        edges = [Edge(e["id"], e["src"], e["dst"]) for e in obj.get("edges", [])]
-        omega = [(o["src"], o["dst"]) for o in obj.get("omega", [])]
+        edges = [
+            Edge(
+                _json_id(e["id"], "edge id"),
+                _json_id(e["src"], "edge src"),
+                _json_id(e["dst"], "edge dst"),
+            )
+            for e in obj.get("edges", [])
+        ]
+        omega = [
+            (_json_id(o["src"], "omega src"), _json_id(o["dst"], "omega dst"))
+            for o in obj.get("omega", [])
+        ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad graph JSON: {exc}") from exc
     unknown = set(obj) - {"vertices", "edges", "omega"}

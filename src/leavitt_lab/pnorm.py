@@ -4,12 +4,13 @@ norms on l^p, and circle-quadrature validation of the degree projections.
 Exact matrices from the matricial module are converted to complex floats.
 The l^p -> l^p operator norm is exact for p = 1 (maximum column sum), a
 singular value for p = 2, and otherwise a certified lower bound from a
-nonlinear power iteration with restarts.
+nonlinear power iteration with restarts.  The restarts run as one stacked
+iteration over a (restarts, n) array, each row doing the arithmetic of a
+lone restart bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,15 +29,6 @@ def _check_p(p: float) -> float:
     if not (P_MIN <= p <= P_MAX):
         raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}]")
     return p
-
-
-def worker_count() -> int:
-    """Parallelism cap from LEAVITT_LAB_THREADS (default 1 = serial)."""
-    raw = os.environ.get("LEAVITT_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -77,51 +69,83 @@ class NormEstimate:
     converged: Optional[bool] = None
 
 
-def _dual_sign_power(v: np.ndarray, r: float) -> np.ndarray:
-    """Entrywise |v|^(r-1) · phase(v), with a relative floor against denormals."""
-    mags = np.abs(v)
-    out = np.zeros_like(v)
-    top = float(mags.max()) if mags.size else 0.0
-    if top == 0.0:
-        return out
-    nz = mags > top * 1e-18
-    out[nz] = (mags[nz] ** (r - 1.0)) * (v[nz] / mags[nz])
+def _row_norms(Y: np.ndarray, p: float) -> np.ndarray:
+    """``np.linalg.norm(y, ord=p)`` of every row y of Y, to the last bit.
+
+    For p != 2 numpy sums |y|^p and takes the root of that scalar; a root
+    taken over the whole array can differ from the scalar one in the last
+    bit, so it is applied row by row.  At p = 2 numpy computes a 1-D norm
+    through dot products, which sum in another order.
+    """
+    if p == 2.0:
+        return np.array([np.linalg.norm(y) for y in Y])
+    root = np.reciprocal(p)
+    return np.array([s ** root for s in np.add.reduce(np.abs(Y) ** p, axis=1)])
+
+
+def _dual_sign_power(V: np.ndarray, r: float) -> np.ndarray:
+    """Entrywise |v|^(r-1) · phase(v) for every row v of V, with a floor
+    relative to the row's own largest modulus against denormals."""
+    mags = np.abs(V)
+    out = np.zeros_like(V)
+    nz = mags > mags.max(axis=1)[:, None] * 1e-18
+    out[nz] = (mags[nz] ** (r - 1.0)) * (V[nz] / mags[nz])
     return out
 
 
-def _power_iteration_leg(
-    M: np.ndarray, p: float, x: np.ndarray, tol: float, max_iter: int
-) -> tuple[float, bool]:
+def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X.  A stacked product runs the BLAS
+    matrix-vector routine once per row, as ``M @ x`` does; ``X @ M.T`` would
+    take the matrix-matrix routine, whose sums round differently."""
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _stacked_power_iteration(
+    M: np.ndarray, p: float, X: np.ndarray, tol: float, max_iter: int
+) -> list[tuple[float, bool]]:
+    """Higham's nonlinear power method from every row of X at once.
+
+    Each row does the arithmetic of a lone iteration from that start and
+    leaves the live set on the step where that iteration would stop: a zero
+    image, no gain beyond ``tol``, a zero dual vector, or ``max_iter`` steps
+    (the only way to end unconverged).  Returns (best ratio, converged) per row.
+    """
     q = p / (p - 1.0)
-    nx = np.linalg.norm(x, ord=p)
-    if nx == 0:
-        return 0.0, True
-    x = x / nx
-    best = 0.0
-    converged = False
+    MH = M.conj().T
+    best = np.zeros(X.shape[0])
+    converged = np.zeros(X.shape[0], dtype=bool)
+    nx = _row_norms(X, p)
+    converged[nx == 0] = True
+    live = np.flatnonzero(nx != 0)
+    X = X[live] / nx[live, None]
     for _ in range(max_iter):
-        y = M @ x
-        gamma = float(np.linalg.norm(y, ord=p))
-        if gamma == 0.0:
-            converged = True
+        if not live.size:
             break
-        if gamma <= best * (1.0 + tol):
-            best = max(best, gamma)
-            converged = True
-            break
-        best = max(best, gamma)
-        z = M.conj().T @ _dual_sign_power(y / gamma, p)
-        zmax = float(np.abs(z).max())
-        if zmax == 0.0:
-            converged = True
-            break
-        x = _dual_sign_power(z / zmax, q)
-        nx = np.linalg.norm(x, ord=p)
-        if nx == 0:
-            converged = True
-            break
-        x = x / nx
-    return best, converged
+        Y = _matvec_rows(M, X)
+        gamma = _row_norms(Y, p)
+        prev = best[live]
+        best[live] = np.where(gamma > prev, gamma, prev)
+        stop = (gamma == 0.0) | (gamma <= prev * (1.0 + tol))
+        if stop.any():
+            converged[live[stop]] = True
+            keep = ~stop
+            live, Y, gamma = live[keep], Y[keep], gamma[keep]
+        Z = _matvec_rows(MH, _dual_sign_power(Y / gamma[:, None], p))
+        zmax = np.abs(Z).max(axis=1)
+        stop = zmax == 0.0
+        if stop.any():
+            converged[live[stop]] = True
+            keep = ~stop
+            live, Z, zmax = live[keep], Z[keep], zmax[keep]
+        X = _dual_sign_power(Z / zmax[:, None], q)
+        nx = _row_norms(X, p)
+        stop = nx == 0.0
+        if stop.any():
+            converged[live[stop]] = True
+            keep = ~stop
+            live, X, nx = live[keep], X[keep], nx[keep]
+        X = X / nx[:, None]
+    return [(float(b), bool(c)) for b, c in zip(best, converged)]
 
 
 def power_iteration_lower_bound(
@@ -136,8 +160,8 @@ def power_iteration_lower_bound(
 
     The value is the best ratio ||Mx||_p / ||x||_p over the iterates of every
     restart, hence always a valid lower bound; ``converged`` reports whether
-    the best leg reached a stationary estimate.  Restarts run independently
-    (threaded when LEAVITT_LAB_THREADS allows) and reduce by max.
+    the best restart reached a stationary estimate.  The restarts run as one
+    stacked iteration and reduce by max, the first maximum winning ties.
     """
     p = _check_p(p)
     if p == 1.0:
@@ -166,28 +190,16 @@ def power_iteration_lower_bound(
                 break
             proj = proj / scale
             proj = proj @ proj
-
-        def leg(x):
-            y = proj @ x.astype(np.complex128)
+        results = []
+        for x in starts:
+            y = proj @ x
             ny = float(np.linalg.norm(y))
             if ny == 0.0:
-                return _power_iteration_leg(M, p, x.astype(np.complex128), tol, max_iter)
-            y = y / ny
-            return float(np.linalg.norm(M @ y)), True
-
+                results += _stacked_power_iteration(M, p, x[None, :], tol, max_iter)
+            else:
+                results.append((float(np.linalg.norm(M @ (y / ny))), True))
     else:
-
-        def leg(x):
-            return _power_iteration_leg(M, p, x.astype(np.complex128), tol, max_iter)
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            results = list(pool.map(leg, starts))
-    else:
-        results = [leg(x) for x in starts]
+        results = _stacked_power_iteration(M, p, np.array(starts), tol, max_iter)
     value, converged = max(results, key=lambda r: r[0])
     return NormEstimate(value, exact=False, converged=converged)
 

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     HasSources,
+    InternalError,
     NotDegreeFree,
     NotSPI,
     OmegaUnsupported,
@@ -87,7 +88,7 @@ def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
         for sigma in closed_paths_at(g, v, length):
             if not _comparable(g, alpha, sigma):
                 return sigma
-    raise RuntimeError(
+    raise InternalError(
         "no incomparable closed path found; the graph cannot be simple purely infinite"
     )
 
@@ -112,7 +113,7 @@ def path_to_cycle_base(g: Graph, v: str) -> Path:
                     seen.add(dst)
                     nxt.append(q)
         frontier = nxt
-    raise RuntimeError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
+    raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
     for i, t in enumerate((t1, t2)):
         for j, s in enumerate((s1, s2)):
             if multiply(t, s) != expected[i][j]:
-                raise RuntimeError("Cohn relations failed to verify")
+                raise InternalError("Cohn relations failed to verify")
     return CohnQuadruple(s1, s2, t1, t2)
 
 
@@ -275,7 +276,7 @@ def annihilating_closed_path(b: Element, v: str) -> Path:
         power += 1
         if prefix.length <= cap and annihilates(prefix):
             return prefix
-    raise RuntimeError(
+    raise InternalError(
         "annihilating closed path not found within the guaranteed bound"
     )
 
@@ -315,7 +316,7 @@ def witness_from_json_obj(g: Graph, obj: dict) -> Witness:
 def make_witness(a: Element, x: Element, y: Element, v: str, trace) -> Witness:
     """Assemble a witness, re-checking x·a·y = v by exact multiplication."""
     if multiply(multiply(x, a), y) != vertex_element(a.graph, v):
-        raise RuntimeError("witness identity x·a·y = v failed the exact re-check")
+        raise InternalError("witness identity x·a·y = v failed the exact re-check")
     return Witness(x, y, v, tuple(trace))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BecameEmpty, NoInfiniteEmitters, NotASubgraph
+from .errors import BecameEmpty, InternalError, NoInfiniteEmitters, NotASubgraph
 from .graph import Edge, Graph, omega_edge_id, reachable_from
 from .lpa import (
     Element,
@@ -150,16 +150,16 @@ def _verify_embedding(emb: EmbeddingData) -> None:
             prod = multiply(vs[u], vs[w])
             want = vs[u] if u == w else zero(g)
             if prod != want:
-                raise RuntimeError(f"vertex images of {u!r}, {w!r} are not orthogonal idempotents")
+                raise InternalError(f"vertex images of {u!r}, {w!r} are not orthogonal idempotents")
     for e in dom.edges:
         img = es[e.id]
         if multiply(vs[e.src], img) != img or multiply(img, vs[e.dst]) != img:
-            raise RuntimeError(f"edge image of {e.id!r} is not compatible with its endpoints")
+            raise InternalError(f"edge image of {e.id!r} is not compatible with its endpoints")
         for f in dom.edges:
             prod = multiply(involute(img), es[f.id])
             want = vs[e.dst] if f.id == e.id else zero(g)
             if prod != want:
-                raise RuntimeError(f"ghost relation fails at {e.id!r}, {f.id!r}")
+                raise InternalError(f"ghost relation fails at {e.id!r}, {f.id!r}")
     for v in dom.vertices:
         if not dom.is_regular(v):
             continue
@@ -167,7 +167,7 @@ def _verify_embedding(emb: EmbeddingData) -> None:
         for e in dom.out_edges[v]:
             acc = acc + multiply(es[e.id], involute(es[e.id]))
         if acc != vs[v]:
-            raise RuntimeError(f"range relation fails at regular vertex {v!r}")
+            raise InternalError(f"range relation fails at regular vertex {v!r}")
 
 
 def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from leavitt_lab.graph import Graph, Path, find_cycles
 from leavitt_lab.lpa import GR_ZERO, Element, GaussianRational, Monomial, monomial_key
 
@@ -255,3 +257,92 @@ def oracle_column_sum_norm(matrix: list[list[Fraction]]) -> Fraction:
     return max(
         sum((abs(row[j]) for row in matrix), Fraction(0)) for j in range(cols)
     )
+
+
+def _oracle_dual_sign_power(v: np.ndarray, r: float) -> np.ndarray:
+    mags = np.abs(v)
+    out = np.zeros_like(v)
+    top = float(mags.max()) if mags.size else 0.0
+    if top == 0.0:
+        return out
+    nz = mags > top * 1e-18
+    out[nz] = (mags[nz] ** (r - 1.0)) * (v[nz] / mags[nz])
+    return out
+
+
+def _oracle_power_leg(
+    M: np.ndarray, p: float, x: np.ndarray, tol: float, max_iter: int
+) -> tuple[float, bool]:
+    q = p / (p - 1.0)
+    nx = np.linalg.norm(x, ord=p)
+    if nx == 0:
+        return 0.0, True
+    x = x / nx
+    best = 0.0
+    converged = False
+    for _ in range(max_iter):
+        y = M @ x
+        gamma = float(np.linalg.norm(y, ord=p))
+        if gamma == 0.0:
+            converged = True
+            break
+        if gamma <= best * (1.0 + tol):
+            best = max(best, gamma)
+            converged = True
+            break
+        best = max(best, gamma)
+        z = M.conj().T @ _oracle_dual_sign_power(y / gamma, p)
+        zmax = float(np.abs(z).max())
+        if zmax == 0.0:
+            converged = True
+            break
+        x = _oracle_dual_sign_power(z / zmax, q)
+        nx = np.linalg.norm(x, ord=p)
+        if nx == 0:
+            converged = True
+            break
+        x = x / nx
+    return best, converged
+
+
+def oracle_power_iteration(M, p: float, restarts: int, seed: int, tol: float, max_iter: int):
+    """(value, converged) of the nonlinear power method run one start at a time.
+
+    Same starts as production (``restarts`` seeded complex Gaussians, then the
+    unit vector at the column of largest p-mass), one serial leg per start and
+    the first maximum over starts; p = 2 first squares M^H M and falls back
+    to a leg only where the squared projector kills the start.
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    n = M.shape[1]
+    starts = [
+        rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(restarts)
+    ]
+    col = int(np.argmax((np.abs(M) ** p).sum(axis=0)))
+    e = np.zeros(n, dtype=np.complex128)
+    e[col] = 1.0
+    starts.append(e)
+    if p == 2.0:
+        proj = M.conj().T @ M
+        for _ in range(40):
+            scale = float(np.abs(proj).max())
+            if scale == 0.0:
+                break
+            proj = proj / scale
+            proj = proj @ proj
+
+        def leg(x):
+            y = proj @ x.astype(np.complex128)
+            ny = float(np.linalg.norm(y))
+            if ny == 0.0:
+                return _oracle_power_leg(M, p, x.astype(np.complex128), tol, max_iter)
+            y = y / ny
+            return float(np.linalg.norm(M @ y)), True
+
+    else:
+
+        def leg(x):
+            return _oracle_power_leg(M, p, x.astype(np.complex128), tol, max_iter)
+
+    return max((leg(x) for x in starts), key=lambda r: r[0])

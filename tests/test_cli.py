@@ -103,6 +103,24 @@ def test_classify_exit_2_on_colliding_omega_ids(capsys, tmp_path):
     assert "a~b~c^" in err
 
 
+def test_classify_exit_2_on_non_string_edge_id(capsys, tmp_path):
+    path = tmp_path / "numeric.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": ["v", "w"],
+                "edges": [{"id": 5, "src": "v", "dst": "v"}],
+                "omega": [{"src": "v", "dst": "w"}],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["classify", "--graph", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "edge id must be a string" in err
+    assert "Traceback" not in err
+
+
 def test_classify_exit_3_on_empty(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices":[],"edges":[]}')
@@ -413,6 +431,24 @@ def test_transform_complete_exit_8(capsys, tmp_path, r2_file):
     assert code == 8
 
 
+def test_internal_invariant_failure_exits_1(capsys, monkeypatch, tmp_path, r2_file):
+    import leavitt_lab.transforms as transforms
+    from leavitt_lab.graph import Graph
+    from leavitt_lab.lpa import zero
+
+    # a broken involution makes the embedding's exact re-check fail
+    monkeypatch.setattr(transforms, "involute", lambda x: zero(x.graph))
+    sub = tmp_path / "sub.json"
+    sub.write_text(graph_to_json(Graph(("v",), (("e", "v", "v"),))))
+    code, out, err = run(
+        capsys, ["transform", "complete", "--graph", r2_file, "--subgraph", str(sub)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: internal error: ")
+    assert "Traceback" not in err
+
+
 def test_transform_dot_output(capsys, tmp_path):
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(zoo.omega_spi()))
@@ -472,8 +508,8 @@ def test_byte_identical_across_processes(tmp_path):
     elem = tmp_path / "a.json"
     g = zoo.r2()
     elem.write_text(element_to_json(path_element(g, ("e",)) + vertex_element(g, "v")))
-    # a minimal env keeps stray variables (LEAVITT_LAB_THREADS, ...) out; the child
-    # imports the same leavitt_lab this process imported, installed or from source
+    # a minimal env keeps stray variables out; the child imports the same
+    # leavitt_lab this process imported, installed or from source
     package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
     outputs = set()
     for seed in ("0", "1", "31337"):

@@ -443,6 +443,25 @@ def test_graph_json_rejects_unknown_fields():
         graph_from_json("not json")
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vertices": ["v", "w"], "edges": [{"id": 5, "src": "v", "dst": "v"}], "omega": [{"src": "v", "dst": "w"}]},
+        {"vertices": [{"id": 1}], "edges": []},
+        {"vertices": ["v"], "edges": [{"id": "e", "src": ["v"], "dst": "v"}]},
+        {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": None}]},
+        {"vertices": ["v", "w"], "omega": [{"src": "v", "dst": 2}]},
+        {"vertices": ["v", "w"], "omega": [{"src": {"id": "v"}, "dst": "w"}]},
+    ],
+    ids=["edge-id", "vertex-id", "edge-src", "edge-dst", "omega-dst", "omega-src"],
+)
+def test_graph_json_rejects_non_string_ids(obj):
+    from leavitt_lab.errors import FormatError
+
+    with pytest.raises(FormatError, match="must be a string"):
+        graph_from_json(json.dumps(obj))
+
+
 def test_dot_export(omega_spi):
     dot = graph_to_dot(omega_spi)
     assert dot.startswith("digraph G {")

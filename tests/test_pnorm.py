@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import EmptyMatrix, NotAcyclic
@@ -18,7 +20,7 @@ from leavitt_lab.pnorm import (
 )
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_column_sum_norm
+from oracles import oracle_column_sum_norm, oracle_power_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +161,72 @@ def test_norm_estimate_flags():
     assert not est3.exact and est3.converged
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    rng = np.random.default_rng(9)
-    M = rng.standard_normal((5, 5))
-    serial = power_iteration_lower_bound(M, 3.0, seed=1)
-    monkeypatch.setenv("LEAVITT_LAB_THREADS", "4")
-    threaded = power_iteration_lower_bound(M, 3.0, seed=1)
-    assert threaded == serial
-    monkeypatch.setenv("LEAVITT_LAB_THREADS", "not-a-number")
-    assert power_iteration_lower_bound(M, 3.0, seed=1) == serial
+@st.composite
+def power_iteration_inputs(draw):
+    """A matrix of size 1-20 (real or complex; dense, with a zero column and a
+    zero row, zero, strictly triangular hence nilpotent, or with one inf or
+    nan entry), scaled by 1, by 1e-170 (M^H M underflows) or by 1e200 (|y|^p
+    overflows), plus the iteration's settings."""
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((rows, cols))
+    if draw(st.booleans()):
+        M = M + 1j * rng.standard_normal((rows, cols))
+    if draw(st.booleans()):
+        M = np.round(2 * M)
+    shape = draw(st.sampled_from(["dense", "zero lines", "zero", "triangular", "non-finite"]))
+    if shape == "zero lines":
+        M[:, draw(st.integers(0, cols - 1))] = 0
+        M[draw(st.integers(0, rows - 1)), :] = 0
+    elif shape == "zero":
+        M = np.zeros_like(M)
+    elif shape == "triangular":
+        M = np.triu(M, 1)
+    M = M * draw(st.sampled_from([1.0, 1e-170, 1e200]))
+    if shape == "non-finite":
+        M[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan])
+        )
+    p = draw(st.sampled_from([1.1, 1.5, 2.0, 3.0, 4.0, 8.0]))
+    restarts = draw(st.sampled_from([0, 1, 8]))
+    max_iter = draw(st.sampled_from([1, 3, 200]))
+    return M, p, restarts, draw(st.integers(0, 1000)), max_iter
+
+
+def assert_matches_oracle(M, p, restarts, seed, max_iter):
+    with np.errstate(all="ignore"):
+        est = power_iteration_lower_bound(
+            M, p, restarts=restarts, seed=seed, tol=1e-10, max_iter=max_iter
+        )
+        value, converged = oracle_power_iteration(M, p, restarts, seed, 1e-10, max_iter)
+    # repr round-trips a float exactly, so equal reprs are equal bits (and nan == nan)
+    assert (repr(est.value), est.converged) == (repr(value), converged)
+    assert type(est.value) is float and type(est.converged) is bool
+
+
+@given(power_iteration_inputs())
+# two restarts tie on the value, only the first is unconverged: the first maximum wins
+@example((np.array([[1.0, -1.0], [1.0, 1.0]]), 1.1, 1, 404, 3))
+# one step cannot confirm a fixed point: every restart ends unconverged
+@example((np.random.default_rng(4).standard_normal((6, 6)), 3.0, 8, 0, 1))
+@settings(deadline=None, max_examples=300)
+def test_stacked_power_iteration_matches_serial_oracle_bitwise(inputs):
+    assert_matches_oracle(*inputs)
+
+
+def test_p2_fallback_matches_serial_oracle_bitwise():
+    # the heaviest column lies outside the top singular space, so repeated
+    # squaring annihilates the unit-vector start and its restart falls back
+    # to the power iteration, where 2-norms must sum as numpy's 1-D norm does
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        k = int(rng.integers(3, 12))
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        M = np.zeros((k + 4, k + 4), dtype=np.complex128)
+        M[:4, :4] = 1.0
+        M[4:, 4:] = 2.5 * Q + 0.3 * rng.standard_normal((k, k))
+        for restarts in (0, 8):
+            assert_matches_oracle(M, 2.0, restarts, 0, 200)
 
 
 # ---------------------------------------------------------------------------
