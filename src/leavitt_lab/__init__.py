@@ -57,9 +57,8 @@ from .pnorm import (
     NormEstimate,
     SpatialMatrix,
     degree_component_quadrature_error,
-    element_norm_acyclic,
+    element_norm_estimate,
     norm_estimate,
-    op_norm_p,
     power_iteration_lower_bound,
     spatial_rep_acyclic,
 )
@@ -113,7 +112,7 @@ __all__ = [
     "degree_zero_witness",
     "desingularize",
     "element_from_json",
-    "element_norm_acyclic",
+    "element_norm_estimate",
     "element_to_json",
     "embed_element",
     "enumerate_paths",
@@ -132,7 +131,6 @@ __all__ = [
     "multiply",
     "norm_estimate",
     "normalize_terms",
-    "op_norm_p",
     "path_conjugate_sum",
     "path_element",
     "power_iteration_lower_bound",

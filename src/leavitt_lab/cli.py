@@ -2,22 +2,22 @@
 compute norms, and run graph transforms.  Machine output (JSON, deterministic
 byte-for-byte) goes to stdout; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 unreadable/malformed input, 3 empty graph, 4 witness
-precondition (not SPI / sources / omega edges), 5 zero element, 6 source
-removal emptied the graph, 7 nothing to desingularize, 8 unknown vertex or
-not a subgraph, 1 any other error.
+Exit codes: 0 ok, 2 unreadable/malformed input or a request over a size
+budget, 3 empty graph, 4 witness precondition (not SPI / sources / omega
+edges), 5 zero element, 6 source removal emptied the graph, 7 nothing to
+desingularize, 8 unknown vertex or not a subgraph, 1 any other error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     BecameEmpty,
+    BudgetExceeded,
     EmptyGraph,
     FormatError,
     FrontierPresent,
@@ -55,26 +55,6 @@ LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; unknown flags are rejected by the parser."""
-
-    command: str
-    graph: Optional[str] = None
-    element: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    depth: int = 1
-    p: float = 1.0
-    tol: float = 1e-10
-    frontier: str = "refuse"
-    op: Optional[str] = None
-    from_vertex: Optional[str] = None
-    subgraph: Optional[str] = None
-    emit_embedding: Optional[str] = None
-    output: Optional[str] = None
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":"), ensure_ascii=False) + "\n")
 
@@ -87,16 +67,16 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if not cfg.graph:
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if not args.graph:
         raise FormatError("a --graph file is required")
-    return graph_from_json(_read(cfg.graph))
+    return graph_from_json(_read(args.graph))
 
 
-def _load_element(cfg: RunConfig, g: Graph) -> Element:
-    if not cfg.element:
+def _load_element(args: argparse.Namespace, g: Graph) -> Element:
+    if not args.element:
         raise FormatError("an --element file is required")
-    return element_from_json(g, _read(cfg.element))
+    return element_from_json(g, _read(args.element))
 
 
 def _witness_json(witness) -> dict:
@@ -119,10 +99,10 @@ def _classification_obj(c: Classification) -> dict:
     }
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    c = classify_graph(g, frontier=cfg.frontier)
-    if cfg.fmt == "text":
+def cmd_classify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    c = classify_graph(g, frontier=args.frontier)
+    if args.fmt == "text":
         obj = _classification_obj(c)
         print(f"E: {obj['labels']['graph']}")
         print(f"L(E): {obj['labels']['leavitt_path_algebra']} as a ring")
@@ -139,15 +119,15 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    a = _load_element(cfg, g)
+def cmd_witness(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    a = _load_element(args, g)
     # spi_witness re-checks x·a·y = v by exact multiplication (make_witness)
     # and raises when it fails, so a returned witness is verified.
     w = spi_witness(a)
     obj = w.to_json_obj()
     obj["verified"] = True
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         print(f"v: {w.v}")
         print(f"x: {json.dumps(obj['x'], separators=(',', ':'))}")
         print(f"y: {json.dumps(obj['y'], separators=(',', ':'))}")
@@ -157,23 +137,23 @@ def cmd_witness(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_normalize(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    a = _load_element(cfg, g)
+def cmd_normalize(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    a = _load_element(args, g)
     _emit(element_to_json_obj(a))
     return 0
 
 
-def cmd_norm(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    a = _load_element(cfg, g)
-    est = element_norm_estimate(g, a, cfg.p, seed=cfg.seed, tol=cfg.tol)
-    if est.exact or cfg.p == 2.0:
-        _emit({"p": cfg.p, "norm": est.value, "exact": est.exact})
+def cmd_norm(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    a = _load_element(args, g)
+    est = element_norm_estimate(g, a, args.p, seed=args.seed, tol=args.tol)
+    if est.exact or args.p == 2.0:
+        _emit({"p": args.p, "norm": est.value, "exact": est.exact})
     else:
         _emit(
             {
-                "p": cfg.p,
+                "p": args.p,
                 "exact": False,
                 "lower_bound": est.value,
                 "converged": bool(est.converged),
@@ -182,41 +162,44 @@ def cmd_norm(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_transform(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.op == "remove-sources":
+def cmd_transform(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    if args.op == "remove-sources":
         out = remove_sources(g)
-    elif cfg.op == "desingularize":
-        out = desingularize(g, cfg.depth)
-    elif cfg.op == "reachable":
-        if not cfg.from_vertex:
+    elif args.op == "desingularize":
+        out = desingularize(g, args.depth)
+    elif args.op == "reachable":
+        if not args.from_vertex:
             raise FormatError("reachable needs --from VERTEX")
-        out = reachable_subgraph(g, cfg.from_vertex)
-    elif cfg.op == "complete":
-        if not cfg.subgraph:
+        out = reachable_subgraph(g, args.from_vertex)
+    elif args.op == "complete":
+        if not args.subgraph:
             raise FormatError("complete needs --subgraph FILE")
-        F = graph_from_json(_read(cfg.subgraph))
+        F = graph_from_json(_read(args.subgraph))
         emb = complete_and_embed(g, F)
         out = emb.domain
-        if cfg.emit_embedding:
-            with open(cfg.emit_embedding, "w", encoding="utf-8") as fh:
+        if args.emit_embedding:
+            with open(args.emit_embedding, "w", encoding="utf-8") as fh:
                 fh.write(emb.to_json() + "\n")
     else:
-        raise FormatError(f"unknown transform {cfg.op!r}")
+        raise FormatError(f"unknown transform {args.op!r}")
 
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         text = graph_to_dot(out)
     else:
         text = json.dumps(graph_to_json_obj(out), separators=(",", ":"), ensure_ascii=False) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a new
+    Namespace on every call, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="leavitt-lab",
         description="Exact computations with Leavitt path algebras of finite graph presentations.",
@@ -270,27 +253,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        graph=getattr(args, "graph", None),
-        element=getattr(args, "element", None),
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
-        depth=getattr(args, "depth", 1),
-        p=getattr(args, "p", 1.0),
-        tol=getattr(args, "tol", 1e-10),
-        frontier=getattr(args, "frontier", "refuse"),
-        op=getattr(args, "op", None),
-        from_vertex=getattr(args, "from_vertex", None),
-        subgraph=getattr(args, "subgraph", None),
-        emit_embedding=getattr(args, "emit_embedding", None),
-        output=getattr(args, "output", None),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[cfg.command](cfg)
-    except (FormatError, ValueError) as exc:
+        return COMMANDS[args.command](args)
+    except (FormatError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyGraph as exc:
@@ -303,7 +269,7 @@ def main(argv=None) -> int:
         return 4
     except OmegaUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if cfg.command == "witness":
+        if args.command == "witness":
             print("hint: run 'leavitt-lab transform desingularize' first", file=sys.stderr)
             return 4
         return 1

@@ -13,6 +13,10 @@ class FormatError(LeavittError):
     """Malformed JSON input (graph, element, or witness files)."""
 
 
+class BudgetExceeded(LeavittError):
+    """The request would build more than a fixed budget of objects."""
+
+
 class EmptyGraph(LeavittError):
     """The operation requires a graph with at least one vertex."""
 

@@ -11,10 +11,10 @@ lone restart bit for bit.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import EmptyMatrix
 from .graph import Graph, Path
@@ -22,6 +22,22 @@ from .lpa import Element, degree_component
 from .matricial import acyclic_decompose
 
 P_MIN, P_MAX = 1.0, 8.0
+
+
+def _lazy_numpy():
+    """numpy, executed on first attribute access.  Importing it takes most of
+    a cold start and only the norm kernels use it."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 def _check_p(p: float) -> float:
@@ -232,19 +248,10 @@ def norm_estimate(
     )
 
 
-def op_norm_p(M, p: float, seed: int = 0) -> float:
-    """Float value of the l^p operator norm (lower bound for p outside {1, 2})."""
-    return norm_estimate(M, p, seed=seed).value
-
-
-def element_norm_acyclic(g: Graph, x: Element, p: float, seed: int = 0) -> float:
-    """Norm of an element of a finite acyclic algebra: max over sink blocks."""
-    return element_norm_estimate(g, x, p, seed=seed).value
-
-
 def element_norm_estimate(
     g: Graph, x: Element, p: float, seed: int = 0, tol: float = 1e-10
 ) -> NormEstimate:
+    """Norm of an element of a finite acyclic algebra: max over sink blocks."""
     rep = spatial_rep_acyclic(g, x, p)
     values = []
     exact = True

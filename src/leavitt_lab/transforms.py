@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BecameEmpty, InternalError, NoInfiniteEmitters, NotASubgraph
+from .errors import BecameEmpty, BudgetExceeded, InternalError, NoInfiniteEmitters, NotASubgraph
 from .graph import Edge, Graph, omega_edge_id, reachable_from
 from .lpa import (
     Element,
@@ -43,6 +43,11 @@ def remove_sources(g: Graph) -> Graph:
         current = Graph(vertices, edges, omega, current.frontier & set(vertices))
 
 
+# Omega edges that one desingularization may materialize (depth × omega
+# pairs).  Each costs about 1 kB with its tail vertex, tail edge and JSON.
+DESINGULARIZE_BUDGET = 10**5
+
+
 def _fresh(name: str, used: set[str]) -> str:
     while name in used:
         name += "'"
@@ -58,12 +63,18 @@ def desingularize(g: Graph, depth: int) -> Graph:
     order, then omega edges round-robin over the pairs in range-id order, depth
     of them per pair.  The k-th enumerated edge is re-sourced to depart the
     (k-1)-th tail vertex; the final tail vertex emits nothing and is flagged as
-    the truncation frontier.
+    the truncation frontier.  Raises BudgetExceeded, before building anything,
+    when depth × omega pairs exceeds ``DESINGULARIZE_BUDGET``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not g.omega_pairs:
         raise NoInfiniteEmitters("the graph is already row-finite")
+    if depth * len(g.omega_pairs) > DESINGULARIZE_BUDGET:
+        raise BudgetExceeded(
+            f"depth {depth} over {len(g.omega_pairs)} omega pairs would materialize "
+            f"{depth * len(g.omega_pairs)} edges, over the budget of {DESINGULARIZE_BUDGET}"
+        )
 
     emitters = [v for v in g.vertices if g.is_infinite_emitter(v)]
     used_vertices = set(g.vertices)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import leavitt_lab
-from leavitt_lab import zoo
+from leavitt_lab import transforms, zoo
 from leavitt_lab.cli import main
 from leavitt_lab.graph import graph_from_json, graph_to_json
 from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element
@@ -36,6 +37,13 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def child_env(hash_seed="0"):
+    """A minimal env that keeps stray variables out; the child imports the
+    same leavitt_lab this process imported, installed or from source."""
+    package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
+    return {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root}
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +382,19 @@ def test_transform_desingularize(capsys, tmp_path):
     assert g.frontier
 
 
+def test_transform_desingularize_exit_2_over_budget(capsys, monkeypatch, tmp_path):
+    # a lowered budget stands in for a hostile depth, which must never run
+    monkeypatch.setattr(transforms, "DESINGULARIZE_BUDGET", 2)
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(zoo.omega_spi()))
+    argv = ["transform", "desingularize", "--graph", str(gp), "--depth"]
+    assert run(capsys, argv + ["2"])[0] == 0
+    code, out, err = run(capsys, argv + ["3"])
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_transform_desingularize_exit_7(capsys, r2_file):
     code, out, err = run(capsys, ["transform", "desingularize", "--graph", r2_file])
     assert code == 7
@@ -508,20 +529,74 @@ def test_byte_identical_across_processes(tmp_path):
     elem = tmp_path / "a.json"
     g = zoo.r2()
     elem.write_text(element_to_json(path_element(g, ("e",)) + vertex_element(g, "v")))
-    # a minimal env keeps stray variables out; the child imports the same
-    # leavitt_lab this process imported, installed or from source
-    package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
     outputs = set()
     for seed in ("0", "1", "31337"):
         proc = subprocess.run(
             [sys.executable, "-m", "leavitt_lab", "witness", "--graph", str(gp), "--element", str(elem)],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root},
+            env=child_env(seed),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_shared_parser_leaks_no_state(capsys, monkeypatch, tmp_path, a2_file):
+    trunc = tmp_path / "trunc.json"
+    trunc.write_text(graph_to_json(transforms.desingularize(zoo.omega_spi(), 2)))
+    g = zoo.a2()
+    elem = write_element(tmp_path, g, vertex_element(g, "u") + vertex_element(g, "v"))
+    main(["classify", "--graph", a2_file])  # the parser exists from here on
+    capsys.readouterr()
+    added = []
+    real_add = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(
+        argparse._ActionsContainer,
+        "add_argument",
+        lambda self, *a, **k: added.append(a) or real_add(self, *a, **k),
+    )
+
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--graph", str(trunc), "--frontier", "sink", "--bogus"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage:" in out.err
+
+    code, out, err = run(capsys, ["classify", "--graph", str(trunc), "--frontier", "sink"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "SimplePurelyInfinite"
+    code, out, err = run(capsys, ["classify", "--graph", str(trunc)])
+    assert (code, out) == (4, "")
+
+    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", "3", "--seed", "7"])
+    assert code == 0 and json.loads(out)["p"] == 3.0
+    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem])
+    assert (code, out) == (0, '{"p":1.0,"norm":1.0,"exact":true}\n')
+    assert added == []
+
+
+def test_numpy_loads_only_for_norm(capsys, tmp_path, a2_file):
+    g = zoo.a2()
+    elem = write_element(tmp_path, g, path_element(g, ("e",)))
+    probe = (
+        "import sys\n"
+        "from leavitt_lab.cli import main\n"
+        f"code = main(['classify', '--graph', {a2_file!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+    argv = ["norm", "--graph", a2_file, "--element", elem, "--p", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "leavitt_lab", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_console_entry_point_runs():

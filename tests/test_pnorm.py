@@ -12,9 +12,8 @@ from leavitt_lab.lpa import multiply, path_element, vertex_element, zero
 from leavitt_lab.matricial import acyclic_decompose
 from leavitt_lab.pnorm import (
     degree_component_quadrature_error,
-    element_norm_acyclic,
+    element_norm_estimate,
     norm_estimate,
-    op_norm_p,
     power_iteration_lower_bound,
     spatial_rep_acyclic,
 )
@@ -83,16 +82,16 @@ def test_spatial_rep_p_range(a2):
 
 
 def test_norm_p1_column_sums():
-    assert op_norm_p([[1, 1], [0, 1]], 1.0) == 2.0
+    assert norm_estimate([[1, 1], [0, 1]], 1.0).value == 2.0
 
 
 def test_norm_identity_every_p():
     for p in (1.0, 1.5, 2.0, 3.0, 4.0):
-        assert op_norm_p(np.eye(5), p) == pytest.approx(1.0, rel=1e-9)
+        assert norm_estimate(np.eye(5), p).value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_norm_diagonal_p15():
-    assert op_norm_p(np.diag([3.0, -4.0]), 1.5) == pytest.approx(4.0, rel=1e-9)
+    assert norm_estimate(np.diag([3.0, -4.0]), 1.5).value == pytest.approx(4.0, rel=1e-9)
     # brute-force over a unit-vector grid never beats the max entry
     M = np.diag([3.0, -4.0])
     best = 0.0
@@ -105,7 +104,7 @@ def test_norm_diagonal_p15():
 
 def test_norm_empty_matrix():
     with pytest.raises(EmptyMatrix):
-        op_norm_p(np.zeros((0, 0)), 1.0)
+        norm_estimate(np.zeros((0, 0)), 1.0)
 
 
 def test_norm_p1_exactness_oracle():
@@ -118,7 +117,7 @@ def test_norm_p1_exactness_oracle():
             for _ in range(rows)
         ]
         M = np.array([[float(c) for c in row] for row in exact])
-        assert op_norm_p(M, 1.0) == float(oracle_column_sum_norm(exact))
+        assert norm_estimate(M, 1.0).value == float(oracle_column_sum_norm(exact))
 
 
 def test_norm_p2_power_iteration_matches_svd():
@@ -139,7 +138,7 @@ def test_norm_interpolation_bound():
         rowsum = float(np.abs(M).sum(axis=1).max())
         bound = max(colsum, rowsum) * (1 + 1e-6)
         for p in (1.0, 1.5, 3.0, 4.0):
-            assert op_norm_p(M, p) <= bound
+            assert norm_estimate(M, p).value <= bound
 
 
 def test_norm_monotone_under_zero_padding():
@@ -149,8 +148,8 @@ def test_norm_monotone_under_zero_padding():
         padded = np.zeros((5, 5))
         padded[:3, :3] = M
         for p in (1.5, 3.0):
-            a = op_norm_p(M, p)
-            b = op_norm_p(padded, p)
+            a = norm_estimate(M, p).value
+            b = norm_estimate(padded, p).value
             assert b >= a - 1e-9
 
 
@@ -236,11 +235,11 @@ def test_p2_fallback_matches_serial_oracle_bitwise():
 
 def test_element_norm_identity(a2):
     x = vertex_element(a2, "u") + vertex_element(a2, "v")
-    assert element_norm_acyclic(a2, x, 1.0) == 1.0
+    assert element_norm_estimate(a2, x, 1.0).value == 1.0
 
 
 def test_element_norm_matrix_unit(a2):
-    assert element_norm_acyclic(a2, path_element(a2, ("e",)), 1.0) == 1.0
+    assert element_norm_estimate(a2, path_element(a2, ("e",)), 1.0).value == 1.0
 
 
 def test_element_norm_max_over_blocks():
@@ -251,7 +250,7 @@ def test_element_norm_max_over_blocks():
         (("e1", "u1", "v1"), ("e2", "u2", "v2")),
     )
     x = vertex_element(g2, "v1").scale(2) + vertex_element(g2, "v2")
-    assert element_norm_acyclic(g2, x, 1.0) == 2.0
+    assert element_norm_estimate(g2, x, 1.0).value == 2.0
 
 
 def test_element_norm_max_formula(a3):
@@ -260,9 +259,9 @@ def test_element_norm_max_formula(a3):
         x = random_element(a3, rng, max_terms=4, max_len=2, nonzero=False)
         rep = spatial_rep_acyclic(a3, x, 1.0)
         per_block = [
-            op_norm_p(M, 1.0) for M in rep.blocks.values() if M.size
+            norm_estimate(M, 1.0).value for M in rep.blocks.values() if M.size
         ]
-        assert element_norm_acyclic(a3, x, 1.0) == (max(per_block) if per_block else 0.0)
+        assert element_norm_estimate(a3, x, 1.0).value == (max(per_block) if per_block else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from leavitt_lab import zoo
-from leavitt_lab.errors import BecameEmpty, NoInfiniteEmitters, NotASubgraph, UnknownVertex
+from leavitt_lab import transforms, zoo
+from leavitt_lab.errors import (
+    BecameEmpty,
+    BudgetExceeded,
+    NoInfiniteEmitters,
+    NotASubgraph,
+    UnknownVertex,
+)
 from leavitt_lab.graph import Graph, Verdict, classify_graph, enumerate_paths
 from leavitt_lab.lpa import (
     GR_ZERO,
@@ -124,6 +130,22 @@ def test_desingularize_round_robin_two_pairs():
 def test_desingularize_requires_omega(r2):
     with pytest.raises(NoInfiniteEmitters):
         desingularize(r2, 2)
+
+
+def test_desingularize_budget_fires_before_building(monkeypatch):
+    # the real budget is far below the depth that used to exhaust memory;
+    # only the arithmetic is checked, the huge case never runs
+    assert 100_000_000 > transforms.DESINGULARIZE_BUDGET
+    g = Graph(("v", "a", "b"), (), (("v", "b"), ("v", "a")))
+    monkeypatch.setattr(transforms, "DESINGULARIZE_BUDGET", 4)
+    assert len(desingularize(g, 2).edges) == 8
+
+    def no_building(*args):
+        raise AssertionError("desingularize built edges past its budget")
+
+    monkeypatch.setattr(transforms, "_fresh", no_building)
+    with pytest.raises(BudgetExceeded):
+        desingularize(g, 3)
 
 
 def test_desingularize_fresh_names_avoid_collisions():
