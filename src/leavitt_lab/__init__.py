@@ -17,14 +17,12 @@ from .graph import (
     Path,
     Verdict,
     classify_graph,
-    classify_vertices,
     enumerate_paths,
     find_cycles,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     hereditary_saturated_closure,
-    is_cycle_cofinal,
 )
 from .lpa import (
     Element,
@@ -104,7 +102,6 @@ __all__ = [
     "annihilating_closed_path",
     "blockwise_product",
     "classify_graph",
-    "classify_vertices",
     "cohn_embedding",
     "complete_and_embed",
     "degree_component",
@@ -126,7 +123,6 @@ __all__ = [
     "graph_to_json",
     "hereditary_saturated_closure",
     "involute",
-    "is_cycle_cofinal",
     "monomial_element",
     "multiply",
     "norm_estimate",

@@ -206,34 +206,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices=("json", "text")):
+    # each subcommand declares only the options its cmd_* reads
+    def inputs(name, summary, element=True, formats=None):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--graph", required=True, help="graph JSON file")
-        sp.add_argument("--format", dest="fmt", choices=fmt_choices, default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-10)
+        if element:
+            sp.add_argument("--element", required=True, help="element JSON file")
+        if formats:
+            sp.add_argument("--format", dest="fmt", choices=formats, default="json")
+        return sp
 
-    sp = sub.add_parser("classify", help="decide the simplicity trichotomy")
-    common(sp)
+    sp = inputs(
+        "classify", "decide the simplicity trichotomy", element=False, formats=("json", "text")
+    )
     sp.add_argument("--frontier", choices=("refuse", "sink"), default="refuse")
 
-    sp = sub.add_parser("witness", help="produce x, y, v with x·a·y = v")
-    common(sp)
-    sp.add_argument("--element", required=True, help="element JSON file")
+    inputs("witness", "produce x, y, v with x·a·y = v", formats=("json", "text"))
 
-    sp = sub.add_parser("normalize", help="normal form of an element")
-    common(sp)
-    sp.add_argument("--element", required=True)
+    inputs("normalize", "normal form of an element")
 
-    sp = sub.add_parser("norm", help="l^p operator norm over a finite acyclic graph")
-    common(sp)
-    sp.add_argument("--element", required=True)
+    sp = inputs("norm", "l^p operator norm over a finite acyclic graph")
     sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = sub.add_parser("transform", help="graph surgeries")
+    sp = inputs("transform", "graph surgeries", element=False, formats=("json", "dot"))
     sp.add_argument(
         "op", choices=("remove-sources", "desingularize", "reachable", "complete")
     )
-    common(sp, fmt_choices=("json", "dot"))
     sp.add_argument("--depth", type=int, default=1)
     sp.add_argument("--from", dest="from_vertex")
     sp.add_argument("--subgraph")

@@ -272,27 +272,6 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# vertex partition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexClasses:
-    sinks: tuple[str, ...]
-    infinite_emitters: tuple[str, ...]
-    regular: tuple[str, ...]
-
-
-def classify_vertices(g: Graph) -> VertexClasses:
-    """Partition the vertices into sinks, infinite emitters and regular vertices."""
-    return VertexClasses(
-        sinks=tuple(v for v in g.vertices if g.is_sink(v)),
-        infinite_emitters=tuple(v for v in g.vertices if g.is_infinite_emitter(v)),
-        regular=tuple(v for v in g.vertices if g.is_regular(v)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # path enumeration
 # ---------------------------------------------------------------------------
 
@@ -457,20 +436,6 @@ def reachable_from(g: Graph, start: str) -> frozenset[str]:
                 seen.add(dst)
                 stack.append(dst)
     return frozenset(seen)
-
-
-def is_cycle_cofinal(g: Graph) -> bool:
-    """Cofinality relative to cycles: every vertex reaches every cycle.
-
-    This is vacuously true for acyclic graphs, which is why the classifier
-    below decides simplicity through hereditary saturated sets instead.  A
-    vertex reaches a cycle exactly when it reaches the cycle's component.
-    """
-    component = g.analysis.component
-    cyclic = {component[v] for v in g.analysis.cycle_bases}
-    return all(
-        cyclic <= {component[w] for w in reachable_from(g, v)} for v in g.vertices
-    )
 
 
 class Verdict(Enum):

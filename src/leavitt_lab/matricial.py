@@ -206,21 +206,6 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _sink_paths_from(g: Graph, v: str) -> list[Path]:
-    """All paths from v to a sink, lexicographic by edge ids (trivial path if v is a sink)."""
-    out: list[Path] = []
-
-    def walk(at: str, edges: tuple[str, ...]) -> None:
-        if g.is_sink(at):
-            out.append(Path(v, edges))
-            return
-        for e in sorted(g.out_edges[at], key=lambda e: e.id):
-            walk(e.dst, edges + (e.id,))
-
-    walk(v, ())
-    return out
-
-
 def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     """For each sink v, every path ending at v, ordered by (length, lex)."""
     by_sink: dict[str, list[Path]] = {v: [] for v in g.vertices if g.is_sink(v)}
@@ -255,12 +240,16 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     blocks = {
         key: [[GR_ZERO for _ in plist] for _ in plist] for key, plist in paths.items()
     }
+    # in an acyclic graph the paths from u to the sinks are the paths into
+    # sinks that start at u
+    tails: dict[str, list[tuple[BlockKey, Path]]] = {v: [] for v in g.vertices}
+    for key, plist in paths.items():
+        for tail in plist:
+            tails[tail.source].append((key, tail))
     for m, c in x.terms():
-        at = g.range_of(m.alpha)
-        for tail in _sink_paths_from(g, at):
+        for key, tail in tails[g.range_of(m.alpha)]:
             row = Path(m.alpha.source, m.alpha.edges + tail.edges)
             col = Path(m.beta.source, m.beta.edges + tail.edges)
-            key = BlockKey("sink", g.range_of(tail), None)
             i, j = index[key][row], index[key][col]
             blocks[key][i][j] = blocks[key][i][j] + c
     return BlockDecomposition(g, None, blocks, paths)

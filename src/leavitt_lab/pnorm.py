@@ -88,13 +88,10 @@ class NormEstimate:
 def _row_norms(Y: np.ndarray, p: float) -> np.ndarray:
     """``np.linalg.norm(y, ord=p)`` of every row y of Y, to the last bit.
 
-    For p != 2 numpy sums |y|^p and takes the root of that scalar; a root
-    taken over the whole array can differ from the scalar one in the last
-    bit, so it is applied row by row.  At p = 2 numpy computes a 1-D norm
-    through dot products, which sum in another order.
+    numpy sums |y|^p and takes the root of that scalar; a root taken over
+    the whole array can differ from the scalar one in the last bit, so it is
+    applied row by row.
     """
-    if p == 2.0:
-        return np.array([np.linalg.norm(y) for y in Y])
     root = np.reciprocal(p)
     return np.array([s ** root for s in np.add.reduce(np.abs(Y) ** p, axis=1)])
 
@@ -178,10 +175,14 @@ def power_iteration_lower_bound(
     restart, hence always a valid lower bound; ``converged`` reports whether
     the best restart reached a stationary estimate.  The restarts run as one
     stacked iteration and reduce by max, the first maximum winning ties.
+    At p = 2 the norm is the largest singular value, so this returns
+    ``norm_estimate(M, 2.0)``.
     """
     p = _check_p(p)
     if p == 1.0:
         raise ValueError("use norm_estimate for p = 1; the column-sum formula is exact")
+    if p == 2.0:
+        return norm_estimate(M, p)
     M = np.asarray(M, dtype=np.complex128)
     if M.size == 0:
         raise EmptyMatrix("norm of an empty matrix")
@@ -196,26 +197,7 @@ def power_iteration_lower_bound(
     e[col] = 1.0
     starts.append(e)
 
-    if p == 2.0:
-        # Hermitian case: accelerate by repeated squaring of M^H M, which
-        # drives any start into the top eigenspace regardless of the gap
-        proj = M.conj().T @ M
-        for _ in range(40):
-            scale = float(np.abs(proj).max())
-            if scale == 0.0:
-                break
-            proj = proj / scale
-            proj = proj @ proj
-        results = []
-        for x in starts:
-            y = proj @ x
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                results += _stacked_power_iteration(M, p, x[None, :], tol, max_iter)
-            else:
-                results.append((float(np.linalg.norm(M @ (y / ny))), True))
-    else:
-        results = _stacked_power_iteration(M, p, np.array(starts), tol, max_iter)
+    results = _stacked_power_iteration(M, p, np.array(starts), tol, max_iter)
     value, converged = max(results, key=lambda r: r[0])
     return NormEstimate(value, exact=False, converged=converged)
 

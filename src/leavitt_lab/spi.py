@@ -57,22 +57,47 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
 
     For graphs with omega pairs only the first ``omega_copies`` parallel edges
     of each pair are explored; that is enough to exhibit incomparable closed
-    paths wherever they exist.
+    paths wherever they exist.  The walk uses an explicit stack and never
+    takes an edge whose range is further from v than the steps left.
     """
+    if length == 0:
+        return [Path(v)]
     alphabet = g.out_alphabet(omega_copies)
+    # steps from each vertex back to v, searched no further than length - 1
+    steps_to_v = {v: 0}
+    level = [v]
+    for steps in range(1, length):
+        nxt = []
+        for w in level:
+            preds = [e.src for e in g.in_edges[w]]
+            if omega_copies:
+                preds.extend(g.omega_by_dst[w])
+            for u in preds:
+                if u not in steps_to_v:
+                    steps_to_v[u] = steps
+                    nxt.append(u)
+        level = nxt
+
     found: list[Path] = []
+    edges: list[str] = []
+    # (index of the edge in the path, edge id, its range)
+    stack: list[tuple[int, str, str]] = []
 
-    def walk(at: str, edges: list[str]) -> None:
-        if len(edges) == length:
-            if at == v:
-                found.append(Path(v, tuple(edges)))
-            return
+    def extend(at: str, i: int) -> None:
+        left = length - i - 1
         for eid, dst in alphabet[at]:
-            edges.append(eid)
-            walk(dst, edges)
-            edges.pop()
+            if steps_to_v.get(dst, length) <= left:
+                stack.append((i, eid, dst))
 
-    walk(v, [])
+    extend(v, 0)
+    while stack:
+        i, eid, at = stack.pop()
+        del edges[i:]
+        edges.append(eid)
+        if i + 1 == length:
+            found.append(Path(v, tuple(edges)))
+        else:
+            extend(at, i + 1)
     found.sort(key=lambda p: p.edges)
     return found
 

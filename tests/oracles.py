@@ -83,6 +83,31 @@ def oracle_cycles(g: Graph) -> set[tuple[str, ...]]:
     return cycles
 
 
+def is_cycle_cofinal(g: Graph) -> bool:
+    """Cofinality relative to cycles: every vertex reaches every cycle.
+
+    This is vacuously true for acyclic graphs, which is why the classifier
+    decides simplicity through hereditary saturated sets instead.
+    """
+    out = _raw_out(g)
+    om = _raw_omega_src(g)
+    src_of = {e.id: e.src for e in g.edges}
+    src_of.update({f"{s}~{d}^1": s for s, d in g.omega_pairs})
+    cycles = [{src_of[eid] for eid in cycle} for cycle in oracle_cycles(g)]
+    for v in g.vertices:
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for dst in [d for _, d in out[u]] + om[u]:
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        if any(not cycle & seen for cycle in cycles):
+            return False
+    return True
+
+
 def oracle_least_cycle_at(g: Graph, v: str) -> tuple[str, ...] | None:
     """Least rotation starting at v over all cycles through v, or None."""
     by_id = {e.id: e.src for e in g.edges}
@@ -94,6 +119,29 @@ def oracle_least_cycle_at(g: Graph, v: str) -> tuple[str, ...] | None:
                 rotated = cycle[i:] + cycle[:i]
                 best = rotated if best is None or rotated < best else best
     return best
+
+
+def oracle_closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> list[Path]:
+    """Closed paths at v of the given length, by a recursive walk over every
+    walk of that length from v, sorted by edge ids.  Each omega pair
+    contributes its first ``omega_copies`` parallel edges."""
+    out = _raw_out(g)
+    for s, d in g.omega_pairs:
+        out[s] += [(f"{s}~{d}^{k}", d) for k in range(1, omega_copies + 1)]
+    found: list[Path] = []
+
+    def walk(at: str, edges: list[str]) -> None:
+        if len(edges) == length:
+            if at == v:
+                found.append(Path(v, tuple(edges)))
+            return
+        for eid, dst in out[at]:
+            edges.append(eid)
+            walk(dst, edges)
+            edges.pop()
+
+    walk(v, [])
+    return sorted(found, key=lambda p: p.edges)
 
 
 def oracle_cycle_has_exit(g: Graph, cycle: tuple[str, ...]) -> bool:
@@ -310,8 +358,7 @@ def oracle_power_iteration(M, p: float, restarts: int, seed: int, tol: float, ma
 
     Same starts as production (``restarts`` seeded complex Gaussians, then the
     unit vector at the column of largest p-mass), one serial leg per start and
-    the first maximum over starts; p = 2 first squares M^H M and falls back
-    to a leg only where the squared projector kills the start.
+    the first maximum over starts.
     """
     M = np.asarray(M, dtype=np.complex128)
     rng = np.random.default_rng(seed)
@@ -323,26 +370,4 @@ def oracle_power_iteration(M, p: float, restarts: int, seed: int, tol: float, ma
     e = np.zeros(n, dtype=np.complex128)
     e[col] = 1.0
     starts.append(e)
-    if p == 2.0:
-        proj = M.conj().T @ M
-        for _ in range(40):
-            scale = float(np.abs(proj).max())
-            if scale == 0.0:
-                break
-            proj = proj / scale
-            proj = proj @ proj
-
-        def leg(x):
-            y = proj @ x.astype(np.complex128)
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                return _oracle_power_leg(M, p, x.astype(np.complex128), tol, max_iter)
-            y = y / ny
-            return float(np.linalg.norm(M @ y)), True
-
-    else:
-
-        def leg(x):
-            return _oracle_power_leg(M, p, x.astype(np.complex128), tol, max_iter)
-
-    return max((leg(x) for x in starts), key=lambda r: r[0])
+    return max((_oracle_power_leg(M, p, x, tol, max_iter) for x in starts), key=lambda r: r[0])

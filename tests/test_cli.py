@@ -8,7 +8,7 @@ import pytest
 
 import leavitt_lab
 from leavitt_lab import transforms, zoo
-from leavitt_lab.cli import main
+from leavitt_lab.cli import build_parser, main
 from leavitt_lab.graph import graph_from_json, graph_to_json
 from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element
 
@@ -320,12 +320,15 @@ def test_norm_p2_shape(capsys, tmp_path, a2_file):
 def test_norm_generic_p_lower_bound(capsys, tmp_path, a2_file):
     g = zoo.a2()
     elem = write_element(tmp_path, g, path_element(g, ("e",)))
-    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", "3"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["exact"] is False
-    assert obj["converged"] is True
-    assert obj["lower_bound"] == pytest.approx(1.0, rel=1e-9)
+    argv = ["norm", "--graph", a2_file, "--element", elem, "--p", "3"]
+    # --seed and --tol are options of norm alone
+    for extra in ([], ["--seed", "7", "--tol", "1e-9"]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["exact"] is False
+        assert obj["converged"] is True
+        assert obj["lower_bound"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_norm_rejects_out_of_range_p(capsys, tmp_path, a2_file):
@@ -504,7 +507,7 @@ def test_byte_identical_reruns(capsys, tmp_path, r2_file):
     elem = write_element(tmp_path, g, path_element(g, ("e",)))
     outputs = set()
     for _ in range(3):
-        code, out, err = run(capsys, ["witness", "--graph", r2_file, "--element", elem, "--seed", "0"])
+        code, out, err = run(capsys, ["witness", "--graph", r2_file, "--element", elem])
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -616,3 +619,38 @@ def test_unknown_flags_rejected():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_subcommands_declare_only_the_options_they_read():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {s for action in sp._actions for s in action.option_strings}
+        for name, sp in sub.choices.items()
+    }
+    assert declared == {
+        "classify": {"-h", "--help", "--graph", "--format", "--frontier"},
+        "witness": {"-h", "--help", "--graph", "--element", "--format"},
+        "normalize": {"-h", "--help", "--graph", "--element"},
+        "norm": {"-h", "--help", "--graph", "--element", "--p", "--seed", "--tol"},
+        "transform": {
+            "-h", "--help", "--graph", "--format", "--depth", "--from", "--subgraph",
+            "--emit-embedding", "-o", "--output",
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--element", "a.json", "--seed", "0"],
+        ["classify", "--tol", "1"],
+        ["normalize", "--element", "a.json", "--format", "text"],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, r2_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", r2_file])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
+

@@ -21,14 +21,12 @@ from leavitt_lab.graph import (
     Path,
     Verdict,
     classify_graph,
-    classify_vertices,
     enumerate_paths,
     find_cycles,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     hereditary_saturated_closure,
-    is_cycle_cofinal,
     least_cycle_at,
     omega_exit_marker,
 )
@@ -37,6 +35,7 @@ from leavitt_lab.transforms import desingularize
 from conftest import random_relabel
 from oracles import (
     all_hereditary_saturated_sets,
+    is_cycle_cofinal,
     oracle_classify,
     oracle_cycles,
     oracle_is_simple,
@@ -86,25 +85,26 @@ def test_paths_reject_omega(omega_spi):
 # ---------------------------------------------------------------------------
 
 
+def of_kind(g, kind):
+    return tuple(v for v in g.vertices if getattr(g, kind)(v))
+
+
 def test_vertex_classes_r2(r2):
-    parts = classify_vertices(r2)
-    assert parts.regular == ("v",)
-    assert parts.sinks == ()
-    assert parts.infinite_emitters == ()
+    assert of_kind(r2, "is_regular") == ("v",)
+    assert of_kind(r2, "is_sink") == ()
+    assert of_kind(r2, "is_infinite_emitter") == ()
 
 
 def test_vertex_classes_a2(a2):
-    parts = classify_vertices(a2)
-    assert parts.regular == ("u",)
-    assert parts.sinks == ("v",)
+    assert of_kind(a2, "is_regular") == ("u",)
+    assert of_kind(a2, "is_sink") == ("v",)
 
 
 def test_vertex_classes_omega():
     g = Graph(("v", "w"), (), (("v", "w"),))
-    parts = classify_vertices(g)
-    assert parts.infinite_emitters == ("v",)
-    assert parts.sinks == ("w",)
-    assert parts.regular == ()
+    assert of_kind(g, "is_infinite_emitter") == ("v",)
+    assert of_kind(g, "is_sink") == ("w",)
+    assert of_kind(g, "is_regular") == ()
 
 
 # ---------------------------------------------------------------------------

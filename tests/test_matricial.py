@@ -5,7 +5,7 @@ import pytest
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from leavitt_lab.graph import Path
+from leavitt_lab.graph import Graph, Path
 from leavitt_lab.lpa import (
     GaussianRational,
     gauss,
@@ -173,6 +173,34 @@ def test_acyclic_multiplicative_a3(a3):
         dx, dy = acyclic_decompose(a3, x), acyclic_decompose(a3, y)
         assert blockwise_product(dx, dy).recompose() == multiply(x, y)
         assert acyclic_decompose(a3, multiply(x, y)).blocks == blockwise_product(dx, dy).blocks
+
+
+def test_acyclic_branching_graph_is_a_homomorphism():
+    # u reaches the sinks s and t through parallel edges and two routes, so
+    # the identity u = sum of d·d* has five tails d across two blocks
+    g = Graph(
+        ("u", "v", "w", "s", "t"),
+        (
+            ("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "w"),
+            ("e4", "v", "s"), ("e5", "v", "t"), ("e6", "w", "s"),
+        ),
+    )
+    unit = zero(g)
+    for v in g.vertices:
+        unit = unit + vertex_element(g, v)
+    d = acyclic_decompose(g, unit)
+    for key, matrix in d.blocks.items():
+        size = len(d.paths[key])
+        assert [[str(c) for c in row] for row in matrix] == [
+            ["1" if i == j else "0" for j in range(size)] for i in range(size)
+        ]
+    rng = random.Random(5151)
+    for _ in range(25):
+        x = random_element(g, rng, max_terms=4, max_len=2, nonzero=False)
+        y = random_element(g, rng, max_terms=4, max_len=2, nonzero=False)
+        dx, dy = acyclic_decompose(g, x), acyclic_decompose(g, y)
+        assert dx.recompose() == x
+        assert acyclic_decompose(g, multiply(x, y)).blocks == blockwise_product(dx, dy).blocks
 
 
 def test_acyclic_injective(a3):

@@ -1,7 +1,10 @@
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
@@ -25,6 +28,7 @@ from leavitt_lab.lpa import (
 from leavitt_lab.sample import random_element
 from leavitt_lab.spi import (
     annihilating_closed_path,
+    closed_paths_at,
     cohn_embedding,
     equal_length_closed_paths,
     incomparable_closed_path,
@@ -33,6 +37,9 @@ from leavitt_lab.spi import (
     spi_witness,
     witness_from_json_obj,
 )
+
+from oracles import oracle_closed_paths_at
+from test_graph import random_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +67,45 @@ def test_path_to_cycle_base():
     g = Graph(("u", "v"), (("g", "u", "v"), ("e", "v", "v"), ("f", "v", "v")))
     assert path_to_cycle_base(g, "u") == Path("u", ("g",))
     assert path_to_cycle_base(g, "v") == Path("v")
+
+
+@given(random_graphs(max_vertices=5), st.integers(0, 6), st.sampled_from([1, 2]))
+@settings(deadline=None, max_examples=150)
+def test_closed_paths_match_recursive_oracle(g, length, omega_copies):
+    for v in g.vertices:
+        assert closed_paths_at(g, v, length, omega_copies) == oracle_closed_paths_at(
+            g, v, length, omega_copies
+        )
+
+
+def ring_with_loops(n, loops):
+    """The ring v0 -> v1 -> ... -> v0 with a loop at each listed vertex; the
+    loop ids sort first, so the least cycle there is the loop and any
+    incomparable closed path must run the whole ring."""
+    verts = tuple(f"v{i}" for i in range(n))
+    ring = tuple((f"e{i}", verts[i], verts[(i + 1) % n]) for i in range(n))
+    return Graph(verts, ring + tuple((f"a{i}", verts[i], verts[i]) for i in loops))
+
+
+def test_witness_on_deep_ring_within_budget():
+    # the walk used to recurse once per edge and overflow the stack here
+    g = ring_with_loops(1200, [0])
+    a = path_element(g, ("e0",))
+    start = time.perf_counter()
+    w = spi_witness(a)
+    elapsed = time.perf_counter() - start
+    check_witness(g, a, w)
+    assert elapsed < 5.0
+
+
+def test_incomparable_closed_path_on_looped_ring_within_budget():
+    # every walk of length n from v0 used to be tried: 2^n of them
+    g = ring_with_loops(30, range(30))
+    start = time.perf_counter()
+    beta = incomparable_closed_path(g, "v0", least_cycle_at(g, "v0"))
+    elapsed = time.perf_counter() - start
+    assert beta == Path("v0", tuple(f"e{i}" for i in range(30)))
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
