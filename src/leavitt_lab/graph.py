@@ -237,8 +237,10 @@ class Graph:
         self.require_vertex(source)
         at = source
         edges = tuple(edges)
+        by_id = self.edge_by_id
         for eid in edges:
-            src, dst = self.edge_endpoints(eid)
+            e = by_id.get(eid)
+            src, dst = (e.src, e.dst) if e is not None else self.edge_endpoints(eid)
             if src != at:
                 raise ValueError(f"edge {eid!r} does not depart {at!r}")
             at = dst

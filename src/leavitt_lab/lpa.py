@@ -10,8 +10,9 @@ deterministic function of the graph alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
@@ -25,71 +26,127 @@ from .graph import Graph, Path, enumerate_paths
 Rationalish = Union[int, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
+def _ratio_str(n: int, d: int) -> str:
+    """``p/q`` for the rational n/d in lowest terms (d > 0)."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
 class GaussianRational:
-    """Exact complex number re + im·i with rational re, im."""
+    """Exact complex number re + im·i with rational re, im.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    It is stored as three integers (a, b, d), the number (a + b·i)/d, with
+    d > 0 and gcd(a, b, d) = 1, so equal numbers have equal fields (zero is
+    (0, 0, 1)).  Instances are immutable values.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        # re and im are in lowest terms, so over their least common
+        # denominator d no prime divides a, b and d at once: already reduced
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            a = self.a + other.a
+            b = self.b + other.b
+        else:
+            a = self.a * other.d + other.a * d
+            b = self.b * other.d + other.b * d
+            d *= other.d
+        return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     def reciprocal(self) -> "GaussianRational":
-        d = self.re * self.re + self.im * self.im
-        if not d:
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("reciprocal of 0")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _reduced(d * a, -d * b, n)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        return f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b·i)/d from fields already in reduced form."""
+    c = object.__new__(GaussianRational)
+    c.a = a
+    c.b = b
+    c.d = d
+    return c
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b·i)/d for any d > 0, brought to reduced form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _raw(a, b, d)
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
+GR_ONE = GaussianRational(1)
 
 
 def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return GaussianRational(re, im)
 
 
 def gauss_str(c: GaussianRational) -> str:
     """Matrix-entry form ``p/q+r/s i`` (sign folded for negative imaginary parts)."""
-    sign = "+" if c.im >= 0 else "-"
-    return f"{frac_str(c.re)}{sign}{frac_str(abs(c.im))} i"
+    sign = "+" if c.b >= 0 else "-"
+    return f"{_ratio_str(c.a, c.d)}{sign}{_ratio_str(abs(c.b), c.d)} i"
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +160,13 @@ class Monomial:
 
     alpha: Path
     beta: Path
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -124,11 +188,16 @@ def monomial_key(m: Monomial) -> tuple:
 
 def add_term(terms: dict[Monomial, GaussianRational], m: Monomial, c: GaussianRational) -> None:
     """Add c to the coefficient of m in a term map, dropping m when it cancels to 0."""
-    acc = terms.get(m, GR_ZERO) + c
+    old = terms.get(m)
+    if old is None:
+        if c:
+            terms[m] = c
+        return
+    acc = old + c
     if acc:
         terms[m] = acc
     else:
-        terms.pop(m, None)
+        del terms[m]
 
 
 def _is_excluded(g: Graph, m: Monomial) -> bool:
@@ -314,7 +383,7 @@ def normalize_terms(g: Graph, raw: Mapping[Monomial, GaussianRational]) -> Eleme
                 pending.setdefault(size - 2, []).append(stub)
             add_term(work, stub, c)
             neg = -c
-            for sibling in g.out_edges[g.edge_endpoints(eid)[0]]:
+            for sibling in g.out_edges[g.edge_by_id[eid].src]:
                 if sibling.id != eid:
                     add_term(
                         work,
@@ -422,8 +491,8 @@ def element_to_json_obj(x: Element) -> list:
                 "alpha_src": m.alpha.source,
                 "beta": list(m.beta.edges),
                 "beta_src": m.beta.source,
-                "re": frac_str(c.re),
-                "im": frac_str(c.im),
+                "re": _ratio_str(c.a, c.d),
+                "im": _ratio_str(c.b, c.d),
             }
         )
     return out

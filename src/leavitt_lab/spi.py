@@ -62,11 +62,17 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     """
     if length == 0:
         return [Path(v)]
-    alphabet = g.out_alphabet(omega_copies)
-    # steps from each vertex back to v, searched no further than length - 1
+    return _closed_paths(g, v, length, omega_copies, _steps_to(g, v, omega_copies, length - 1))
+
+
+def _steps_to(g: Graph, v: str, omega_copies: int, limit: int) -> dict[str, int]:
+    """Steps from each vertex back to v, by BFS over predecessors, searched no
+    further than ``limit`` steps."""
     steps_to_v = {v: 0}
     level = [v]
-    for steps in range(1, length):
+    steps = 0
+    while level and steps < limit:
+        steps += 1
         nxt = []
         for w in level:
             preds = [e.src for e in g.in_edges[w]]
@@ -77,7 +83,15 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
                     steps_to_v[u] = steps
                     nxt.append(u)
         level = nxt
+    return steps_to_v
 
+
+def _closed_paths(
+    g: Graph, v: str, length: int, omega_copies: int, steps_to_v: dict[str, int]
+) -> list[Path]:
+    """``closed_paths_at`` for length >= 1 given ``_steps_to`` searched at
+    least ``length - 1`` steps: a vertex missing from it cannot return in time."""
+    alphabet = g.out_alphabet(omega_copies)
     found: list[Path] = []
     edges: list[str] = []
     # (index of the edge in the path, edge id, its range)
@@ -109,8 +123,10 @@ def _comparable(g: Graph, p: Path, q: Path) -> bool:
 def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
     """Shortest-lex closed path at v incomparable with alpha in the path order."""
     cap = 2 * alpha.length + len(g.vertices) + 2
+    # every BFS distance is below |V|, so one search serves every length
+    steps_to_v = _steps_to(g, v, 2, len(g.vertices))
     for length in range(1, cap + 1):
-        for sigma in closed_paths_at(g, v, length):
+        for sigma in _closed_paths(g, v, length, 2, steps_to_v):
             if not _comparable(g, alpha, sigma):
                 return sigma
     raise InternalError(

@@ -8,13 +8,14 @@ modules is meaningful.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from leavitt_lab.graph import Graph, Path, find_cycles
-from leavitt_lab.lpa import GR_ZERO, Element, GaussianRational, Monomial, monomial_key
+from leavitt_lab.lpa import Element, GaussianRational, Monomial, monomial_key
 
 
 def _raw_out(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -255,14 +256,15 @@ def oracle_normalize(
 
     Each step collects every excluded term (a·e)(b·e)*, picks one uniformly
     at random and replaces it by a·b* minus the siblings (a·h)(b·h)*, h != e,
-    until no term is excluded.
+    until no term is excluded.  Coefficients need only ``+``, unary ``-``
+    and truth, so ``OracleGaussianRational`` ones work too.
     """
     out = _raw_out(g)
     src_of = {e.id: e.src for e in g.edges}
     work: dict[Monomial, GaussianRational] = {}
 
     def add(m: Monomial, c: GaussianRational) -> None:
-        acc = work.get(m, GR_ZERO) + c
+        acc = work[m] + c if m in work else c
         if acc:
             work[m] = acc
         else:
@@ -295,6 +297,87 @@ def oracle_monomial_product(
     if b[: len(c)] != c:
         return None
     return (a, d + b[len(c):])
+
+
+def oracle_multiply(g: Graph, x: dict, y: dict, rng: random.Random) -> Element:
+    """The product of two term maps by raw prefix comparison, then
+    ``oracle_normalize``; coefficients need ``*`` as well."""
+    raw: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            if m1.beta.source != m2.alpha.source:
+                continue
+            prod = oracle_monomial_product(
+                g, (m1.alpha.edges, m1.beta.edges), (m2.alpha.edges, m2.beta.edges)
+            )
+            if prod is not None:
+                m = Monomial(Path(m1.alpha.source, prod[0]), Path(m2.beta.source, prod[1]))
+                raw[m] = raw[m] + c1 * c2 if m in raw else c1 * c2
+    return oracle_normalize(g, raw, rng)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals as two Fractions
+# ---------------------------------------------------------------------------
+
+
+def oracle_frac_str(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
+@dataclass(frozen=True, slots=True)
+class OracleGaussianRational:
+    """Exact complex number re + im·i held as two Fractions, each operation
+    written out on the real and imaginary parts."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other: "OracleGaussianRational") -> "OracleGaussianRational":
+        return OracleGaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "OracleGaussianRational") -> "OracleGaussianRational":
+        return OracleGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "OracleGaussianRational":
+        return OracleGaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other: "OracleGaussianRational") -> "OracleGaussianRational":
+        return OracleGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conjugate(self) -> "OracleGaussianRational":
+        return OracleGaussianRational(self.re, -self.im)
+
+    def reciprocal(self) -> "OracleGaussianRational":
+        d = self.re * self.re + self.im * self.im
+        if not d:
+            raise ZeroDivisionError("reciprocal of 0")
+        return OracleGaussianRational(self.re / d, -self.im / d)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
+
+    def matrix_str(self) -> str:
+        """The matrix-entry form ``p/q+r/s i``."""
+        sign = "+" if self.im >= 0 else "-"
+        return f"{oracle_frac_str(self.re)}{sign}{oracle_frac_str(abs(self.im))} i"
 
 
 def oracle_column_sum_norm(matrix: list[list[Fraction]]) -> Fraction:

@@ -280,6 +280,37 @@ def test_normalize_applies_relations(capsys, tmp_path, r2_file):
 
 
 @pytest.mark.parametrize(
+    "re, im, printed",
+    [
+        ("-6/4", "0/1", ("-3/2", "0/1")),
+        ("1/1", "0/5", ("1/1", "0/1")),
+        ("0/5", "0/3", None),
+        ("2", "-4/6", ("2/1", "-2/3")),
+        ("1.5", "1.5", ("3/2", "3/2")),
+    ],
+    ids=["reduced", "zero-part", "zero-term", "integer", "decimal"],
+)
+def test_normalize_prints_coefficients_in_lowest_terms(capsys, tmp_path, r2_file, re, im, printed):
+    elem = tmp_path / "coeff.json"
+    elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"{re}","im":"{im}"}}]')
+    code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
+    assert code == 0
+    if printed is None:
+        assert json.loads(out) == []
+    else:
+        assert f'"re":"{printed[0]}","im":"{printed[1]}"' in out
+        assert [(t["re"], t["im"]) for t in json.loads(out)] == [printed]
+
+
+def test_normalize_exit_2_on_zero_denominator(capsys, tmp_path, r2_file):
+    elem = tmp_path / "zero.json"
+    elem.write_text('[{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"1/0","im":"0/1"}]')
+    code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "term",
     [
         '{"alpha":"ef","alpha_src":"v","beta":[],"beta_src":"v","re":"1/1","im":"0/1"}',

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
-from leavitt_lab.graph import enumerate_paths
+from leavitt_lab.graph import Graph, Path, enumerate_paths
 from leavitt_lab.lpa import (
+    Element,
     GaussianRational,
     Monomial,
     degree_component,
     element_from_json,
     element_to_json,
+    element_to_json_obj,
     gauss,
+    gauss_str,
     involute,
     monomial_element,
     multiply,
@@ -28,7 +32,14 @@ from leavitt_lab.lpa import (
 )
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_monomial_product, oracle_normalize, oracle_redexes
+from oracles import (
+    OracleGaussianRational,
+    oracle_frac_str,
+    oracle_monomial_product,
+    oracle_multiply,
+    oracle_normalize,
+    oracle_redexes,
+)
 
 
 def elem(g, alpha_edges, beta_edges, coeff=1, alpha_src=None, beta_src=None):
@@ -63,6 +74,55 @@ def test_gaussian_rational_field_ops():
     assert not gauss(0, 0)
     with pytest.raises(ZeroDivisionError):
         gauss(0).reciprocal()
+
+
+BIG = 10**30
+rationals = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+)
+gaussian_parts = st.tuples(rationals, rationals)
+POINT = Graph(("v",))
+
+
+def assert_matches_oracle(c, o):
+    """c and the Fraction oracle o are the same number, reduced, and print alike."""
+    assert (c.re, c.im) == (o.re, o.im)
+    assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
+    assert bool(c) == bool(o)
+    assert repr(c) == repr(o)
+    assert gauss_str(c) == o.matrix_str()
+    assert repr(complex(c)) == repr(complex(o))
+    [term] = element_to_json_obj(Element(POINT, {Monomial(Path("v"), Path("v")): c}))
+    assert (term["re"], term["im"]) == (oracle_frac_str(o.re), oracle_frac_str(o.im))
+
+
+@given(gaussian_parts, gaussian_parts)
+@settings(deadline=None, max_examples=300)
+def test_gaussian_rational_matches_fraction_oracle(x, y):
+    c1, c2 = GaussianRational(*x), GaussianRational(*y)
+    o1, o2 = OracleGaussianRational(*x), OracleGaussianRational(*y)
+    for c, o in [
+        (c1, o1),
+        (c2, o2),
+        (c1 + c2, o1 + o2),
+        (c1 - c2, o1 - o2),
+        (c1 * c2, o1 * o2),
+        (-c1, -o1),
+        (c1.conjugate(), o1.conjugate()),
+        # equal denominators: the fast path of +
+        (c1 + c1.conjugate(), o1 + o1.conjugate()),
+        (c1 - c1, o1 - o1),
+    ]:
+        assert_matches_oracle(c, o)
+    if o1:
+        assert_matches_oracle(c1.reciprocal(), o1.reciprocal())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            c1.reciprocal()
+    assert (c1 == c2) == (o1 == o2)
+    # one number reached by different routes: equal fields, equal hashes
+    for c, again in [(c1, (c1 + c2) - c2), (c1, GaussianRational(o1.re, o1.im)), (c1 * c2, c2 * c1)]:
+        assert c == again and hash(c) == hash(again)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +259,40 @@ def test_normalize_matches_random_order_oracle(sample, seed):
     x = normalize_terms(g, raw)
     assert x == oracle_normalize(g, raw, random.Random(seed))
     assert oracle_redexes(g, dict(x.terms())) == []
+
+
+def oracle_coefficients(terms: dict) -> dict:
+    return {m: OracleGaussianRational(c.re, c.im) for m, c in terms.items()}
+
+
+def coefficient_table(x: Element) -> dict:
+    return {m: (c.re, c.im) for m, c in x.terms()}
+
+
+@given(raw_sums(), gaussian_parts, st.integers(0, 2**16))
+@settings(deadline=None, max_examples=60)
+def test_normalize_coefficients_match_fraction_oracle(sample, scale, seed):
+    g, raw = sample
+    s, so = GaussianRational(*scale), OracleGaussianRational(*scale)
+    x = normalize_terms(g, {m: c * s for m, c in raw.items()})
+    scaled = {m: c * so for m, c in oracle_coefficients(raw).items()}
+    assert coefficient_table(x) == coefficient_table(oracle_normalize(g, scaled, random.Random(seed)))
+
+
+@given(
+    st.sampled_from([g for g in ZOO if g.is_row_finite]),
+    st.integers(0, 2**16),
+    gaussian_parts,
+    gaussian_parts,
+)
+@settings(deadline=None, max_examples=60)
+def test_multiply_coefficients_match_fraction_oracle(g, seed, sx, sy):
+    rng = random.Random(seed)
+    x, y = random_element(g, rng), random_element(g, rng)
+    product = multiply(x.scale(GaussianRational(*sx)), y.scale(GaussianRational(*sy)))
+    ox = {m: c * OracleGaussianRational(*sx) for m, c in oracle_coefficients(dict(x.terms())).items()}
+    oy = {m: c * OracleGaussianRational(*sy) for m, c in oracle_coefficients(dict(y.terms())).items()}
+    assert coefficient_table(product) == coefficient_table(oracle_multiply(g, ox, oy, rng))
 
 
 def test_path_conjugate_sum_depth_8_within_budget(r3):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
     HasSources,
+    InternalError,
     NotCycleBase,
     NotDegreeFree,
     NotSPI,
@@ -76,6 +77,29 @@ def test_closed_paths_match_recursive_oracle(g, length, omega_copies):
         assert closed_paths_at(g, v, length, omega_copies) == oracle_closed_paths_at(
             g, v, length, omega_copies
         )
+
+
+@given(random_graphs(max_vertices=5), st.integers(0, 2))
+@settings(deadline=None, max_examples=150)
+def test_incomparable_closed_path_matches_per_length_search(g, alpha_length):
+    # one BFS shared by every length finds what a fresh closed_paths_at per length finds
+    for v in g.vertices:
+        alpha = next(iter(closed_paths_at(g, v, alpha_length)), Path(v))
+        cap = 2 * alpha.length + len(g.vertices) + 2
+        expected = next(
+            (
+                sigma
+                for length in range(1, cap + 1)
+                for sigma in closed_paths_at(g, v, length)
+                if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha))
+            ),
+            None,
+        )
+        if expected is None:
+            with pytest.raises(InternalError):
+                incomparable_closed_path(g, v, alpha)
+        else:
+            assert incomparable_closed_path(g, v, alpha) == expected
 
 
 def ring_with_loops(n, loops):
