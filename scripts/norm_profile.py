@@ -30,7 +30,7 @@ def main() -> None:
     x = random_element(g, random.Random(args.seed), max_terms=args.terms, max_len=3)
     print(f"element over a {args.edges}-edge line, {len(x)} normal-form terms")
 
-    rep = spatial_rep_acyclic(g, x, 1.0)
+    rep = spatial_rep_acyclic(g, x)
     colsum = max(float(np.abs(M).sum(axis=0).max()) for M in rep.blocks.values())
     rowsum = max(float(np.abs(M).sum(axis=1).max()) for M in rep.blocks.values())
     print(f"interpolation envelope: max(colsum={colsum:.6f}, rowsum={rowsum:.6f})")

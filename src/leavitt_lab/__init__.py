@@ -31,7 +31,6 @@ from .lpa import (
     degree_component,
     element_from_json,
     element_to_json,
-    from_terms,
     gauss,
     involute,
     monomial_element,
@@ -116,7 +115,6 @@ __all__ = [
     "equal_length_closed_paths",
     "filtration_decompose",
     "find_cycles",
-    "from_terms",
     "gauss",
     "graph_from_json",
     "graph_to_dot",

@@ -2,17 +2,14 @@
 compute norms, and run graph transforms.  Machine output (JSON, deterministic
 byte-for-byte) goes to stdout; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 unreadable/malformed input or a request over a size
-budget, 3 empty graph, 4 witness precondition (not SPI / sources / omega
-edges), 5 zero element, 6 source removal emptied the graph, 7 nothing to
-desingularize, 8 unknown vertex or not a subgraph, 1 any other error.
+Exit codes: 0 ok; ``EXIT_CODES`` maps each error class to its code, and any
+other error exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .errors import (
@@ -36,10 +33,11 @@ from .graph import (
     Graph,
     Path,
     Verdict,
+    canonical_json,
     classify_graph,
     graph_from_json,
     graph_to_dot,
-    graph_to_json_obj,
+    graph_to_json,
 )
 # cli.multiply is unused here but kept: perfbench/test_perfbench.py expects
 # the tracer to find a binding of lpa.multiply in this module.
@@ -55,8 +53,25 @@ LABELS = {
 }
 
 
+# exit code of each error class (first match wins); any other error exits 1
+EXIT_CODES = {
+    FormatError: 2,
+    BudgetExceeded: 2,
+    ValueError: 2,
+    EmptyGraph: 3,
+    NotSPI: 4,
+    HasSources: 4,
+    FrontierPresent: 4,
+    ZeroElement: 5,
+    BecameEmpty: 6,
+    NoInfiniteEmitters: 7,
+    UnknownVertex: 8,
+    NotASubgraph: 8,
+}
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":"), ensure_ascii=False) + "\n")
+    sys.stdout.write(canonical_json(obj) + "\n")
 
 
 def _read(path: str) -> str:
@@ -68,14 +83,10 @@ def _read(path: str) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if not args.graph:
-        raise FormatError("a --graph file is required")
     return graph_from_json(_read(args.graph))
 
 
 def _load_element(args: argparse.Namespace, g: Graph) -> Element:
-    if not args.element:
-        raise FormatError("an --element file is required")
     return element_from_json(g, _read(args.element))
 
 
@@ -129,8 +140,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     obj["verified"] = True
     if args.fmt == "text":
         print(f"v: {w.v}")
-        print(f"x: {json.dumps(obj['x'], separators=(',', ':'))}")
-        print(f"y: {json.dumps(obj['y'], separators=(',', ':'))}")
+        print(f"x: {canonical_json(obj['x'])}")
+        print(f"y: {canonical_json(obj['y'])}")
         print("verified: true")
     else:
         _emit(obj)
@@ -172,7 +183,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if not args.from_vertex:
             raise FormatError("reachable needs --from VERTEX")
         out = reachable_subgraph(g, args.from_vertex)
-    elif args.op == "complete":
+    else:  # "complete"; argparse admits no other op
         if not args.subgraph:
             raise FormatError("complete needs --subgraph FILE")
         F = graph_from_json(_read(args.subgraph))
@@ -181,13 +192,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if args.emit_embedding:
             with open(args.emit_embedding, "w", encoding="utf-8") as fh:
                 fh.write(emb.to_json() + "\n")
-    else:
-        raise FormatError(f"unknown transform {args.op!r}")
 
-    if args.fmt == "dot":
-        text = graph_to_dot(out)
-    else:
-        text = json.dumps(graph_to_json_obj(out), separators=(",", ":"), ensure_ascii=False) + "\n"
+    text = graph_to_dot(out) if args.fmt == "dot" else graph_to_json(out) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -256,42 +262,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (FormatError, BudgetExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EmptyGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NotSPI, HasSources, FrontierPresent) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LeavittError, ValueError) as exc:
+        internal = "internal error: " if isinstance(exc, InternalError) else ""
+        print(f"error: {internal}{exc}", file=sys.stderr)
         if isinstance(exc, HasSources):
             print("hint: run 'leavitt-lab transform remove-sources' first", file=sys.stderr)
-        return 4
-    except OmegaUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.command == "witness":
+        if isinstance(exc, OmegaUnsupported) and args.command == "witness":
             print("hint: run 'leavitt-lab transform desingularize' first", file=sys.stderr)
             return 4
-        return 1
-    except ZeroElement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BecameEmpty as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except NoInfiniteEmitters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
-    except (UnknownVertex, NotASubgraph) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
-    except InternalError as exc:
-        print(f"error: internal error: {exc}", file=sys.stderr)
-        return 1
-    except LeavittError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 if __name__ == "__main__":
     sys.exit(main())

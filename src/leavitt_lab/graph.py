@@ -76,12 +76,8 @@ class Graph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        seen: list[tuple[str, str]] = []
-        for pair in self.omega_pairs:
-            pair = (pair[0], pair[1])
-            if pair not in seen:
-                seen.append(pair)
-        object.__setattr__(self, "omega_pairs", tuple(seen))
+        pairs = dict.fromkeys((pair[0], pair[1]) for pair in self.omega_pairs)
+        object.__setattr__(self, "omega_pairs", tuple(pairs))
         object.__setattr__(self, "frontier", frozenset(self.frontier))
         self._validate()
 
@@ -149,17 +145,11 @@ class Graph:
         return {v: tuple(ss) for v, ss in inc.items()}
 
     @cached_property
-    def designated_edge(self) -> dict[str, str]:
-        """Lexicographically least outgoing edge id of each regular vertex."""
-        return {
-            v: min(e.id for e in self.out_edges[v])
-            for v in self.vertices
-            if self.is_regular(v)
-        }
-
-    @cached_property
     def designated_ids(self) -> frozenset[str]:
-        return frozenset(self.designated_edge.values())
+        """Lexicographically least outgoing edge id of each regular vertex."""
+        return frozenset(
+            min(e.id for e in self.out_edges[v]) for v in self.vertices if self.is_regular(v)
+        )
 
     @cached_property
     def _alphabets(self) -> dict[int, dict[str, tuple[tuple[str, str], ...]]]:
@@ -366,11 +356,6 @@ def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
                 exits.append(omega_exit_marker(u, dst))
         result.append((cycle, tuple(exits)))
     return result
-
-
-def cycle_base_vertices(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one cycle."""
-    return g.analysis.cycle_bases
 
 
 def least_cycle_at(g: Graph, v: str) -> Path:
@@ -645,8 +630,13 @@ def graph_to_json_obj(g: Graph) -> dict:
     return obj
 
 
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every output: no spaces, non-ASCII kept as is."""
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_obj(g), separators=(",", ":"), ensure_ascii=False)
+    return canonical_json(graph_to_json_obj(g))
 
 
 def _json_id(value, what: str) -> str:

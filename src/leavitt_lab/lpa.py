@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, canonical_json, enumerate_paths
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ class Element:
     """A normal-form element of the Leavitt path algebra of ``graph``.
 
     Instances are immutable values; construct them through the module factories
-    (``vertex_element``, ``path_element``, ``monomial_element``, ``from_terms``)
-    or by arithmetic on existing elements.
+    (``vertex_element``, ``path_element``, ``monomial_element``,
+    ``normalize_terms``) or by arithmetic on existing elements.
     """
 
     __slots__ = ("graph", "_terms")
@@ -225,9 +225,6 @@ class Element:
 
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
         return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
-
-    def coefficient(self, m: Monomial) -> GaussianRational:
-        return self._terms.get(m, GR_ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -286,21 +283,6 @@ class Element:
             return Element(self.graph, {})
         return Element(self.graph, {m: c * v for m, v in self._terms.items()})
 
-    def __rmul__(self, c) -> "Element":
-        if isinstance(c, (int, Fraction, GaussianRational)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other) -> "Element":
-        if isinstance(other, Element):
-            return multiply(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def star(self) -> "Element":
-        return involute(self)
-
 
 # ---------------------------------------------------------------------------
 # factories
@@ -316,17 +298,14 @@ def vertex_element(g: Graph, v: str) -> Element:
     return Element(g, {Monomial(p, p): GR_ONE})
 
 
-def path_element(g: Graph, p: Union[Path, Iterable[str]], source: Optional[str] = None) -> Element:
-    """The element a·r(a)* for a path a (given as a Path or an edge-id sequence)."""
+def path_element(g: Graph, p: Union[Path, Iterable[str]]) -> Element:
+    """The element a·r(a)* for a path a (given as a Path or a nonempty edge-id sequence)."""
     if not isinstance(p, Path):
         edges = tuple(p)
-        if source is None:
-            if not edges:
-                raise ValueError("an empty path needs an explicit source vertex")
-            source = g.edge_endpoints(edges[0])[0]
-        p = g.path(source, edges)
-    else:
-        p = g.path(p.source, p.edges)
+        if not edges:
+            raise ValueError("an empty edge sequence has no source; pass a Path")
+        p = Path(g.edge_endpoints(edges[0])[0], edges)
+    p = g.path(p.source, p.edges)
     r = Path(g.range_of(p))
     return normalize_terms(g, {Monomial(p, r): GR_ONE})
 
@@ -338,10 +317,6 @@ def monomial_element(g: Graph, alpha: Path, beta: Path, coeff=GR_ONE) -> Element
         raise ValueError("monomial paths must share their range")
     coeff = coeff if isinstance(coeff, GaussianRational) else gauss(coeff)
     return normalize_terms(g, {Monomial(alpha, beta): coeff})
-
-
-def from_terms(g: Graph, terms: Mapping[Monomial, GaussianRational]) -> Element:
-    return normalize_terms(g, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +474,7 @@ def element_to_json_obj(x: Element) -> list:
 
 
 def element_to_json(x: Element) -> str:
-    return json.dumps(element_to_json_obj(x), separators=(",", ":"), ensure_ascii=False)
+    return canonical_json(element_to_json_obj(x))
 
 
 def _edge_list(entry: dict, key: str) -> list:

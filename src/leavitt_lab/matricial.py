@@ -10,12 +10,11 @@ indexed by all paths into it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from .graph import Graph, Path, cycle_base_vertices, enumerate_paths
+from .graph import Graph, Path, canonical_json, enumerate_paths
 from .lpa import (
     Element,
     GaussianRational,
@@ -58,10 +57,6 @@ class BlockDecomposition:
     def block_order(self) -> list[BlockKey]:
         return sorted(self.blocks, key=BlockKey.sort_key)
 
-    def entry(self, key: BlockKey, row: Path, col: Path) -> GaussianRational:
-        ps = self.paths[key]
-        return self.blocks[key][ps.index(row)][ps.index(col)]
-
     def recompose(self) -> Element:
         raw: dict[Monomial, GaussianRational] = {}
         for key, matrix in self.blocks.items():
@@ -92,7 +87,7 @@ class BlockDecomposition:
         return {"blocks": blocks}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), ensure_ascii=False)
+        return canonical_json(self.to_json_obj())
 
 
 def blockwise_product(a: BlockDecomposition, b: BlockDecomposition) -> BlockDecomposition:
@@ -228,7 +223,7 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     if x.graph != g:
         raise ValueError("element is not over the given graph")
     _require_row_finite_finite(g)
-    if cycle_base_vertices(g):
+    if g.analysis.cycle_bases:
         raise NotAcyclic("the graph has a cycle")
 
     paths = {

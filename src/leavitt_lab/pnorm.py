@@ -51,14 +51,12 @@ def _check_p(p: float) -> float:
 class SpatialMatrix:
     """Per-sink complex float matrices indexed by the paths into each sink."""
 
-    p: float
     blocks: dict[str, np.ndarray]
     paths: dict[str, tuple[Path, ...]]
 
 
-def spatial_rep_acyclic(g: Graph, x: Element, p: float) -> SpatialMatrix:
+def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     """Float image of the acyclic block decomposition."""
-    p = _check_p(p)
     decomp = acyclic_decompose(g, x)
     blocks: dict[str, np.ndarray] = {}
     paths: dict[str, tuple[Path, ...]] = {}
@@ -70,7 +68,7 @@ def spatial_rep_acyclic(g: Graph, x: Element, p: float) -> SpatialMatrix:
             arr = arr.reshape((len(matrix), len(matrix)))
         blocks[key.vertex] = arr
         paths[key.vertex] = decomp.paths[key]
-    return SpatialMatrix(p, blocks, paths)
+    return SpatialMatrix(blocks, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,8 @@ def element_norm_estimate(
     g: Graph, x: Element, p: float, seed: int = 0, tol: float = 1e-10
 ) -> NormEstimate:
     """Norm of an element of a finite acyclic algebra: max over sink blocks."""
-    rep = spatial_rep_acyclic(g, x, p)
+    p = _check_p(p)
+    rep = spatial_rep_acyclic(g, x)
     values = []
     exact = True
     converged: Optional[bool] = None
@@ -256,7 +255,7 @@ def element_norm_estimate(
 # ---------------------------------------------------------------------------
 
 
-def degree_component_quadrature_error(g: Graph, x: Element, n: int, p: float) -> float:
+def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
     """Deviation between circle-averaged gauge rotations and the symbolic
     degree-n component, in the spatial representation.
 
@@ -265,8 +264,8 @@ def degree_component_quadrature_error(g: Graph, x: Element, n: int, p: float) ->
     exactly; the node count is twice the minimum 2·maxdeg+1, widened when |n|
     itself exceeds the element's degree spread.
     """
-    rep = spatial_rep_acyclic(g, x, p)
-    sym = spatial_rep_acyclic(g, degree_component(x, n), p)
+    rep = spatial_rep_acyclic(g, x)
+    sym = spatial_rep_acyclic(g, degree_component(x, n))
     maxdeg = max((abs(d) for d in x.degrees()), default=0)
     K = 2 * (2 * max(maxdeg, abs(n)) + 1)
     thetas = 2.0 * np.pi * np.arange(K) / K

@@ -11,7 +11,6 @@ needed at the last stage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
@@ -28,8 +27,8 @@ from .graph import (
     Graph,
     Path,
     Verdict,
+    canonical_json,
     classify_graph,
-    cycle_base_vertices,
     enumerate_paths,
     least_cycle_at,
 )
@@ -136,7 +135,7 @@ def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
 
 def path_to_cycle_base(g: Graph, v: str) -> Path:
     """Shortest-lex path from v to a vertex lying on a cycle (trivial if v does)."""
-    bases = cycle_base_vertices(g)
+    bases = g.analysis.cycle_bases
     if v in bases:
         return Path(v)
     alphabet = g.out_alphabet()
@@ -225,7 +224,7 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
     """
     _require_spi(g)
     g.require_vertex(v)
-    bases = cycle_base_vertices(g)
+    bases = g.analysis.cycle_bases
     memo: dict[str, tuple[Element, Element]] = {}
 
     def build(u: str) -> tuple[Element, Element]:
@@ -345,7 +344,7 @@ class Witness:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), ensure_ascii=False)
+        return canonical_json(self.to_json_obj())
 
 
 def witness_from_json_obj(g: Graph, obj: dict) -> Witness:

@@ -6,11 +6,10 @@ All transforms are pure Graph -> Graph (or Graph -> EmbeddingData) functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import BecameEmpty, BudgetExceeded, InternalError, NoInfiniteEmitters, NotASubgraph
-from .graph import Edge, Graph, omega_edge_id, reachable_from
+from .graph import Edge, Graph, canonical_json, graph_to_json_obj, omega_edge_id, reachable_from
 from .lpa import (
     Element,
     element_to_json_obj,
@@ -135,8 +134,6 @@ class EmbeddingData:
     edge_images: dict[str, Element]
 
     def to_json_obj(self) -> dict:
-        from .graph import graph_to_json_obj
-
         return {
             "domain": graph_to_json_obj(self.domain),
             "codomain": graph_to_json_obj(self.codomain),
@@ -149,7 +146,7 @@ class EmbeddingData:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), ensure_ascii=False)
+        return canonical_json(self.to_json_obj())
 
 
 def _verify_embedding(emb: EmbeddingData) -> None:

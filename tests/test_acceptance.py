@@ -185,7 +185,7 @@ def test_acceptance_6_norm_formula():
                         best = max(best, oracle_column_sum_norm(entries))
                 assert element_norm_estimate(g, x, 1.0).value == float(best)
                 # p = 2: power iteration within 1e-6 relative of singular values
-                rep = spatial_rep_acyclic(g, x, 2.0)
+                rep = spatial_rep_acyclic(g, x)
                 for M in rep.blocks.values():
                     if not M.size:
                         continue
@@ -208,7 +208,7 @@ def test_acceptance_7_quadrature():
                 x = random_element(g, rng, max_terms=5, max_len=3, nonzero=False)
                 maxdeg = max((abs(d) for d in x.degrees()), default=0)
                 for n in range(-(maxdeg + 1), maxdeg + 2):
-                    assert degree_component_quadrature_error(g, x, n, 1.5) <= 1e-9
+                    assert degree_component_quadrature_error(g, x, n) <= 1e-9
 
 
 # 8 -------------------------------------------------------------------------

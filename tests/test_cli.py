@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import leavitt_lab
-from leavitt_lab import transforms, zoo
-from leavitt_lab.cli import build_parser, main
-from leavitt_lab.graph import graph_from_json, graph_to_json
+from leavitt_lab import errors, transforms, zoo
+from leavitt_lab.cli import COMMANDS, build_parser, main
+from leavitt_lab.graph import Graph, graph_from_json, graph_to_json
 from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element
 
 
@@ -185,6 +185,28 @@ def test_witness_text_format(capsys, tmp_path, r2_file):
     assert code == 0
     assert "v: v" in out
     assert "verified: true" in out
+
+
+def test_witness_text_keeps_non_ascii_ids(capsys, tmp_path):
+    # every line, v as well as x and y, prints ids as they are, not \u escapes
+    g = Graph(("é",), (("α", "é", "é"), ("β", "é", "é")))
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(g), encoding="utf-8")
+    elem = tmp_path / "a.json"
+    elem.write_text(element_to_json(path_element(g, ("α",))), encoding="utf-8")
+    argv = ["witness", "--graph", str(gp), "--element", str(elem)]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    code, out, err = run(capsys, [*argv, "--format", "text"])
+    assert code == 0
+    assert "\\u" not in out
+    assert out.splitlines() == [
+        "v: é",
+        "x: " + json.dumps(obj["x"], separators=(",", ":"), ensure_ascii=False),
+        "y: " + json.dumps(obj["y"], separators=(",", ":"), ensure_ascii=False),
+        "verified: true",
+    ]
 
 
 def test_witness_exit_5_on_zero(capsys, tmp_path, r2_file):
@@ -367,7 +389,18 @@ def test_norm_rejects_out_of_range_p(capsys, tmp_path, a2_file):
     elem = write_element(tmp_path, g, path_element(g, ("e",)))
     code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", "9"])
     assert code == 2
+    assert out == ""
     assert "error:" in err
+
+
+def test_norm_checks_p_before_the_graph(capsys, tmp_path, r2_file):
+    # an out-of-range p is a usage error even over a graph with cycles
+    g = zoo.r2()
+    elem = write_element(tmp_path, g, vertex_element(g, "v"))
+    code, out, err = run(capsys, ["norm", "--graph", r2_file, "--element", elem, "--p", "9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: p must lie in")
 
 
 def test_transform_rejects_bad_depth(capsys, tmp_path):
@@ -484,6 +517,47 @@ def test_transform_complete_exit_8(capsys, tmp_path, r2_file):
         capsys, ["transform", "complete", "--graph", r2_file, "--subgraph", str(sub)]
     )
     assert code == 8
+
+
+# exit code of each error class; every other LeavittError exits 1
+EXIT_CODE = {
+    errors.FormatError: 2,
+    errors.BudgetExceeded: 2,
+    ValueError: 2,
+    errors.EmptyGraph: 3,
+    errors.NotSPI: 4,
+    errors.HasSources: 4,
+    errors.FrontierPresent: 4,
+    errors.ZeroElement: 5,
+    errors.BecameEmpty: 6,
+    errors.NoInfiniteEmitters: 7,
+    errors.UnknownVertex: 8,
+    errors.NotASubgraph: 8,
+}
+ERROR_CLASSES = [ValueError] + [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.LeavittError)
+]
+SOURCES_HINT = "hint: run 'leavitt-lab transform remove-sources' first"
+OMEGA_HINT = "hint: run 'leavitt-lab transform desingularize' first"
+
+
+@pytest.mark.parametrize("command", ["witness", "norm"])
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_exit_codes(capsys, monkeypatch, cls, command):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setitem(COMMANDS, command, fail)
+    code, out, err = run(capsys, [command, "--graph", "g.json", "--element", "a.json"])
+    omega_on_witness = cls is errors.OmegaUnsupported and command == "witness"
+    assert code == (4 if omega_on_witness else EXIT_CODE.get(cls, 1))
+    assert out == ""
+    internal = "internal error: " if cls is errors.InternalError else ""
+    assert err.splitlines()[0] == f"error: {internal}boom"
+    assert (SOURCES_HINT in err) == (cls is errors.HasSources)
+    assert (OMEGA_HINT in err) == omega_on_witness
 
 
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch, tmp_path, r2_file):

@@ -28,13 +28,13 @@ from oracles import oracle_column_sum_norm, oracle_power_iteration
 
 
 def test_spatial_rep_matrix_unit(a2):
-    rep = spatial_rep_acyclic(a2, path_element(a2, ("e",)), 1.0)
+    rep = spatial_rep_acyclic(a2, path_element(a2, ("e",)))
     assert list(rep.blocks) == ["v"]
     np.testing.assert_allclose(rep.blocks["v"], [[0, 0], [1, 0]])
 
 
 def test_spatial_rep_zero(a3):
-    rep = spatial_rep_acyclic(a3, zero(a3), 2.0)
+    rep = spatial_rep_acyclic(a3, zero(a3))
     for M in rep.blocks.values():
         assert not np.abs(M).any()
 
@@ -43,7 +43,7 @@ def test_spatial_rep_matches_exact_decomposition(a3):
     rng = random.Random(12)
     for _ in range(10):
         x = random_element(a3, rng, max_terms=4, max_len=2, nonzero=False)
-        rep = spatial_rep_acyclic(a3, x, 1.0)
+        rep = spatial_rep_acyclic(a3, x)
         d = acyclic_decompose(a3, x)
         for key in d.blocks:
             exact = np.array(
@@ -59,21 +59,21 @@ def test_spatial_rep_multiplicative_up_to_float(a3):
     for _ in range(10):
         x = random_element(a3, rng, max_terms=4, max_len=2, nonzero=False)
         y = random_element(a3, rng, max_terms=4, max_len=2, nonzero=False)
-        rx = spatial_rep_acyclic(a3, x, 2.0)
-        ry = spatial_rep_acyclic(a3, y, 2.0)
-        rxy = spatial_rep_acyclic(a3, multiply(x, y), 2.0)
+        rx = spatial_rep_acyclic(a3, x)
+        ry = spatial_rep_acyclic(a3, y)
+        rxy = spatial_rep_acyclic(a3, multiply(x, y))
         for v in rxy.blocks:
             assert np.abs(rxy.blocks[v] - rx.blocks[v] @ ry.blocks[v]).max() <= 1e-12
 
 
 def test_spatial_rep_rejects_cycles(r2):
     with pytest.raises(NotAcyclic):
-        spatial_rep_acyclic(r2, vertex_element(r2, "v"), 2.0)
+        spatial_rep_acyclic(r2, vertex_element(r2, "v"))
 
 
 def test_spatial_rep_p_range(a2):
     with pytest.raises(ValueError):
-        spatial_rep_acyclic(a2, zero(a2), 9.0)
+        element_norm_estimate(a2, zero(a2), 9.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_element_norm_max_formula(a3):
     rng = random.Random(31)
     for _ in range(20):
         x = random_element(a3, rng, max_terms=4, max_len=2, nonzero=False)
-        rep = spatial_rep_acyclic(a3, x, 1.0)
+        rep = spatial_rep_acyclic(a3, x)
         per_block = [
             norm_estimate(M, 1.0).value for M in rep.blocks.values() if M.size
         ]
@@ -268,13 +268,13 @@ def test_element_norm_max_formula(a3):
 
 def test_quadrature_single_edge(a2):
     e = path_element(a2, ("e",))
-    assert degree_component_quadrature_error(a2, e, 1, 1.0) <= 1e-12
-    assert degree_component_quadrature_error(a2, e, 0, 1.0) <= 1e-12
+    assert degree_component_quadrature_error(a2, e, 1) <= 1e-12
+    assert degree_component_quadrature_error(a2, e, 0) <= 1e-12
 
 
 def test_quadrature_vertex(a2):
     u = vertex_element(a2, "u")
-    assert degree_component_quadrature_error(a2, u, 0, 1.0) <= 1e-12
+    assert degree_component_quadrature_error(a2, u, 0) <= 1e-12
 
 
 def test_quadrature_random_all_degrees():
@@ -284,4 +284,4 @@ def test_quadrature_random_all_degrees():
             x = random_element(g, rng, max_terms=5, max_len=3, nonzero=False)
             maxdeg = max((abs(d) for d in x.degrees()), default=0)
             for n in range(-maxdeg - 1, maxdeg + 2):
-                assert degree_component_quadrature_error(g, x, n, 1.5) <= 1e-9
+                assert degree_component_quadrature_error(g, x, n) <= 1e-9

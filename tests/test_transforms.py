@@ -383,9 +383,9 @@ def test_embedding_injective_on_monomial_basis():
         basis = _monomial_basis(emb.domain, 3)
         images = []
         for m in basis:
-            from leavitt_lab.lpa import from_terms, GR_ONE
+            from leavitt_lab.lpa import normalize_terms, GR_ONE
 
-            x = from_terms(emb.domain, {m: GR_ONE})
+            x = normalize_terms(emb.domain, {m: GR_ONE})
             if x.is_zero:
                 continue
             img = embed_element(emb, x)
