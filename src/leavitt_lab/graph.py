@@ -229,6 +229,8 @@ class Graph:
         edges = tuple(edges)
         by_id = self.edge_by_id
         for eid in edges:
+            if not isinstance(eid, str):
+                raise ValueError(f"edge id {eid!r} must be a string")
             e = by_id.get(eid)
             src, dst = (e.src, e.dst) if e is not None else self.edge_endpoints(eid)
             if src != at:
@@ -268,33 +270,43 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
-    """All paths of length n (optionally with range ``end``), lexicographic by edge ids.
+def path_levels(g: Graph, n: int) -> list[list[Path]]:
+    """The paths of each length 0..n (none for n < 0), in one walk.
 
-    Length-0 paths are the vertices, in input order.  Graphs with omega pairs
-    only admit n = 0, since longer enumerations would be infinite.
+    Level 0 is the vertices in input order.  Level 1 is the edges sorted by
+    id, and each later level extends the one before it edge by edge in id
+    order, so it stays lexicographic by edge ids.  Graphs with omega pairs
+    only admit n <= 0, since longer enumerations would be infinite.
     """
+    levels = [[Path(v) for v in g.vertices]][: n + 1]
+    if n < 1:
+        return levels
+    if g.omega_pairs:
+        raise OmegaUnsupported("path enumeration of positive length needs a row-finite finite graph")
+    alphabet = g.out_alphabet()
+    first = sorted(g.edges, key=lambda e: e.id)
+    level = [Path(e.src, (e.id,)) for e in first]
+    ends = [e.dst for e in first]
+    levels.append(level)
+    for _ in range(n - 1):
+        nxt, nxt_ends = [], []
+        for p, at in zip(level, ends):
+            for eid, dst in alphabet[at]:
+                nxt.append(Path(p.source, p.edges + (eid,)))
+                nxt_ends.append(dst)
+        level, ends = nxt, nxt_ends
+        levels.append(level)
+    return levels
+
+
+def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
+    """All paths of length n (optionally with range ``end``): level n of ``path_levels``."""
     if n < 0:
         raise ValueError("path length must be >= 0")
     if end is not None:
         g.require_vertex(end)
-    if n == 0:
-        return [Path(v) for v in g.vertices if end is None or v == end]
-    if g.omega_pairs:
-        raise OmegaUnsupported("path enumeration of positive length needs a row-finite finite graph")
-    level: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in g.vertices]
-    for _ in range(n):
-        nxt = []
-        for src, edges in level:
-            at = g.edge_endpoints(edges[-1])[1] if edges else src
-            for e in g.out_edges[at]:
-                nxt.append((src, edges + (e.id,)))
-        level = nxt
-    paths = [Path(src, edges) for src, edges in level]
-    if end is not None:
-        paths = [p for p in paths if g.range_of(p) == end]
-    paths.sort(key=lambda p: p.edges)
-    return paths
+    paths = path_levels(g, n)[n]
+    return paths if end is None else [p for p in paths if g.range_of(p) == end]
 
 
 # ---------------------------------------------------------------------------

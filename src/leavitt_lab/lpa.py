@@ -376,21 +376,14 @@ def normalize_terms(g: Graph, raw: Mapping[Monomial, GaussianRational]) -> Eleme
 # ---------------------------------------------------------------------------
 
 
-def _is_prefix(short: Path, long: Path) -> bool:
-    return (
-        short.source == long.source
-        and long.edges[: len(short.edges)] == short.edges
-    )
-
-
 def _monomial_product(g: Graph, m1: Monomial, m2: Monomial) -> Optional[Monomial]:
     beta, gamma = m1.beta, m2.alpha
     if len(beta.edges) <= len(gamma.edges):
-        if not _is_prefix(beta, gamma):
+        if not g.path_ge(beta, gamma):
             return None
         tail = gamma.edges[len(beta.edges):]
         return Monomial(Path(m1.alpha.source, m1.alpha.edges + tail), m2.beta)
-    if not _is_prefix(gamma, beta):
+    if not g.path_ge(gamma, beta):
         return None
     tail = beta.edges[len(gamma.edges):]
     return Monomial(m1.alpha, Path(m2.beta.source, m2.beta.edges + tail))
@@ -479,7 +472,7 @@ def element_to_json(x: Element) -> str:
 
 def _edge_list(entry: dict, key: str) -> list:
     edges = entry[key]
-    if not isinstance(edges, list) or not all(isinstance(e, str) for e in edges):
+    if not isinstance(edges, list):  # Graph.path checks each id is a string
         raise FormatError(f"bad element term: {key!r} must be a list of edge ids")
     return edges
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from .graph import Graph, Path, canonical_json, enumerate_paths
+from .graph import Graph, Path, path_levels
 from .lpa import (
     Element,
     GaussianRational,
@@ -86,9 +86,6 @@ class BlockDecomposition:
             )
         return {"blocks": blocks}
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
-
 
 def blockwise_product(a: BlockDecomposition, b: BlockDecomposition) -> BlockDecomposition:
     """Blockwise matrix product of two aligned decompositions."""
@@ -122,24 +119,11 @@ def _require_row_finite_finite(g: Graph) -> None:
         raise OmegaUnsupported("matricial decompositions need a row-finite finite graph")
 
 
-def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
-    """Expand a degree-zero element into the stage-n spanning monomials.
-
-    Monomials ending at a regular vertex are pushed to length n by inserting
-    the outgoing edges on both sides; monomials ending at a sink stay at their
-    length.  Raises NotInFiltration when a term has nonzero degree or a length
-    beyond the stage.
-    """
-    g = x.graph
-    _require_row_finite_finite(g)
+def _expand(g: Graph, terms, n: int) -> dict[Monomial, GaussianRational]:
+    """Push each a·b* through u = sum of e·e* over the edges e leaving its
+    range, on both sides, until the range is a sink or the paths reach length n."""
     out: dict[Monomial, GaussianRational] = {}
-    for m, c in x.terms():
-        if m.degree != 0:
-            raise NotInFiltration(f"term {m!r} has nonzero degree")
-        if len(m.alpha.edges) > n:
-            raise NotInFiltration(
-                f"term {m!r} has length {len(m.alpha.edges)} beyond stage {n}"
-            )
+    for m, c in terms:
         stack = [(m.alpha, m.beta)]
         while stack:
             alpha, beta = stack.pop()
@@ -157,6 +141,40 @@ def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
     return out
 
 
+def _assemble(g: Graph, stage: Optional[int], paths: dict, expansion: dict) -> BlockDecomposition:
+    """Blocks indexed by ``paths``: each expanded a·b* is the (a, b) entry of
+    the one block listing both a and b."""
+    where = {p: (key, i) for key, plist in paths.items() for i, p in enumerate(plist)}
+    blocks = {
+        key: [[GR_ZERO for _ in plist] for _ in plist] for key, plist in paths.items()
+    }
+    for m, c in expansion.items():
+        key, i = where[m.alpha]
+        blocks[key][i][where[m.beta][1]] = c
+    return BlockDecomposition(g, stage, blocks, paths)
+
+
+def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
+    """Expand a degree-zero element into the stage-n spanning monomials.
+
+    Monomials ending at a regular vertex are pushed to length n by inserting
+    the outgoing edges on both sides; monomials ending at a sink stay at their
+    length.  Raises NotInFiltration when a term has nonzero degree or a length
+    beyond the stage.
+    """
+    g = x.graph
+    _require_row_finite_finite(g)
+    terms = x.terms()
+    for m, _ in terms:
+        if m.degree != 0:
+            raise NotInFiltration(f"term {m!r} has nonzero degree")
+        if len(m.alpha.edges) > n:
+            raise NotInFiltration(
+                f"term {m!r} has length {len(m.alpha.edges)} beyond stage {n}"
+            )
+    return _expand(g, terms, n)
+
+
 def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
     """Matrix picture of an element of the stage-n degree-zero filtration.
 
@@ -171,8 +189,7 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
     expansion = stage_expansion(x, n)
 
     paths: dict[BlockKey, tuple[Path, ...]] = {}
-    for r in range(n + 1):
-        level = enumerate_paths(g, r)
+    for r, level in enumerate(path_levels(g, n)):
         by_range: dict[str, list[Path]] = {}
         for p in level:
             by_range.setdefault(g.range_of(p), []).append(p)
@@ -181,19 +198,7 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
                 paths[BlockKey("sink", v, r)] = tuple(plist)
             elif r == n:
                 paths[BlockKey("regular", v, n)] = tuple(plist)
-
-    index = {
-        key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()
-    }
-    blocks = {
-        key: [[GR_ZERO for _ in plist] for _ in plist] for key, plist in paths.items()
-    }
-    for m, c in expansion.items():
-        v = g.range_of(m.alpha)
-        r = len(m.alpha.edges)
-        key = BlockKey("sink" if g.is_sink(v) else "regular", v, r)
-        blocks[key][index[key][m.alpha]][index[key][m.beta]] = c
-    return BlockDecomposition(g, n, blocks, paths)
+    return _assemble(g, n, paths, expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +209,8 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
 def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     """For each sink v, every path ending at v, ordered by (length, lex)."""
     by_sink: dict[str, list[Path]] = {v: [] for v in g.vertices if g.is_sink(v)}
-    for r in range(len(g.vertices)):
-        for p in enumerate_paths(g, r):
+    for level in path_levels(g, len(g.vertices) - 1):
+        for p in level:
             v = g.range_of(p)
             if v in by_sink:
                 by_sink[v].append(p)
@@ -225,29 +230,11 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     _require_row_finite_finite(g)
     if g.analysis.cycle_bases:
         raise NotAcyclic("the graph has a cycle")
-
     paths = {
         BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(g).items()
     }
-    index = {
-        key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()
-    }
-    blocks = {
-        key: [[GR_ZERO for _ in plist] for _ in plist] for key, plist in paths.items()
-    }
-    # in an acyclic graph the paths from u to the sinks are the paths into
-    # sinks that start at u
-    tails: dict[str, list[tuple[BlockKey, Path]]] = {v: [] for v in g.vertices}
-    for key, plist in paths.items():
-        for tail in plist:
-            tails[tail.source].append((key, tail))
-    for m, c in x.terms():
-        for key, tail in tails[g.range_of(m.alpha)]:
-            row = Path(m.alpha.source, m.alpha.edges + tail.edges)
-            col = Path(m.beta.source, m.beta.edges + tail.edges)
-            i, j = index[key][row], index[key][col]
-            blocks[key][i][j] = blocks[key][i][j] + c
-    return BlockDecomposition(g, None, blocks, paths)
+    # no path reaches length |V|, so the expansion stops only at sinks
+    return _assemble(g, None, paths, _expand(g, x.terms(), len(g.vertices)))
 
 
 # ---------------------------------------------------------------------------

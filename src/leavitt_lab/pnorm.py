@@ -61,12 +61,9 @@ def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     blocks: dict[str, np.ndarray] = {}
     paths: dict[str, tuple[Path, ...]] = {}
     for key, matrix in decomp.blocks.items():
-        arr = np.array(
+        blocks[key.vertex] = np.array(
             [[complex(c) for c in row] for row in matrix], dtype=np.complex128
         )
-        if arr.size == 0:
-            arr = arr.reshape((len(matrix), len(matrix)))
-        blocks[key.vertex] = arr
         paths[key.vertex] = decomp.paths[key]
     return SpatialMatrix(blocks, paths)
 
@@ -238,10 +235,7 @@ def element_norm_estimate(
     exact = True
     converged: Optional[bool] = None
     for v in sorted(rep.blocks):
-        M = rep.blocks[v]
-        if M.size == 0:
-            continue
-        est = norm_estimate(M, p, seed=seed, tol=tol)
+        est = norm_estimate(rep.blocks[v], p, seed=seed, tol=tol)
         values.append(est.value)
         exact = exact and est.exact
         if est.converged is not None:
@@ -272,8 +266,6 @@ def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
 
     worst = 0.0
     for v, M in rep.blocks.items():
-        if M.size == 0:
-            continue
         rows = np.array([p_.length for p_ in rep.paths[v]])
         degs = rows[:, None] - rows[None, :]
         acc = np.zeros_like(M)
@@ -281,6 +273,5 @@ def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
             phases = np.exp(1j * theta * degs)
             acc += np.exp(-1j * n * theta) * (phases * M)
         acc /= K
-        dev = float(np.abs(acc - sym.blocks[v]).max()) if M.size else 0.0
-        worst = max(worst, dev)
+        worst = max(worst, float(np.abs(acc - sym.blocks[v]).max()))
     return worst

@@ -6,15 +6,15 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, path_levels
 from .lpa import Element, GaussianRational, Monomial, add_term, gauss, normalize_terms
 
 
 def _path_pool(g: Graph, max_len: int) -> dict[str, list[Path]]:
     """Paths up to max_len grouped by range vertex."""
     pool: dict[str, list[Path]] = {v: [] for v in g.vertices}
-    for r in range(max_len + 1):
-        for p in enumerate_paths(g, r):
+    for level in path_levels(g, max_len):
+        for p in level:
             pool[g.range_of(p)].append(p)
     return pool
 

@@ -143,7 +143,7 @@ def path_to_cycle_base(g: Graph, v: str) -> Path:
     seen = {v}
     while frontier:
         nxt: list[Path] = []
-        for p in sorted(frontier, key=lambda p: p.edges):
+        for p in frontier:  # built in lexicographic order
             at = g.range_of(p)
             for eid, dst in alphabet[at]:
                 q = Path(v, p.edges + (eid,))
@@ -303,9 +303,8 @@ def annihilating_closed_path(b: Element, v: str) -> Path:
         s = path_element(g, sigma)
         return multiply(multiply(involute(s), b), s).is_zero
 
+    # a word of at most 6 blocks is shorter than cap >= 8·block, so no cap check
     for sigma in _word_candidates(g, alpha, beta, max_blocks=6):
-        if sigma.length > cap:
-            break
         if annihilates(sigma):
             return sigma
 

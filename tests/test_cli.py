@@ -403,6 +403,27 @@ def test_norm_checks_p_before_the_graph(capsys, tmp_path, r2_file):
     assert err.startswith("error: p must lie in")
 
 
+def test_norm_on_the_empty_graph(capsys, tmp_path):
+    gp, ep = tmp_path / "empty.json", tmp_path / "zero.json"
+    gp.write_text('{"vertices":[]}')
+    ep.write_text("[]")
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", "1.5"])
+    assert code == 0
+    assert out == '{"p":1.5,"norm":0.0,"exact":true}\n'
+
+
+def test_normalize_exit_2_on_non_string_edge_id_over_omega_graph(capsys, tmp_path):
+    # Graph.path rejects the id before an omega id parse would call str methods on it
+    gp, ep = tmp_path / "g.json", tmp_path / "elem.json"
+    gp.write_text(graph_to_json(zoo.omega_spi()))
+    ep.write_text('[{"alpha":[7],"alpha_src":"v","beta":[],"beta_src":"v","re":"1","im":"0"}]')
+    code, out, err = run(capsys, ["normalize", "--graph", str(gp), "--element", str(ep)])
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+    assert "AttributeError" not in err and "Traceback" not in err
+
+
 def test_transform_rejects_bad_depth(capsys, tmp_path):
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(zoo.omega_spi()))

@@ -29,6 +29,7 @@ from leavitt_lab.graph import (
     hereditary_saturated_closure,
     least_cycle_at,
     omega_exit_marker,
+    path_levels,
 )
 from leavitt_lab.transforms import desingularize
 
@@ -74,10 +75,26 @@ def test_paths_no_duplicates_and_sorted(spi4):
         assert ps == [Path(s, e) for s, e in oracle_paths(spi4, n)]
 
 
+def test_path_levels_are_the_enumerations_of_one_walk(spi4):
+    rng = random.Random(10)
+    for g in (spi4, zoo.rand4a(), zoo.rand4b(), random_relabel(spi4, rng)[0]):
+        levels = path_levels(g, 4)
+        assert [[(p.source, p.edges) for p in level] for level in levels] == [
+            oracle_paths(g, n) for n in range(5)
+        ]
+    assert path_levels(spi4, 0) == [[Path(v) for v in spi4.vertices]]
+    assert path_levels(spi4, -1) == []
+
+
 def test_paths_reject_omega(omega_spi):
     with pytest.raises(OmegaUnsupported):
         enumerate_paths(omega_spi, 1)
     assert [p.source for p in enumerate_paths(omega_spi, 0)] == ["v", "w"]
+
+
+def test_path_rejects_non_string_edge_id(omega_spi):
+    with pytest.raises(ValueError, match="must be a string"):
+        omega_spi.path("v", [7])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 if "# noqa: F401" not in lines[alias.lineno - 1]:
                     imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = names_read(tree)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name loaded anywhere in the module, plus the strings in ``__all__``."""
     read = {
         node.id
         for node in ast.walk(tree)
@@ -32,7 +38,27 @@ def unused_imports(source: str) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+    return read
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    underscore that their own module never reads: nothing else should use them."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = names_read(tree)
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
 
 
 def test_unused_imports_are_caught():
@@ -40,12 +66,30 @@ def test_unused_imports_are_caught():
     assert unused_imports(source) == ["json (line 1)", "path (line 3)"]
 
 
-def test_package_has_no_unused_imports():
+def findings(check) -> dict[str, list[str]]:
     found = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                unused = unused_imports(fh.read())
-            if unused:
-                found[name] = unused
-    assert found == {}
+                hits = check(fh.read())
+            if hits:
+                found[name] = hits
+    return found
+
+
+def test_package_has_no_unused_imports():
+    assert findings(unused_imports) == {}
+
+
+def test_unread_private_names_are_caught():
+    source = (
+        "__version__ = '1'\n_LIMIT = 3\n_USED = 4\n"
+        "def _helper():\n    return _USED\n"
+        "class _Box:\n    pass\n"
+        "def public():\n    return _Box\n"
+    )
+    assert unread_private_names(source) == ["_LIMIT (line 2)", "_helper (line 4)"]
+
+
+def test_package_has_no_unread_private_names():
+    assert findings(unread_private_names) == {}

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from leavitt_lab import zoo
 from leavitt_lab.errors import EmptyMatrix, NotAcyclic
 from leavitt_lab.lpa import multiply, path_element, vertex_element, zero
-from leavitt_lab.matricial import acyclic_decompose
+from leavitt_lab.graph import Path
+from leavitt_lab.matricial import acyclic_decompose, paths_into_by_sink
 from leavitt_lab.pnorm import (
     degree_component_quadrature_error,
     element_norm_estimate,
@@ -248,6 +250,30 @@ def test_element_norm_max_over_blocks():
     )
     x = vertex_element(g2, "v1").scale(2) + vertex_element(g2, "v2")
     assert element_norm_estimate(g2, x, 1.0).value == 2.0
+
+
+def test_element_norm_on_long_line_within_budget():
+    g = zoo.line(199)  # 200 vertices, one sink v199 with one path of each length
+    start = time.perf_counter()
+    est = element_norm_estimate(g, vertex_element(g, "v0"), 1.0)
+    paths = paths_into_by_sink(g)
+    elapsed = time.perf_counter() - start
+    assert est.value == 1.0
+    assert paths == {
+        "v199": tuple(
+            Path(f"v{199 - r}", tuple(f"e{i}" for i in range(200 - r, 200))) for r in range(200)
+        )
+    }
+    assert elapsed < 1.0
+
+
+def test_acyclic_blocks_hold_their_sink():
+    # each sink block lists the length-0 path first, so no block is empty
+    for g in (zoo.a2(), zoo.a3(), zoo.line(4), zoo.two_isolated()):
+        d = acyclic_decompose(g, zero(g))
+        assert [d.paths[k][0] for k in d.block_order()] == [
+            Path(v) for v in sorted(v for v in g.vertices if g.is_sink(v))
+        ]
 
 
 def test_element_norm_max_formula(a3):
