@@ -104,6 +104,7 @@ class Graph:
                     f"omega pairs {prefixes[prefix]!r} and {(src, dst)!r} both generate the edge ids {prefix}k"
                 )
             prefixes[prefix] = (src, dst)
+        object.__setattr__(self, "_omega_by_prefix", prefixes)
         for e in self.edges:
             if self._parse_omega_id(e.id) is not None:
                 raise ValueError(f"edge id {e.id!r} collides with a generated omega edge id")
@@ -202,12 +203,12 @@ class Graph:
     # -- edge resolution (explicit ids and generated omega ids) ----------------
 
     def _parse_omega_id(self, edge_id: str) -> Optional[tuple[str, str, int]]:
-        for src, dst in self.omega_pairs:
-            prefix = f"{src}~{dst}^"
-            if edge_id.startswith(prefix):
-                tail = edge_id[len(prefix):]
-                if tail.isdigit() and not tail.startswith("0"):
-                    return src, dst, int(tail)
+        # a generated id is its pair's prefix ``src~dst^`` followed by k, so
+        # the prefix ends at the id's last ``^``
+        head, caret, tail = edge_id.rpartition("^")
+        pair = self._omega_by_prefix.get(head + caret)
+        if pair is not None and tail.isdigit() and not tail.startswith("0"):
+            return pair[0], pair[1], int(tail)
         return None
 
     def edge_endpoints(self, edge_id: str) -> tuple[str, str]:

@@ -143,12 +143,6 @@ def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def gauss_str(c: GaussianRational) -> str:
-    """Matrix-entry form ``p/q+r/s i`` (sign folded for negative imaginary parts)."""
-    sign = "+" if c.b >= 0 else "-"
-    return f"{_ratio_str(c.a, c.d)}{sign}{_ratio_str(abs(c.b), c.d)} i"
-
-
 # ---------------------------------------------------------------------------
 # monomials and elements
 # ---------------------------------------------------------------------------

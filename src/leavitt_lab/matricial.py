@@ -21,7 +21,6 @@ from .lpa import (
     GR_ZERO,
     Monomial,
     add_term,
-    gauss_str,
     involute,
     normalize_terms,
     path_element,
@@ -66,25 +65,6 @@ class BlockDecomposition:
                     if c:
                         add_term(raw, Monomial(ps[i], ps[j]), c)
         return normalize_terms(self.graph, raw)
-
-    def to_json_obj(self) -> dict:
-        blocks = []
-        for key in self.block_order():
-            blocks.append(
-                {
-                    "vertex": key.vertex,
-                    "kind": key.kind,
-                    "stage": key.stage,
-                    "paths": [
-                        {"src": p.source, "edges": list(p.edges)}
-                        for p in self.paths[key]
-                    ],
-                    "matrix": [
-                        [gauss_str(c) for c in row] for row in self.blocks[key]
-                    ],
-                }
-            )
-        return {"blocks": blocks}
 
 
 def blockwise_product(a: BlockDecomposition, b: BlockDecomposition) -> BlockDecomposition:

@@ -12,6 +12,7 @@ lone restart bit for bit.
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -26,9 +27,13 @@ P_MIN, P_MAX = 1.0, 8.0
 
 def _lazy_numpy():
     """numpy, executed on first attribute access.  Importing it takes most of
-    a cold start and only the norm kernels use it."""
+    a cold start and only the norm kernels use it.  BLAS is held to one
+    thread, so that a norm does not depend on the machine's core count; the
+    variables stay set until numpy executes."""
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     spec = importlib.util.find_spec("numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
@@ -197,14 +202,7 @@ def power_iteration_lower_bound(
     return NormEstimate(value, exact=False, converged=converged)
 
 
-def norm_estimate(
-    M,
-    p: float,
-    restarts: int = 8,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> NormEstimate:
+def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Operator norm of a complex matrix on l^p.
 
     p = 1 is the exact maximum column absolute sum; p = 2 is the largest
@@ -220,9 +218,7 @@ def norm_estimate(
     if p == 2.0:
         # the full norm, but only to float precision: exact stays False
         return NormEstimate(float(np.linalg.norm(M, 2)), exact=False, converged=True)
-    return power_iteration_lower_bound(
-        M, p, restarts=restarts, seed=seed, tol=tol, max_iter=max_iter
-    )
+    return power_iteration_lower_bound(M, p, seed=seed, tol=tol)
 
 
 def element_norm_estimate(

@@ -12,8 +12,9 @@ needed at the last stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     HasSources,
@@ -29,7 +30,6 @@ from .graph import (
     Verdict,
     canonical_json,
     classify_graph,
-    enumerate_paths,
     least_cycle_at,
 )
 from .lpa import (
@@ -61,16 +61,15 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     """
     if length == 0:
         return [Path(v)]
-    return _closed_paths(g, v, length, omega_copies, _steps_to(g, v, omega_copies, length - 1))
+    return list(_closed_paths(g, v, length, omega_copies, _steps_to(g, v, omega_copies)))
 
 
-def _steps_to(g: Graph, v: str, omega_copies: int, limit: int) -> dict[str, int]:
-    """Steps from each vertex back to v, by BFS over predecessors, searched no
-    further than ``limit`` steps."""
+def _steps_to(g: Graph, v: str, omega_copies: int) -> dict[str, int]:
+    """Steps from each vertex back to v, by BFS over predecessors."""
     steps_to_v = {v: 0}
     level = [v]
     steps = 0
-    while level and steps < limit:
+    while level:
         steps += 1
         nxt = []
         for w in level:
@@ -87,18 +86,18 @@ def _steps_to(g: Graph, v: str, omega_copies: int, limit: int) -> dict[str, int]
 
 def _closed_paths(
     g: Graph, v: str, length: int, omega_copies: int, steps_to_v: dict[str, int]
-) -> list[Path]:
-    """``closed_paths_at`` for length >= 1 given ``_steps_to`` searched at
-    least ``length - 1`` steps: a vertex missing from it cannot return in time."""
+) -> Iterator[Path]:
+    """``closed_paths_at`` for length >= 1, yielded one at a time: each
+    vertex's edges are pushed in reverse, so they pop in lexicographic order.
+    A vertex missing from ``steps_to_v`` cannot return at all."""
     alphabet = g.out_alphabet(omega_copies)
-    found: list[Path] = []
     edges: list[str] = []
     # (index of the edge in the path, edge id, its range)
     stack: list[tuple[int, str, str]] = []
 
     def extend(at: str, i: int) -> None:
         left = length - i - 1
-        for eid, dst in alphabet[at]:
+        for eid, dst in reversed(alphabet[at]):
             if steps_to_v.get(dst, length) <= left:
                 stack.append((i, eid, dst))
 
@@ -108,25 +107,18 @@ def _closed_paths(
         del edges[i:]
         edges.append(eid)
         if i + 1 == length:
-            found.append(Path(v, tuple(edges)))
+            yield Path(v, tuple(edges))
         else:
             extend(at, i + 1)
-    found.sort(key=lambda p: p.edges)
-    return found
-
-
-def _comparable(g: Graph, p: Path, q: Path) -> bool:
-    return g.path_ge(p, q) or g.path_ge(q, p)
 
 
 def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
     """Shortest-lex closed path at v incomparable with alpha in the path order."""
     cap = 2 * alpha.length + len(g.vertices) + 2
-    # every BFS distance is below |V|, so one search serves every length
-    steps_to_v = _steps_to(g, v, 2, len(g.vertices))
+    steps_to_v = _steps_to(g, v, 2)
     for length in range(1, cap + 1):
         for sigma in _closed_paths(g, v, length, 2, steps_to_v):
-            if not _comparable(g, alpha, sigma):
+            if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha)):
                 return sigma
     raise InternalError(
         "no incomparable closed path found; the graph cannot be simple purely infinite"
@@ -268,19 +260,18 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
 # ---------------------------------------------------------------------------
 
 
-def _word_candidates(g: Graph, alpha: Path, beta: Path, max_blocks: int):
-    """Nonempty words in {alpha, beta} ordered by (path length, lex)."""
-    words: list[Path] = []
-    level: list[Path] = [Path(alpha.source)]
-    for _ in range(max_blocks):
-        nxt = []
-        for w in level:
+def _word_candidates(alpha: Path, beta: Path, max_blocks: int) -> Iterator[Path]:
+    """Nonempty words of at most ``max_blocks`` blocks in {alpha, beta},
+    ordered by (path length, lex).  A word is longer than the word it
+    extends, so popping a heap keyed that way yields them in order."""
+    heap: list[tuple[int, tuple[str, ...], int]] = [(0, (), 0)]
+    while heap:
+        length, edges, blocks = heappop(heap)
+        if blocks:
+            yield Path(alpha.source, edges)
+        if blocks < max_blocks:
             for block in (alpha, beta):
-                nxt.append(Path(w.source, w.edges + block.edges))
-        words.extend(nxt)
-        level = nxt
-    words.sort(key=lambda p: (p.length, p.edges))
-    return words
+                heappush(heap, (length + block.length, edges + block.edges, blocks + 1))
 
 
 def annihilating_closed_path(b: Element, v: str) -> Path:
@@ -304,7 +295,7 @@ def annihilating_closed_path(b: Element, v: str) -> Path:
         return multiply(multiply(involute(s), b), s).is_zero
 
     # a word of at most 6 blocks is shorter than cap >= 8·block, so no cap check
-    for sigma in _word_candidates(g, alpha, beta, max_blocks=6):
+    for sigma in _word_candidates(alpha, beta, max_blocks=6):
         if annihilates(sigma):
             return sigma
 
@@ -359,6 +350,24 @@ def make_witness(a: Element, x: Element, y: Element, v: str, trace) -> Witness:
     return Witness(x, y, v, tuple(trace))
 
 
+def _least_path_into(g: Graph, n: int, w: str) -> Path:
+    """``enumerate_paths(g, n, end=w)[0]`` for n >= 1 without the enumeration.
+    reach[r] holds the vertices with a path of exactly r edges into w; the
+    least path starts with the least edge into reach[n - 1], then at each step
+    takes the least edge whose range can still finish."""
+    reach = [{w}]
+    for _ in range(n - 1):
+        reach.append({e.src for u in reach[-1] for e in g.in_edges[u]})
+    first = min(e.id for e in g.edges if e.dst in reach[-1])
+    source, at = g.edge_endpoints(first)
+    edges = [first]
+    alphabet = g.out_alphabet()
+    for r in range(n - 2, -1, -1):
+        eid, at = next((eid, dst) for eid, dst in alphabet[at] if dst in reach[r])
+        edges.append(eid)
+    return Path(source, tuple(edges))
+
+
 def spi_witness(a: Element) -> Witness:
     """Produce x, y, v with x·a·y = v for a nonzero element over an SPI graph.
 
@@ -387,30 +396,19 @@ def spi_witness(a: Element) -> Witness:
 
     trace: list[dict] = [{"step": "Normalize", "a": element_to_json_obj(a)}]
     work = a
-    step4: Optional[tuple[str, Path]] = None
+    left = right = None  # Step 4's shift: alpha on the left or alpha* on the right
 
     if degree_component(work, 0).is_zero:
-        degrees = sorted(work.degrees(), key=lambda d: (abs(d), 0 if d > 0 else 1))
-        n = degrees[0]
-        comp = degree_component(work, n)
+        n = min(work.degrees(), key=lambda d: (abs(d), d < 0))
+        ends = {(m.beta if n > 0 else m.alpha).source for m, _ in degree_component(work, n).terms()}
+        w = next(v for v in g.vertices if v in ends)
+        alpha = _least_path_into(g, abs(n), w)
         if n > 0:
-            w = next(
-                v
-                for v in g.vertices
-                if any(m.beta.source == v for m, _ in comp.terms())
-            )
-            alpha = enumerate_paths(g, n, end=w)[0]
-            work = multiply(work, involute(path_element(g, alpha)))
-            step4 = ("right", alpha)
+            right = involute(path_element(g, alpha))
+            work = multiply(work, right)
         else:
-            w = next(
-                v
-                for v in g.vertices
-                if any(m.alpha.source == v for m, _ in comp.terms())
-            )
-            alpha = enumerate_paths(g, -n, end=w)[0]
-            work = multiply(path_element(g, alpha), work)
-            step4 = ("left", alpha)
+            left = path_element(g, alpha)
+            work = multiply(left, work)
         trace.append(
             {
                 "step": "Step4",
@@ -455,10 +453,8 @@ def spi_witness(a: Element) -> Witness:
     tail = path_element(g, g.concat(eta, sigma))
     x = multiply(involute(tail), dzw.x)
     y = multiply(dzw.y, tail)
-    if step4 is not None:
-        side, alpha = step4
-        if side == "right":
-            y = multiply(involute(path_element(g, alpha)), y)
-        else:
-            x = multiply(x, path_element(g, alpha))
+    if left is not None:
+        x = multiply(x, left)
+    if right is not None:
+        y = multiply(right, y)
     return make_witness(a, x, y, v_out, trace)

@@ -80,13 +80,11 @@ def desingularize(g: Graph, depth: int) -> Graph:
     used_edges = {e.id for e in g.edges}
 
     vertices = list(g.vertices)
-    edges = [e for e in g.edges if e.src not in set(emitters)]
+    edges = [e for e in g.edges if not g.is_infinite_emitter(e.src)]
     frontier = set(g.frontier)
 
     for v in emitters:
-        enumerated: list[Edge] = sorted(
-            (e for e in g.edges if e.src == v), key=lambda e: e.id
-        )
+        enumerated: list[Edge] = sorted(g.out_edges[v], key=lambda e: e.id)
         pairs = sorted(g.omega_by_src[v])
         for k in range(1, depth + 1):
             for dst in pairs:

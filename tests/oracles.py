@@ -145,6 +145,22 @@ def oracle_closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2)
     return sorted(found, key=lambda p: p.edges)
 
 
+def oracle_word_candidates(alpha: Path, beta: Path, max_blocks: int) -> list[Path]:
+    """Every nonempty word of at most ``max_blocks`` blocks in {alpha, beta},
+    built level by level and sorted by (path length, lex)."""
+    words: list[Path] = []
+    level: list[Path] = [Path(alpha.source)]
+    for _ in range(max_blocks):
+        nxt = []
+        for w in level:
+            for block in (alpha, beta):
+                nxt.append(Path(w.source, w.edges + block.edges))
+        words.extend(nxt)
+        level = nxt
+    words.sort(key=lambda p: (p.length, p.edges))
+    return words
+
+
 def oracle_cycle_has_exit(g: Graph, cycle: tuple[str, ...]) -> bool:
     out = _raw_out(g)
     om = _raw_omega_src(g)
@@ -373,11 +389,6 @@ class OracleGaussianRational:
         if not self.im:
             return str(self.re)
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
-
-    def matrix_str(self) -> str:
-        """The matrix-entry form ``p/q+r/s i``."""
-        sign = "+" if self.im >= 0 else "-"
-        return f"{oracle_frac_str(self.re)}{sign}{oracle_frac_str(abs(self.im))} i"
 
 
 def oracle_column_sum_norm(matrix: list[list[Fraction]]) -> Fraction:

@@ -537,6 +537,39 @@ def test_colliding_omega_prefixes_rejected():
     assert g.edge_endpoints("a~b~c^7") == ("a~b", "c")
 
 
+def test_omega_ids_with_carets_in_vertex_ids():
+    # the pairs (s, a) and (s, a^1) generate s~a^k and s~a^1^k
+    g = Graph(("s", "a", "a^1"), (), (("s", "a"), ("s", "a^1")))
+    assert g.edge_endpoints("s~a^1^2") == ("s", "a^1")
+    assert g.edge_endpoints("s~a^1^1") == ("s", "a^1")
+    assert g.edge_endpoints("s~a^1") == ("s", "a")
+    for eid in ("s~a^1^02", "s~a^0", "s~a^", "s~a^1^"):
+        with pytest.raises(ValueError, match="unknown edge id"):
+            g.edge_endpoints(eid)
+    for eid in ("s~a^1^02", "s~a^01"):
+        Graph(g.vertices, ((eid, "s", "s"),), g.omega_pairs)
+    with pytest.raises(ValueError, match="collides"):
+        Graph(g.vertices, (("s~a^1^2", "s", "s"),), g.omega_pairs)
+
+
+def test_graph_with_many_omega_pairs_and_edges_within_budget():
+    # each explicit edge id was checked against every omega pair: 4.75 s at 4,000 of each
+    n = 10**4
+    text = json.dumps(
+        {
+            "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{i}"} for i in range(n)],
+            "omega": [{"src": f"v{i}", "dst": f"v{(i + 1) % n}"} for i in range(n)],
+        }
+    )
+    start = time.perf_counter()
+    g = graph_from_json(text)
+    elapsed = time.perf_counter() - start
+    assert len(g.omega_pairs) == len(g.edges) == n
+    assert g.edge_endpoints(f"v{n - 1}~v0^3") == (f"v{n - 1}", "v0")
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------------------
 # the SCC analysis on deep graphs and against the exhaustive oracles
 # ---------------------------------------------------------------------------

@@ -307,15 +307,14 @@ def test_witness_matches_dense_block_scan():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# block layout
 # ---------------------------------------------------------------------------
 
 
-def test_block_json_shape(r2):
+def test_filtration_block_shape(r2):
     d = filtration_decompose(mono(r2, ["e"], ["f"], coeff=gauss(1, Fraction(-1, 2))), 1)
-    obj = d.to_json_obj()
-    assert obj["blocks"][0]["vertex"] == "v"
-    assert obj["blocks"][0]["kind"] == "regular"
-    assert obj["blocks"][0]["stage"] == 1
-    assert obj["blocks"][0]["matrix"][0][1] == "1/1-1/2 i"
-    assert obj["blocks"][0]["matrix"][0][0] == "0/1+0/1 i"
+    [key] = d.block_order()
+    assert key == BlockKey("regular", "v", 1)
+    assert d.paths[key] == (Path("v", ("e",)), Path("v", ("f",)))
+    assert d.blocks[key][0][1] == gauss(1, Fraction(-1, 2))
+    assert d.blocks[key][0][0] == gauss(0)

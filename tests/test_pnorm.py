@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import leavitt_lab
 from leavitt_lab import zoo
 from leavitt_lab.errors import EmptyMatrix, NotAcyclic
 from leavitt_lab.lpa import multiply, path_element, vertex_element, zero
@@ -311,3 +315,31 @@ def test_quadrature_random_all_degrees():
             maxdeg = max((abs(d) for d in x.degrees()), default=0)
             for n in range(-maxdeg - 1, maxdeg + 2):
                 assert degree_component_quadrature_error(g, x, n) <= 1e-9
+
+
+BLAS_PROBE = """
+from leavitt_lab.pnorm import norm_estimate
+import numpy as np
+
+rng = np.random.default_rng(0)
+M = (rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))) * (
+    rng.random((300, 300)) < 0.3
+)
+print(repr(norm_estimate(M, 2.0).value), repr(norm_estimate(M, 3.0).value))
+"""
+
+
+def test_norm_does_not_depend_on_blas_threads():
+    # Two BLAS threads changed the last digits of both norms of this block.
+    # With one CPU the two runs cannot differ, so there the test passes trivially.
+    package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root}
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

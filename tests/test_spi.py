@@ -16,7 +16,7 @@ from leavitt_lab.errors import (
     OmegaUnsupported,
     ZeroElement,
 )
-from leavitt_lab.graph import Graph, Path
+from leavitt_lab.graph import Graph, Path, enumerate_paths
 from leavitt_lab.lpa import (
     degree_component,
     gauss,
@@ -28,6 +28,8 @@ from leavitt_lab.lpa import (
 )
 from leavitt_lab.sample import random_element
 from leavitt_lab.spi import (
+    _least_path_into,
+    _word_candidates,
     annihilating_closed_path,
     closed_paths_at,
     cohn_embedding,
@@ -39,7 +41,7 @@ from leavitt_lab.spi import (
     witness_from_json_obj,
 )
 
-from oracles import oracle_closed_paths_at
+from oracles import oracle_closed_paths_at, oracle_word_candidates
 from test_graph import random_graphs
 
 
@@ -102,6 +104,53 @@ def test_incomparable_closed_path_matches_per_length_search(g, alpha_length):
             assert incomparable_closed_path(g, v, alpha) == expected
 
 
+@st.composite
+def source_free_graphs(draw):
+    """Row-finite random graphs with one more edge into each source."""
+    g = draw(random_graphs(max_vertices=5, max_omega=0))
+    extra = tuple(
+        (f"s{i}", draw(st.sampled_from(g.vertices)), v)
+        for i, v in enumerate(g.vertices)
+        if g.is_source(v)
+    )
+    return Graph(g.vertices, g.edges + extra)
+
+
+def assert_least_paths_into(g):
+    for w in g.vertices:
+        for n in range(1, 7):
+            paths = enumerate_paths(g, n, end=w)
+            if paths:
+                assert _least_path_into(g, n, w) == paths[0]
+
+
+@given(source_free_graphs())
+@settings(deadline=None, max_examples=100)
+def test_least_path_into_is_the_first_enumerated(g):
+    assert not any(g.is_source(v) for v in g.vertices)
+    assert_least_paths_into(g)
+
+
+def test_least_path_into_on_the_zoo():
+    graphs = [*zoo.standard_graphs().values(), zoo.spi4(), zoo.line(3)]
+    for g in graphs:
+        if not g.omega_pairs:
+            assert_least_paths_into(g)
+
+
+edge_words = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple)
+
+
+@given(edge_words, edge_words, st.integers(0, 6))
+@settings(deadline=None, max_examples=150)
+def test_word_candidates_match_sorted_oracle(alpha, beta, max_blocks):
+    # equal blocks and blocks that are prefixes of each other included
+    alpha, beta = Path("v", alpha), Path("v", beta)
+    assert list(_word_candidates(alpha, beta, max_blocks)) == oracle_word_candidates(
+        alpha, beta, max_blocks
+    )
+
+
 def ring_with_loops(n, loops):
     """The ring v0 -> v1 -> ... -> v0 with a loop at each listed vertex; the
     loop ids sort first, so the least cycle there is the loop and any
@@ -120,6 +169,17 @@ def test_witness_on_deep_ring_within_budget():
     elapsed = time.perf_counter() - start
     check_witness(g, a, w)
     assert elapsed < 5.0
+
+
+def test_witness_of_long_path_over_rose_within_budget(r2):
+    # Step 4 used to enumerate all 2^(n+1) paths of length n: 1.2 s at n = 18
+    a = path_element(r2, ("f",) * 40)
+    start = time.perf_counter()
+    w = spi_witness(a)
+    elapsed = time.perf_counter() - start
+    check_witness(r2, a, w)
+    assert w.trace[1]["alpha"] == ["e"] * 40
+    assert elapsed < 1.0
 
 
 def test_incomparable_closed_path_on_looped_ring_within_budget():

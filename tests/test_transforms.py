@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -146,6 +147,23 @@ def test_desingularize_budget_fires_before_building(monkeypatch):
     monkeypatch.setattr(transforms, "_fresh", no_building)
     with pytest.raises(BudgetExceeded):
         desingularize(g, 3)
+
+
+def test_desingularize_many_emitters_within_budget():
+    # every edge used to rebuild the emitter set and every emitter to scan every edge
+    n = 10**4
+    verts = tuple(f"v{i}" for i in range(n))
+    g = Graph(
+        verts,
+        tuple((f"e{i}", v, v) for i, v in enumerate(verts)),
+        tuple((v, verts[(i + 1) % n]) for i, v in enumerate(verts)),
+    )
+    start = time.perf_counter()
+    d = desingularize(g, 1)
+    elapsed = time.perf_counter() - start
+    assert len(d.vertices) == 3 * n and len(d.edges) == 4 * n and len(d.frontier) == n
+    assert d.edge_by_id["e7"].src == "v7" and d.edge_by_id["v7~v8^1"].src == "v7_1"
+    assert elapsed < 2.0
 
 
 def test_desingularize_fresh_names_avoid_collisions():
