@@ -207,7 +207,7 @@ class Graph:
         # the prefix ends at the id's last ``^``
         head, caret, tail = edge_id.rpartition("^")
         pair = self._omega_by_prefix.get(head + caret)
-        if pair is not None and tail.isdigit() and not tail.startswith("0"):
+        if pair is not None and tail.isascii() and tail.isdigit() and not tail.startswith("0"):
             return pair[0], pair[1], int(tail)
         return None
 
@@ -420,11 +420,12 @@ def hereditary_saturated_closure(g: Graph, seed: Iterable[str]) -> frozenset[str
     return frozenset(closure)
 
 
-def reachable_from(g: Graph, start: str) -> frozenset[str]:
-    """Vertices reachable from ``start`` by paths (omega pairs traversed)."""
-    g.require_vertex(start)
-    seen = {start}
-    stack = [start]
+def reachable_from(g: Graph, starts: Iterable[str]) -> frozenset[str]:
+    """Vertices reachable from any of ``starts`` by paths (omega pairs traversed)."""
+    seen = set(starts)
+    for v in seen:
+        g.require_vertex(v)
+    stack = list(seen)
     while stack:
         v = stack.pop()
         for e in g.out_edges[v]:
@@ -652,9 +653,12 @@ def graph_to_json(g: Graph) -> str:
     return canonical_json(graph_to_json_obj(g))
 
 
-def _json_id(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise FormatError(f"{what} must be a string, not {value!r}")
+_JSON_TYPES = {str: "a string", list: "a list", bool: "a boolean"}
+
+
+def _json_typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
     return value
 
 
@@ -664,24 +668,24 @@ def graph_from_json_obj(obj) -> Graph:
     try:
         vertices = []
         frontier = []
-        for entry in obj["vertices"]:
+        for entry in _json_typed(obj["vertices"], list, "graph vertices"):
             if isinstance(entry, str):
                 vertices.append(entry)
             else:
-                vertices.append(_json_id(entry["id"], "vertex id"))
-                if entry.get("frontier"):
+                vertices.append(_json_typed(entry["id"], str, "vertex id"))
+                if _json_typed(entry.get("frontier", False), bool, "vertex frontier"):
                     frontier.append(entry["id"])
         edges = [
             Edge(
-                _json_id(e["id"], "edge id"),
-                _json_id(e["src"], "edge src"),
-                _json_id(e["dst"], "edge dst"),
+                _json_typed(e["id"], str, "edge id"),
+                _json_typed(e["src"], str, "edge src"),
+                _json_typed(e["dst"], str, "edge dst"),
             )
-            for e in obj.get("edges", [])
+            for e in _json_typed(obj.get("edges", []), list, "graph edges")
         ]
         omega = [
-            (_json_id(o["src"], "omega src"), _json_id(o["dst"], "omega dst"))
-            for o in obj.get("omega", [])
+            (_json_typed(o["src"], str, "omega src"), _json_typed(o["dst"], str, "omega dst"))
+            for o in _json_typed(obj.get("omega", []), list, "graph omega")
         ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad graph JSON: {exc}") from exc

@@ -174,7 +174,8 @@ def equal_length_closed_paths(g: Graph, V: Iterable[str], m: int) -> EqualLength
     if m < 1:
         raise ValueError("m must be >= 1")
     _require_spi(g)
-    V = [v for v in g.vertices if v in set(V)]
+    wanted = set(V)
+    V = [v for v in g.vertices if v in wanted]
     base: dict[str, tuple[Path, ...]] = {}
     lengths: dict[str, int] = {}
     for v in V:
@@ -218,32 +219,35 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
     g.require_vertex(v)
     bases = g.analysis.cycle_bases
     memo: dict[str, tuple[Element, Element]] = {}
-
-    def build(u: str) -> tuple[Element, Element]:
+    # depth first in edge order; a vertex off the cycles waits for its ranges
+    todo = [v]
+    while todo:
+        u = todo[-1]
         if u in memo:
-            return memo[u]
-        if u in bases:
+            todo.pop()
+        elif u in bases:
             alpha = least_cycle_at(g, u)
             beta = incomparable_closed_path(g, u, alpha)
-            pair = (path_element(g, alpha), path_element(g, beta))
+            memo[u] = (path_element(g, alpha), path_element(g, beta))
+        elif g.is_infinite_emitter(u):
+            raise OmegaUnsupported(
+                f"vertex {u!r} emits infinitely and lies on no cycle; desingularize first"
+            )
         else:
-            if g.is_infinite_emitter(u):
-                raise OmegaUnsupported(
-                    f"vertex {u!r} emits infinitely and lies on no cycle; desingularize first"
-                )
+            pending = [e.dst for e in g.out_edges[u] if e.dst not in memo]
+            if pending:
+                todo.extend(reversed(pending))
+                continue
             s1 = s2 = None
             for e in g.out_edges[u]:
-                inner1, inner2 = build(e.dst)
+                inner1, inner2 = memo[e.dst]
                 hop = path_element(g, (e.id,))
                 wrap1 = multiply(multiply(hop, inner1), involute(hop))
                 wrap2 = multiply(multiply(hop, inner2), involute(hop))
                 s1 = wrap1 if s1 is None else s1 + wrap1
                 s2 = wrap2 if s2 is None else s2 + wrap2
-            pair = (s1, s2)
-        memo[u] = pair
-        return pair
-
-    s1, s2 = build(v)
+            memo[u] = (s1, s2)
+    s1, s2 = memo[v]
     t1, t2 = involute(s1), involute(s2)
     unit = vertex_element(g, v)
     nil = zero(g)

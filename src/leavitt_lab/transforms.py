@@ -21,25 +21,27 @@ from .lpa import (
 )
 
 
+def _restrict(g: Graph, keep: frozenset[str]) -> Graph:
+    """The subgraph on ``keep``, with every edge and omega pair leaving it."""
+    return Graph(
+        tuple(v for v in g.vertices if v in keep),
+        tuple(e for e in g.edges if e.src in keep),
+        tuple(p for p in g.omega_pairs if p[0] in keep),
+        g.frontier & keep,
+    )
+
+
 def remove_sources(g: Graph) -> Graph:
     """Iteratively delete vertices receiving no edges, with their outgoing edges.
 
-    Raises BecameEmpty when the iteration erodes the whole graph (acyclic input).
+    The survivors are the vertices reachable from a cycle (omega pairs count
+    as edges): each receives an edge from another, so walking back closes a
+    cycle.  Raises BecameEmpty when nothing survives (acyclic input).
     """
-    current = g
-    while True:
-        sources = [v for v in current.vertices if current.is_source(v)]
-        if not sources:
-            if not current.vertices:
-                raise BecameEmpty("source removal deleted every vertex")
-            return current
-        doomed = set(sources)
-        vertices = tuple(v for v in current.vertices if v not in doomed)
-        if not vertices:
-            raise BecameEmpty("source removal deleted every vertex")
-        edges = tuple(e for e in current.edges if e.src not in doomed)
-        omega = tuple(p for p in current.omega_pairs if p[0] not in doomed)
-        current = Graph(vertices, edges, omega, current.frontier & set(vertices))
+    keep = reachable_from(g, g.analysis.cycle_bases)
+    if not keep:
+        raise BecameEmpty("source removal deleted every vertex")
+    return _restrict(g, keep)
 
 
 # Omega edges that one desingularization may materialize (depth × omega
@@ -104,12 +106,7 @@ def desingularize(g: Graph, depth: int) -> Graph:
 
 def reachable_subgraph(g: Graph, w: str) -> Graph:
     """The subgraph on the vertices reachable from w, with all their outgoing edges."""
-    g.require_vertex(w)
-    reach = reachable_from(g, w)
-    vertices = tuple(v for v in g.vertices if v in reach)
-    edges = tuple(e for e in g.edges if e.src in reach)
-    omega = tuple(p for p in g.omega_pairs if p[0] in reach)
-    return Graph(vertices, edges, omega, g.frontier & reach)
+    return _restrict(g, reachable_from(g, {w}))
 
 
 # ---------------------------------------------------------------------------

@@ -64,3 +64,11 @@ def random_relabel(g: Graph, rng: random.Random) -> tuple[Graph, dict, dict]:
     vmap = dict(zip(g.vertices, vnames))
     emap = dict(zip((e.id for e in g.edges), enames))
     return relabel(g, vmap, emap), vmap, emap
+
+
+def source_tail_into_rose(n: int) -> Graph:
+    """The 2-rose at v fed by a line of n sources t0 -> t1 -> ... -> v."""
+    tail = [f"t{i}" for i in range(n)]
+    ends = tail[1:] + ["v"]
+    edges = [(f"g{i}", t, dst) for i, (t, dst) in enumerate(zip(tail, ends))]
+    return Graph((*tail, "v"), (*edges, ("e", "v", "v"), ("f", "v", "v")))

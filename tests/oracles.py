@@ -14,8 +14,18 @@ from itertools import product
 
 import numpy as np
 
-from leavitt_lab.graph import Graph, Path, find_cycles
-from leavitt_lab.lpa import Element, GaussianRational, Monomial, monomial_key
+from leavitt_lab.errors import BecameEmpty
+from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at
+from leavitt_lab.lpa import (
+    Element,
+    GaussianRational,
+    Monomial,
+    involute,
+    monomial_key,
+    multiply,
+    path_element,
+)
+from leavitt_lab.spi import incomparable_closed_path
 
 
 def _raw_out(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -229,6 +239,43 @@ def oracle_is_simple(g: Graph) -> bool:
     if any(s not in (frozenset(), full) for s in sets):
         return False
     return all(oracle_cycle_has_exit(g, c) for c in oracle_cycles(g))
+
+
+def oracle_remove_sources(g: Graph) -> Graph:
+    """Source removal round by round: delete every current source, rebuild
+    the graph, and repeat until no source is left."""
+    current = g
+    while True:
+        sources = [v for v in current.vertices if current.is_source(v)]
+        if not sources:
+            if not current.vertices:
+                raise BecameEmpty("source removal deleted every vertex")
+            return current
+        doomed = set(sources)
+        vertices = tuple(v for v in current.vertices if v not in doomed)
+        if not vertices:
+            raise BecameEmpty("source removal deleted every vertex")
+        edges = tuple(e for e in current.edges if e.src not in doomed)
+        omega = tuple(p for p in current.omega_pairs if p[0] not in doomed)
+        current = Graph(vertices, edges, omega, current.frontier & set(vertices))
+
+
+def oracle_cohn_pair(g: Graph, v: str) -> tuple[Element, Element]:
+    """(s1, s2) of the Cohn elements at v by recursion over the out-edges:
+    two incomparable closed paths at a cycle base, else the sum over the
+    edges e of e·s_i(r(e))·e*.  One Python frame per vertex off the cycles."""
+    if v in g.analysis.cycle_bases:
+        alpha = least_cycle_at(g, v)
+        beta = incomparable_closed_path(g, v, alpha)
+        return path_element(g, alpha), path_element(g, beta)
+    sums = []
+    for i in (0, 1):
+        terms = []
+        for e in g.out_edges[v]:
+            hop = path_element(g, (e.id,))
+            terms.append(multiply(multiply(hop, oracle_cohn_pair(g, e.dst)[i]), involute(hop)))
+        sums.append(sum(terms[1:], terms[0]))
+    return sums[0], sums[1]
 
 
 def oracle_paths(g: Graph, n: int) -> list[tuple[str, tuple[str, ...]]]:

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import leavitt_lab
+from conftest import source_tail_into_rose
 from leavitt_lab import errors, transforms, zoo
 from leavitt_lab.cli import COMMANDS, build_parser, main
 from leavitt_lab.graph import Graph, graph_from_json, graph_to_json
@@ -127,6 +129,28 @@ def test_classify_exit_2_on_non_string_edge_id(capsys, tmp_path):
     assert out == ""
     assert "edge id must be a string" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices":"ab"}',
+        '{"vertices":{"a":1}}',
+        '{"vertices":["a"],"edges":{}}',
+        '{"vertices":["a"],"edges":""}',
+        '{"vertices":["a"],"omega":""}',
+        '{"vertices":[{"id":"a","frontier":"no"}]}',
+    ],
+    ids=["string-vertices", "object-vertices", "object-edges", "string-edges", "string-omega",
+         "string-frontier"],
+)
+def test_classify_exit_2_on_wrong_json_types(capsys, tmp_path, text):
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--graph", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "must be a" in err
 
 
 def test_classify_exit_3_on_empty(capsys, tmp_path):
@@ -456,6 +480,18 @@ def test_transform_remove_sources(capsys, tmp_path):
 def test_transform_remove_sources_exit_6(capsys, a2_file):
     code, out, err = run(capsys, ["transform", "remove-sources", "--graph", a2_file])
     assert code == 6
+
+
+def test_transform_remove_sources_long_tail_within_budget(capsys, tmp_path):
+    # rebuilding the graph once per round of sources took 2.4-3.2 s on a 2-core machine
+    gp = tmp_path / "tail.json"
+    gp.write_text(graph_to_json(source_tail_into_rose(2000)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["transform", "remove-sources", "--graph", str(gp)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert graph_from_json(out) == zoo.r2()
+    assert elapsed < 1.0
 
 
 def test_transform_desingularize(capsys, tmp_path):

@@ -552,6 +552,19 @@ def test_omega_ids_with_carets_in_vertex_ids():
         Graph(g.vertices, (("s~a^1^2", "s", "s"),), g.omega_pairs)
 
 
+def test_omega_ids_take_only_ascii_digits():
+    # a superscript two and an Arabic-Indic one are digits to str.isdigit
+    pairs = (("s", "a"),)
+    for eid in ("s~a^\u00b2", "s~a^\u0661"):
+        g = Graph(("s", "a"), ((eid, "s", "a"),), pairs)
+        assert g.edge_endpoints(eid) == ("s", "a")
+    g = Graph(("s", "a"), (), pairs)
+    with pytest.raises(ValueError, match="unknown edge id"):
+        g.edge_endpoints("s~a^\u0661")
+    with pytest.raises(ValueError, match="unknown edge id"):
+        g.path("s", ["s~a^\u0661"])
+
+
 def test_graph_with_many_omega_pairs_and_edges_within_budget():
     # each explicit edge id was checked against every omega pair: 4.75 s at 4,000 of each
     n = 10**4

@@ -93,3 +93,39 @@ def test_unread_private_names_are_caught():
 
 def test_package_has_no_unread_private_names():
     assert findings(unread_private_names) == {}
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions that call themselves by name (``f(...)``, or ``self.f(...)``
+    in a method): the package keeps its depth off the Python stack."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name) or (
+                isinstance(f, ast.Attribute)
+                and f.attr == node.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                found.append((node.lineno, node.name))
+                break
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_self_calls_are_caught():
+    source = (
+        "def walk(n):\n    return walk(n - 1) if n else 0\n"
+        "def outer():\n    def build(u):\n        return build(u)\n    return build\n"
+        "class Box:\n    def size(self):\n        return self.size()\n"
+        "def least(g):\n    return g.analysis.least(g)\n"
+    )
+    assert self_calls(source) == ["walk (line 1)", "build (line 4)", "size (line 8)"]
+
+
+def test_package_has_no_self_calls():
+    assert findings(self_calls) == {}

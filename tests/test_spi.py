@@ -1,11 +1,14 @@
+import inspect
 import json
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import source_tail_into_rose
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
     HasSources,
@@ -41,7 +44,7 @@ from leavitt_lab.spi import (
     witness_from_json_obj,
 )
 
-from oracles import oracle_closed_paths_at, oracle_word_candidates
+from oracles import oracle_closed_paths_at, oracle_cohn_pair, oracle_word_candidates
 from test_graph import random_graphs
 
 
@@ -293,6 +296,21 @@ def test_cohn_every_vertex_of_every_spi_fixture():
                     assert multiply(t, s) == want, (name, v, i, j)
 
 
+def test_cohn_matches_recursive_oracle():
+    graphs = list(zoo.spi_fixtures().values()) + [zoo.omega_spi(), source_tail_into_rose(4)]
+    graphs.append(
+        Graph(
+            ("u1", "u2", "u3", "v"),
+            (("a1", "u1", "u2"), ("a2", "u2", "v"), ("b1", "u3", "u2"), ("b2", "u3", "v"),
+             ("b3", "u3", "v"), ("e", "v", "v"), ("f", "v", "v")),
+        )
+    )
+    for g in graphs:
+        for v in g.vertices:
+            q = cohn_embedding(g, v)
+            assert (q.s1, q.s2) == oracle_cohn_pair(g, v), v
+
+
 def test_cohn_multi_edge_routing():
     # two parallel routes from the sourceless... from a non-cycle-base vertex:
     # plain conjugation along one path would give t·s = (route idempotent), not u;
@@ -309,7 +327,7 @@ def test_cohn_multi_edge_routing():
 
 def test_cohn_deep_and_branching_routes():
     # u1 routes through u2; u3 branches both into the chain and straight to
-    # the cycle base, so the recursion mixes depths
+    # the cycle base, so the routes mix depths
     g = Graph(
         ("u1", "u2", "u3", "v"),
         (
@@ -328,6 +346,21 @@ def test_cohn_deep_and_branching_routes():
             for j, s in enumerate((q.s1, q.s2)):
                 want = unit if i == j else zero(g)
                 assert multiply(t, s) == want, (u, i, j)
+
+
+def test_cohn_long_source_tail_uses_no_recursion():
+    # one Python frame per vertex off the cycles raised RecursionError at a
+    # 1,500-vertex tail; a lowered limit shows the same on a short tail
+    g = source_tail_into_rose(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        q = cohn_embedding(g, "t0")
+    finally:
+        sys.setrecursionlimit(limit)
+    route = path_element(g, tuple(f"g{i}" for i in range(300)))
+    alpha = path_element(g, least_cycle_at(g, "v"))
+    assert q.s1 == multiply(multiply(route, alpha), involute(route))
 
 
 def test_cohn_requires_spi(a2):

@@ -2,7 +2,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import source_tail_into_rose
 from leavitt_lab import transforms, zoo
 from leavitt_lab.errors import (
     BecameEmpty,
@@ -11,7 +14,7 @@ from leavitt_lab.errors import (
     NotASubgraph,
     UnknownVertex,
 )
-from leavitt_lab.graph import Graph, Verdict, classify_graph, enumerate_paths
+from leavitt_lab.graph import Graph, Verdict, classify_graph, enumerate_paths, graph_to_json
 from leavitt_lab.lpa import (
     GR_ZERO,
     Monomial,
@@ -27,6 +30,8 @@ from leavitt_lab.transforms import (
     reachable_subgraph,
     remove_sources,
 )
+from oracles import oracle_remove_sources
+from test_graph import random_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +51,8 @@ def test_remove_sources_fixed_point(r2):
 
 
 def test_remove_sources_erodes_acyclic(a2, a3):
-    for g in (a2, a3):
-        with pytest.raises(BecameEmpty):
+    for g in (a2, a3, Graph(())):
+        with pytest.raises(BecameEmpty, match="^source removal deleted every vertex$"):
             remove_sources(g)
 
 
@@ -83,6 +88,37 @@ def test_remove_sources_keeps_every_cycle():
             continue
         after = {c.edges for c, _ in find_cycles(remove_sources(g))}
         assert before == after
+
+
+@st.composite
+def framed_graphs(draw):
+    """``random_graphs`` (omega self pairs included) with random frontier vertices."""
+    g = draw(random_graphs())
+    frontier = draw(st.sets(st.sampled_from(g.vertices)))
+    return Graph(g.vertices, g.edges, g.omega_pairs, frontier)
+
+
+@given(st.one_of(st.just(Graph(())), framed_graphs()))
+@settings(deadline=None, max_examples=400)
+def test_remove_sources_matches_round_by_round_oracle(g):
+    try:
+        expected = oracle_remove_sources(g)
+    except BecameEmpty as exc:
+        with pytest.raises(BecameEmpty) as caught:
+            remove_sources(g)
+        assert str(caught.value) == str(exc)
+    else:
+        assert graph_to_json(remove_sources(g)) == graph_to_json(expected)
+
+
+def test_remove_sources_long_tail_within_budget():
+    # rebuilding the graph once per round of sources took 2.4-3.2 s on a 2-core machine
+    g = source_tail_into_rose(2000)
+    start = time.perf_counter()
+    h = remove_sources(g)
+    elapsed = time.perf_counter() - start
+    assert h == zoo.r2()
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +263,7 @@ def test_reachable_idempotent():
 
 
 def test_reachable_unknown(r2):
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex, match="^vertex 'zz' is not in the graph$"):
         reachable_subgraph(r2, "zz")
 
 
