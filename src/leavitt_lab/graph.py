@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     EmptyGraph,
@@ -42,12 +42,13 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(NamedTuple):
     """A finite path: a source vertex plus a composable edge-id sequence.
 
-    Length-0 paths carry only their vertex.  Paths compare and hash by value;
-    the edge sequence determines the path whenever it is nonempty.
+    Length-0 paths carry only their vertex.  Paths are named tuples, so they
+    compare and hash by value (and equal the plain tuple of their fields) and
+    ``len`` of a path is 2: its edge count is ``length``.  The edge sequence
+    determines the path whenever it is nonempty.
     """
 
     source: str
@@ -230,13 +231,15 @@ class Graph:
         edges = tuple(edges)
         by_id = self.edge_by_id
         for eid in edges:
-            if not isinstance(eid, str):
-                raise ValueError(f"edge id {eid!r} must be a string")
-            e = by_id.get(eid)
-            src, dst = (e.src, e.dst) if e is not None else self.edge_endpoints(eid)
-            if src != at:
+            try:
+                e = by_id[eid]
+            except (KeyError, TypeError):  # a generated omega id, or no edge id at all
+                if not isinstance(eid, str):
+                    raise ValueError(f"edge id {eid!r} must be a string") from None
+                e = Edge(eid, *self.edge_endpoints(eid))
+            if e.src != at:
                 raise ValueError(f"edge {eid!r} does not depart {at!r}")
-            at = dst
+            at = e.dst
         return Path(source, edges)
 
     def range_of(self, p: Path) -> str:

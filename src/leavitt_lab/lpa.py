@@ -10,10 +10,9 @@ deterministic function of the graph alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
 from .graph import Graph, Path, canonical_json, enumerate_paths
@@ -148,19 +147,11 @@ def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(NamedTuple):
     """a·b* with r(a) = r(b); its degree is |a| - |b|."""
 
     alpha: Path
     beta: Path
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def degree(self) -> int:
@@ -471,11 +462,21 @@ def _edge_list(entry: dict, key: str) -> list:
     return edges
 
 
-def _rational(entry: dict, key: str) -> Fraction:
+def _rational(entry: dict, key: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a coefficient string, as ``Fraction`` reads it:
+    ASCII ``[-]digits[/digits]`` with a nonzero denominator is split here, and
+    any other string goes to ``Fraction``, for its grammar and error messages."""
     value = entry[key]
     if not isinstance(value, str):
         raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
-    return Fraction(value)
+    negative = value[:1] == "-"
+    num, slash, den = value[negative:].partition("/")
+    if value.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        n, d = int(num), int(den or 1)
+        if d:
+            return (-n if negative else n), d
+    f = Fraction(value)
+    return f.numerator, f.denominator
 
 
 def element_from_json_obj(g: Graph, obj) -> Element:
@@ -487,7 +488,9 @@ def element_from_json_obj(g: Graph, obj) -> Element:
         try:
             alpha = g.path(entry["alpha_src"], _edge_list(entry, "alpha"))
             beta = g.path(entry["beta_src"], _edge_list(entry, "beta"))
-            coeff = GaussianRational(_rational(entry, "re"), _rational(entry, "im"))
+            a, da = _rational(entry, "re")
+            b, db = _rational(entry, "im")
+            coeff = _reduced(a * db, b * da, da * db)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, UnknownVertex) as exc:
             raise FormatError(f"bad element term: {exc}") from exc
         if g.range_of(alpha) != g.range_of(beta):

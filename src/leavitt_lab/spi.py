@@ -229,10 +229,6 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
             alpha = least_cycle_at(g, u)
             beta = incomparable_closed_path(g, u, alpha)
             memo[u] = (path_element(g, alpha), path_element(g, beta))
-        elif g.is_infinite_emitter(u):
-            raise OmegaUnsupported(
-                f"vertex {u!r} emits infinitely and lies on no cycle; desingularize first"
-            )
         else:
             pending = [e.dst for e in g.out_edges[u] if e.dst not in memo]
             if pending:

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from leavitt_lab.errors import BecameEmpty
+from leavitt_lab.errors import BecameEmpty, FormatError
 from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at
 from leavitt_lab.lpa import (
     Element,
@@ -278,6 +278,23 @@ def oracle_cohn_pair(g: Graph, v: str) -> tuple[Element, Element]:
     return sums[0], sums[1]
 
 
+def oracle_path(g: Graph, source: str, edges) -> Path:
+    """``Graph.path`` as an edge-by-edge check: type, then endpoints, then
+    composability, with one ``edge_endpoints`` call for each id not listed."""
+    g.require_vertex(source)
+    at = source
+    edges = tuple(edges)
+    for eid in edges:
+        if not isinstance(eid, str):
+            raise ValueError(f"edge id {eid!r} must be a string")
+        e = g.edge_by_id.get(eid)
+        src, dst = (e.src, e.dst) if e is not None else g.edge_endpoints(eid)
+        if src != at:
+            raise ValueError(f"edge {eid!r} does not depart {at!r}")
+        at = dst
+    return Path(source, edges)
+
+
 def oracle_paths(g: Graph, n: int) -> list[tuple[str, tuple[str, ...]]]:
     """(source, edge sequence) of every length-n path, by filtering raw products."""
     if n == 0:
@@ -382,6 +399,18 @@ def oracle_multiply(g: Graph, x: dict, y: dict, rng: random.Random) -> Element:
 # ---------------------------------------------------------------------------
 # Gaussian rationals as two Fractions
 # ---------------------------------------------------------------------------
+
+
+def oracle_coefficient(entry: dict) -> GaussianRational:
+    """The coefficient of an element JSON term, one ``Fraction`` per part;
+    raises what the element parser wraps into its ``FormatError``."""
+    parts = []
+    for key in ("re", "im"):
+        value = entry[key]
+        if not isinstance(value, str):
+            raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
+        parts.append(Fraction(value))
+    return GaussianRational(*parts)
 
 
 def oracle_frac_str(f: Fraction) -> str:

@@ -333,8 +333,12 @@ def test_normalize_applies_relations(capsys, tmp_path, r2_file):
         ("0/5", "0/3", None),
         ("2", "-4/6", ("2/1", "-2/3")),
         ("1.5", "1.5", ("3/2", "3/2")),
+        # strings Fraction reads but a plain [-]digits/digits split does not
+        (" 1/2", "0/1", ("1/2", "0/1")),
+        ("\u0663/4", "0/1", ("3/4", "0/1")),
+        ("1_0/3", "-1_2/8", ("10/3", "-3/2")),
     ],
-    ids=["reduced", "zero-part", "zero-term", "integer", "decimal"],
+    ids=["reduced", "zero-part", "zero-term", "integer", "decimal", "space", "arabic-indic", "underscore"],
 )
 def test_normalize_prints_coefficients_in_lowest_terms(capsys, tmp_path, r2_file, re, im, printed):
     elem = tmp_path / "coeff.json"
@@ -342,18 +346,27 @@ def test_normalize_prints_coefficients_in_lowest_terms(capsys, tmp_path, r2_file
     code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
     assert code == 0
     if printed is None:
-        assert json.loads(out) == []
+        assert out == "[]\n"
     else:
-        assert f'"re":"{printed[0]}","im":"{printed[1]}"' in out
-        assert [(t["re"], t["im"]) for t in json.loads(out)] == [printed]
+        assert out == (
+            f'[{{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"{printed[0]}","im":"{printed[1]}"}}]\n'
+        )
 
 
-def test_normalize_exit_2_on_zero_denominator(capsys, tmp_path, r2_file):
-    elem = tmp_path / "zero.json"
-    elem.write_text('[{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"1/0","im":"0/1"}]')
+@pytest.mark.parametrize(
+    "re, message",
+    [
+        ("1/0", "Fraction(1, 0)"),
+        ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+        ("--1/2", "Invalid literal for Fraction: '--1/2'"),
+    ],
+    ids=["zero-denominator", "negative-denominator", "double-sign"],
+)
+def test_normalize_exit_2_on_malformed_rational(capsys, tmp_path, r2_file, re, message):
+    elem = tmp_path / "bad.json"
+    elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"{re}","im":"0/1"}}]')
     code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
-    assert code == 2
-    assert out == ""
+    assert (code, out, err) == (2, "", f"error: bad element term: {message}\n")
 
 
 @pytest.mark.parametrize(

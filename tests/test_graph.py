@@ -28,6 +28,7 @@ from leavitt_lab.graph import (
     graph_to_json,
     hereditary_saturated_closure,
     least_cycle_at,
+    omega_edge_id,
     omega_exit_marker,
     path_levels,
 )
@@ -41,6 +42,7 @@ from oracles import (
     oracle_cycles,
     oracle_is_simple,
     oracle_least_cycle_at,
+    oracle_path,
     oracle_paths,
 )
 
@@ -95,6 +97,20 @@ def test_paths_reject_omega(omega_spi):
 def test_path_rejects_non_string_edge_id(omega_spi):
     with pytest.raises(ValueError, match="must be a string"):
         omega_spi.path("v", [7])
+
+
+def test_path_is_a_named_tuple_value():
+    p = Path("v", ("e", "f", "e"))
+    assert p == Path("v", ("e", "f", "e")) == ("v", ("e", "f", "e"))
+    assert hash(p) == hash(("v", ("e", "f", "e"))) and {p: 1}[("v", ("e", "f", "e"))] == 1
+    assert p != Path("v", ("e", "f")) and Path("v") == ("v", ())
+    # a path is a pair: its edge count is its length, not its len
+    assert (len(p), p.length, Path("v").length) == (2, 3, 0)
+    assert (repr(p), repr(Path("v"))) == ("<e·f·e>", "<v>")
+    with pytest.raises(AttributeError):
+        p.edges = ()
+    with pytest.raises(AttributeError):
+        p.extra = 1
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +682,44 @@ def test_closure_is_least_hereditary_saturated_superset(g, data):
     least = frozenset.intersection(*supersets)
     assert least in supersets
     assert hereditary_saturated_closure(g, seed) == least
+
+
+@st.composite
+def path_requests(draw):
+    """A graph with omega pairs, a source and a list of edge ids: mostly a
+    walk, with ints, lists, dicts, unknown ids and generated ids mixed in."""
+    g = draw(random_graphs(max_vertices=5, min_omega=1))
+    alphabet = g.out_alphabet(3)
+    source = at = "nowhere" if draw(st.sampled_from(range(10))) == 5 else draw(st.sampled_from(g.vertices))
+    ids = [*(e.id for e in g.edges), "nowhere"]
+    for s, d in g.omega_pairs:
+        ids += [omega_edge_id(s, d, k) for k in (1, 2, 10)]
+        ids += [f"{s}~{d}^{k}" for k in ("0", "01", "\u0661", "")]
+    stray = st.one_of(
+        st.sampled_from(ids),
+        st.integers(-1, 2),
+        st.lists(st.sampled_from(ids), max_size=2),
+        st.dictionaries(st.sampled_from(ids), st.integers(0, 1), max_size=1),
+    )
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        if at in alphabet and alphabet[at] and draw(st.integers(0, 4)):
+            eid, at = draw(st.sampled_from(alphabet[at]))
+            edges.append(eid)
+        else:
+            edges.append(draw(stray))
+    return g, source, edges
+
+
+@given(path_requests())
+@settings(deadline=None, max_examples=400)
+def test_path_matches_edge_by_edge_oracle(request):
+    g, source, edges = request
+    try:
+        expected = oracle_path(g, source, edges)
+    except (ValueError, UnknownVertex) as exc:
+        with pytest.raises((ValueError, UnknownVertex)) as info:
+            g.path(source, edges)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        assert g.path(source, edges) == expected

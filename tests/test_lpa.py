@@ -12,10 +12,13 @@ from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
 from leavitt_lab.graph import Graph, Path, enumerate_paths
 from leavitt_lab.lpa import (
     Element,
+    GR_ONE,
     GaussianRational,
     Monomial,
+    add_term,
     degree_component,
     element_from_json,
+    element_from_json_obj,
     element_to_json,
     element_to_json_obj,
     gauss,
@@ -33,6 +36,7 @@ from leavitt_lab.sample import random_element
 
 from oracles import (
     OracleGaussianRational,
+    oracle_coefficient,
     oracle_frac_str,
     oracle_monomial_product,
     oracle_multiply,
@@ -191,6 +195,54 @@ def test_ck2_soundness_all_fixtures():
                 p = path_element(g, (e.id,))
                 acc = acc + multiply(p, involute(p))
             assert acc == vertex_element(g, v), (g, v)
+
+
+def test_monomial_is_a_named_tuple_value():
+    a, b = Path("v", ("e", "f")), Path("v", ("e",))
+    m = Monomial(a, b)
+    assert m == Monomial(Path("v", ("e", "f")), Path("v", ("e",))) == (a, b)
+    assert hash(m) == hash((a, b)) and {m: 1}[(a, b)] == 1
+    assert m != Monomial(b, a) and m.star() == Monomial(b, a) and m.star().star() == m
+    assert (m.degree, m.star().degree, Monomial(a, a).degree) == (1, -1, 0)
+    assert repr(m) == "e·f(e)*"
+    assert repr(Monomial(a, Path("v"))) == "e·f" and repr(Monomial(Path("v"), Path("v"))) == "v"
+    with pytest.raises(AttributeError):
+        m.alpha = b
+    with pytest.raises(AttributeError):
+        m.extra = 1
+
+
+@pytest.mark.parametrize("k, r", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6), (3, 7)])
+def test_normalize_rose_conjugation_sum_matches_oracle(k, r):
+    # the sum of p·p* over the paths of length r collapses to the vertex
+    g = zoo.rose(k)
+    raw = {Monomial(p, p): GR_ONE for p in enumerate_paths(g, r)}
+    x = normalize_terms(g, raw)
+    assert x == vertex_element(g, "v")
+    assert x == oracle_normalize(g, raw, random.Random(r))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_long_monomial_sum_matches_oracle(spi4, seed):
+    # 60 monomials with paths of length 6..12: the normal form stays large
+    rng = random.Random(seed)
+    raw = {}
+    for _ in range(60):
+        start = at = rng.choice(spi4.vertices)
+        alpha = []
+        for _ in range(rng.randint(6, 12)):
+            e = rng.choice(spi4.out_edges[at])
+            alpha.append(e.id)
+            at = e.dst
+        beta_src, beta = at, []
+        for _ in range(rng.randint(6, 12)):
+            e = rng.choice(spi4.in_edges[beta_src])
+            beta_src, beta = e.src, [e.id, *beta]
+        coeff = gauss(rng.randint(-3, 3), rng.randint(-3, 3))
+        add_term(raw, Monomial(spi4.path(start, alpha), spi4.path(beta_src, beta)), coeff)
+    x = normalize_terms(spi4, raw)
+    assert len(x) > 30
+    assert x == oracle_normalize(spi4, raw, random.Random(seed))
 
 
 def test_normalize_confluence_two_strategies():
@@ -560,3 +612,54 @@ def test_element_json_rejects_garbage(r2):
         with pytest.raises(FormatError, match="must be"):
             element_from_json(r2, "[{" + term.replace(field, loose) + "}]")
 
+
+
+# Pieces of coefficient strings: ASCII digits, non-ASCII decimal digits (an
+# Arabic-Indic three, a fullwidth five, a mathematical bold nine), a
+# superscript two (a digit to str.isdigit, not to int), signs, separators,
+# decimal points, exponents, underscores and spaces.
+COEFFICIENT_PIECES = [
+    "0", "1", "7", "00", "12", "\u0663", "\uff15", "\U0001d7d7", "\u00b2",
+    "-", "+", "/", ".", "e", "E", "_", " ", "\t",
+]
+
+coefficient_values = st.one_of(
+    # [sign][leading zeros]digits[/digits], zero denominators included
+    st.builds(
+        lambda sign, zeros, n, d: f"{sign}{'0' * zeros}{n}" + ("" if d is None else f"/{d}"),
+        st.sampled_from(["", "-", "+", "--"]),
+        st.integers(0, 2),
+        st.integers(0, 10**30),
+        st.none() | st.integers(0, 10**6),
+    ),
+    st.lists(st.sampled_from(COEFFICIENT_PIECES), max_size=7).map("".join),
+    # either side of the 4,300-digit limit of int(str), above and below the bar
+    st.builds(
+        lambda sign, k, above, rest: sign + ("7" * k + rest if above else "3/" + "7" * k),
+        st.sampled_from(["", "-"]),
+        st.integers(4299, 4302),
+        st.booleans(),
+        st.sampled_from(["", "/3", "/0"]),
+    ),
+    st.none() | st.integers(-2, 2) | st.floats(-2, 2) | st.booleans() | st.lists(st.just("1"), max_size=1),
+)
+
+
+@given(coefficient_values, coefficient_values)
+@settings(deadline=None, max_examples=400)
+def test_coefficient_parsing_matches_fraction_oracle(re, im):
+    r2 = zoo.r2()
+    term = {"alpha": ["e"], "alpha_src": "v", "beta": ["f"], "beta_src": "v", "re": re, "im": im}
+    try:
+        c = oracle_coefficient(term)
+    except FormatError as exc:
+        expected = str(exc)
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = f"bad element term: {exc}"
+    else:
+        x = element_from_json_obj(r2, [term])
+        assert [(k.a, k.b, k.d) for _, k in x.terms()] == ([(c.a, c.b, c.d)] if c else [])
+        return
+    with pytest.raises(FormatError) as info:
+        element_from_json_obj(r2, [term])
+    assert str(info.value) == expected

@@ -19,7 +19,7 @@ from leavitt_lab.errors import (
     OmegaUnsupported,
     ZeroElement,
 )
-from leavitt_lab.graph import Graph, Path, enumerate_paths
+from leavitt_lab.graph import Graph, Path, Verdict, classify_graph, enumerate_paths
 from leavitt_lab.lpa import (
     degree_component,
     gauss,
@@ -361,6 +361,29 @@ def test_cohn_long_source_tail_uses_no_recursion():
     route = path_element(g, tuple(f"g{i}" for i in range(300)))
     alpha = path_element(g, least_cycle_at(g, "v"))
     assert q.s1 == multiply(multiply(route, alpha), involute(route))
+
+
+def test_cohn_on_random_omega_spi_graphs():
+    # in a simple graph an infinite emitter u with the pair (u, w) lies in the
+    # closure of w, which it can enter only along a path, so u is a cycle base
+    rng = random.Random(1313)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(2, 6)
+        verts = tuple(f"v{i}" for i in range(n))
+        edges = tuple((f"e{i}", rng.choice(verts), rng.choice(verts)) for i in range(rng.randint(n, 2 * n)))
+        omega = tuple((rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(1, 2)))
+        g = Graph(verts, edges, omega)
+        if classify_graph(g).verdict is not Verdict.SIMPLE_PURELY_INFINITE:
+            continue
+        checked += 1
+        assert {u for u, _ in g.omega_pairs} <= g.analysis.cycle_bases
+        for v in g.vertices:
+            q = cohn_embedding(g, v)
+            unit = vertex_element(g, v)
+            for i, t in enumerate((q.t1, q.t2)):
+                for j, s in enumerate((q.s1, q.s2)):
+                    assert multiply(t, s) == (unit if i == j else zero(g)), (g, v, i, j)
 
 
 def test_cohn_requires_spi(a2):
