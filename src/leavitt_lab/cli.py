@@ -16,6 +16,7 @@ from .errors import (
     BecameEmpty,
     BudgetExceeded,
     EmptyGraph,
+    FloatRange,
     FormatError,
     FrontierPresent,
     HasSources,
@@ -57,6 +58,7 @@ LABELS = {
 EXIT_CODES = {
     FormatError: 2,
     BudgetExceeded: 2,
+    FloatRange: 2,
     ValueError: 2,
     EmptyGraph: 3,
     NotSPI: 4,

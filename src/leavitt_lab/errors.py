@@ -17,6 +17,11 @@ class BudgetExceeded(LeavittError):
     """The request would build more than a fixed budget of objects."""
 
 
+class FloatRange(LeavittError):
+    """A floating-point computation overflows a double: an exact value too
+    large to convert, or an intermediate result that reaches inf or NaN."""
+
+
 class EmptyGraph(LeavittError):
     """The operation requires a graph with at least one vertex."""
 

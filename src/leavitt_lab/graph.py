@@ -303,6 +303,23 @@ def path_levels(g: Graph, n: int) -> list[list[Path]]:
     return levels
 
 
+def path_counts(g: Graph) -> dict[str, int]:
+    """The number of paths ending at each vertex of an acyclic graph, its
+    length-0 path included: count[v] = 1 + the sum of count[src e] over the
+    edges e into v.  One pass in topological order, O(V + E), building no
+    path; on a graph with cycles the counts behind a cycle are incomplete."""
+    waiting = {v: len(g.in_edges[v]) for v in g.vertices}
+    count = dict.fromkeys(g.vertices, 1)
+    ready = [v for v in g.vertices if not waiting[v]]
+    for v in ready:
+        for e in g.out_edges[v]:
+            count[e.dst] += count[v]
+            waiting[e.dst] -= 1
+            if not waiting[e.dst]:
+                ready.append(e.dst)
+    return count
+
+
 def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
     """All paths of length n (optionally with range ``end``): level n of ``path_levels``."""
     if n < 0:

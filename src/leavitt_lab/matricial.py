@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from .graph import Graph, Path, path_levels
+from .errors import BudgetExceeded, NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
+from .graph import Graph, Path, path_counts, path_levels
 from .lpa import (
     Element,
     GaussianRational,
@@ -25,6 +25,12 @@ from .lpa import (
     normalize_terms,
     path_element,
 )
+
+# entries of all acyclic sink blocks together (64 MiB as complex128 floats):
+# the doubled line (two parallel edges between neighbours) on 11 vertices,
+# 2047 paths into its sink, just fits.  It bounds the blocks' storage only,
+# not the time or workspace a norm of them then takes.
+BLOCK_BUDGET = 2**22
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,6 +203,31 @@ def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     return {v: tuple(ps) for v, ps in by_sink.items()}
 
 
+def acyclic_expansion(
+    g: Graph, x: Element
+) -> tuple[dict[str, tuple[Path, ...]], dict[Monomial, GaussianRational]]:
+    """The paths into each sink and x expanded into monomials a·b* with a and
+    b ending at the same sink: the rows, columns and nonzero entries of the
+    acyclic block decomposition.
+
+    Raises BudgetExceeded, before any path is built, when the blocks would
+    hold more than ``BLOCK_BUDGET`` entries in all.
+    """
+    if x.graph != g:
+        raise ValueError("element is not over the given graph")
+    _require_row_finite_finite(g)
+    if g.analysis.cycle_bases:
+        raise NotAcyclic("the graph has a cycle")
+    counts = path_counts(g)
+    entries = sum(counts[v] ** 2 for v in g.vertices if g.is_sink(v))
+    if entries > BLOCK_BUDGET:
+        raise BudgetExceeded(
+            f"the sink blocks would hold {entries} entries, over the budget of {BLOCK_BUDGET}"
+        )
+    # no path reaches length |V|, so the expansion stops only at sinks
+    return paths_into_by_sink(g), _expand(g, x.terms(), len(g.vertices))
+
+
 def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     """Isomorphism of the algebra of a finite acyclic graph onto a sum of matrix blocks.
 
@@ -205,16 +236,9 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     is first expanded into such monomials via the identity u = sum of d·d*
     over paths d from u to the sinks.
     """
-    if x.graph != g:
-        raise ValueError("element is not over the given graph")
-    _require_row_finite_finite(g)
-    if g.analysis.cycle_bases:
-        raise NotAcyclic("the graph has a cycle")
-    paths = {
-        BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(g).items()
-    }
-    # no path reaches length |V|, so the expansion stops only at sinks
-    return _assemble(g, None, paths, _expand(g, x.terms(), len(g.vertices)))
+    by_sink, expansion = acyclic_expansion(g, x)
+    paths = {BlockKey("sink", v, None): plist for v, plist in by_sink.items()}
+    return _assemble(g, None, paths, expansion)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,29 @@
 """Numeric l^p kernels: spatial matrix images of acyclic algebras, operator
 norms on l^p, and circle-quadrature validation of the degree projections.
 
-Exact matrices from the matricial module are converted to complex floats.
-The l^p -> l^p operator norm is exact for p = 1 (maximum column sum), a
-singular value for p = 2, and otherwise a certified lower bound from a
-nonlinear power iteration with restarts.  The restarts run as one stacked
-iteration over a (restarts, n) array, each row doing the arithmetic of a
-lone restart bit for bit.
+The float blocks are filled straight from the matricial module's expansion
+of an element into matrix units, each exact coefficient rounded once to a
+complex double, within a budget on the number of block entries.  The
+l^p -> l^p operator norm is exact for p = 1 (maximum column sum), a singular
+value for p = 2, and otherwise a certified lower bound from a nonlinear power
+iteration with restarts.  The restarts run as one stacked iteration over a
+(restarts, n) array, each row doing the arithmetic of a lone restart bit for
+bit.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyMatrix
+from .errors import EmptyMatrix, FloatRange
 from .graph import Graph, Path
 from .lpa import Element, degree_component
-from .matricial import acyclic_decompose
+from .matricial import acyclic_expansion
 
 P_MIN, P_MAX = 1.0, 8.0
 
@@ -61,15 +64,23 @@ class SpatialMatrix:
 
 
 def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
-    """Float image of the acyclic block decomposition."""
-    decomp = acyclic_decompose(g, x)
-    blocks: dict[str, np.ndarray] = {}
-    paths: dict[str, tuple[Path, ...]] = {}
-    for key, matrix in decomp.blocks.items():
-        blocks[key.vertex] = np.array(
-            [[complex(c) for c in row] for row in matrix], dtype=np.complex128
-        )
-        paths[key.vertex] = decomp.paths[key]
+    """Float image of the acyclic block decomposition: each expanded monomial
+    a·b* puts its coefficient, as a complex double, at (a, b) of the block of
+    the sink both paths end at; every other entry is zero.
+
+    Raises BudgetExceeded when the blocks would hold more than
+    ``matricial.BLOCK_BUDGET`` entries, and FloatRange when a coefficient is
+    too large for a double.
+    """
+    paths, expansion = acyclic_expansion(g, x)
+    blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
+    where = {p: (blocks[v], i) for v, plist in paths.items() for i, p in enumerate(plist)}
+    try:
+        for m, c in expansion.items():
+            block, i = where[m.alpha]
+            block[i, where[m.beta][1]] = complex(c)
+    except OverflowError:
+        raise FloatRange("a coefficient of the element is too large for a double") from None
     return SpatialMatrix(blocks, paths)
 
 
@@ -90,20 +101,19 @@ def _row_norms(Y: np.ndarray, p: float) -> np.ndarray:
 
     numpy sums |y|^p and takes the root of that scalar; a root taken over
     the whole array can differ from the scalar one in the last bit, so it is
-    applied row by row.
+    taken row by row, in Python floats, with the same libm ``pow``.
     """
-    root = np.reciprocal(p)
-    return np.array([s ** root for s in np.add.reduce(np.abs(Y) ** p, axis=1)])
+    root = 1.0 / p
+    return np.array([s ** root for s in np.add.reduce(np.abs(Y) ** p, axis=1).tolist()])
 
 
 def _dual_sign_power(V: np.ndarray, r: float) -> np.ndarray:
     """Entrywise |v|^(r-1) · phase(v) for every row v of V, with a floor
     relative to the row's own largest modulus against denormals."""
     mags = np.abs(V)
-    out = np.zeros_like(V)
-    nz = mags > mags.max(axis=1)[:, None] * 1e-18
-    out[nz] = (mags[nz] ** (r - 1.0)) * (V[nz] / mags[nz])
-    return out
+    nz = mags > np.maximum.reduce(mags, axis=1, keepdims=True) * 1e-18
+    out = np.divide(V, mags, where=nz, out=np.zeros(V.shape, dtype=V.dtype))
+    return np.multiply(mags ** (r - 1.0), out, where=nz, out=out)
 
 
 def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -125,40 +135,51 @@ def _stacked_power_iteration(
     """
     q = p / (p - 1.0)
     MH = M.conj().T
-    best = np.zeros(X.shape[0])
-    converged = np.zeros(X.shape[0], dtype=bool)
     nx = _row_norms(X, p)
-    converged[nx == 0] = True
-    live = np.flatnonzero(nx != 0)
+    best = [0.0] * X.shape[0]
+    converged = [s == 0 for s in nx.tolist()]
+    live = [i for i, c in enumerate(converged) if not c]
     X = X[live] / nx[live, None]
     for _ in range(max_iter):
-        if not live.size:
+        if not live:
             break
         Y = _matvec_rows(M, X)
         gamma = _row_norms(Y, p)
-        prev = best[live]
-        best[live] = np.where(gamma > prev, gamma, prev)
-        stop = (gamma == 0.0) | (gamma <= prev * (1.0 + tol))
-        if stop.any():
-            converged[live[stop]] = True
-            keep = ~stop
-            live, Y, gamma = live[keep], Y[keep], gamma[keep]
+        keep = []
+        for j, (i, g) in enumerate(zip(live, gamma.tolist())):
+            prev = best[i]
+            if g > prev:
+                best[i] = g
+            if g == 0.0 or g <= prev * (1.0 + tol):
+                converged[i] = True
+            else:
+                keep.append(j)
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live, Y, gamma = [live[j] for j in keep], Y[keep], gamma[keep]
         Z = _matvec_rows(MH, _dual_sign_power(Y / gamma[:, None], p))
-        zmax = np.abs(Z).max(axis=1)
-        stop = zmax == 0.0
-        if stop.any():
-            converged[live[stop]] = True
-            keep = ~stop
-            live, Z, zmax = live[keep], Z[keep], zmax[keep]
+        zmax = np.maximum.reduce(np.abs(Z), axis=1)
+        if not zmax.all():
+            live, Z, zmax = _drop_stopped(live, converged, zmax != 0.0, Z, zmax)
         X = _dual_sign_power(Z / zmax[:, None], q)
         nx = _row_norms(X, p)
-        stop = nx == 0.0
-        if stop.any():
-            converged[live[stop]] = True
-            keep = ~stop
-            live, X, nx = live[keep], X[keep], nx[keep]
+        if not nx.all():
+            live, X, nx = _drop_stopped(live, converged, nx != 0.0, X, nx)
         X = X / nx[:, None]
-    return [(float(b), bool(c)) for b, c in zip(best, converged)]
+    return list(zip(best, converged))
+
+
+def _drop_stopped(live: list[int], converged: list[bool], keep: np.ndarray, *arrays):
+    """Mark the live rows not in ``keep`` converged; return the kept live
+    rows and the kept rows of each array."""
+    kept = []
+    for i, k in zip(live, keep.tolist()):
+        if k:
+            kept.append(i)
+        else:
+            converged[i] = True
+    return (kept, *(a[keep] for a in arrays))
 
 
 def power_iteration_lower_bound(
@@ -224,14 +245,26 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
 def element_norm_estimate(
     g: Graph, x: Element, p: float, seed: int = 0, tol: float = 1e-10
 ) -> NormEstimate:
-    """Norm of an element of a finite acyclic algebra: max over sink blocks."""
+    """Norm of an element of a finite acyclic algebra: max over sink blocks.
+
+    Raises FloatRange when a block's estimate is not a finite double: the
+    computation overflowed somewhere (in the power iteration, |y|^p can
+    overflow even when the norm itself is a double), and the value would be
+    a false bound.
+    """
     p = _check_p(p)
     rep = spatial_rep_acyclic(g, x)
     values = []
     exact = True
     converged: Optional[bool] = None
     for v in sorted(rep.blocks):
-        est = norm_estimate(rep.blocks[v], p, seed=seed, tol=tol)
+        # an overflow is reported once, as FloatRange, not as numpy warnings too
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = norm_estimate(rep.blocks[v], p, seed=seed, tol=tol)
+        if not math.isfinite(est.value):
+            raise FloatRange(
+                f"the l^{p:g} norm computation of a block overflowed a double (estimate {est.value})"
+            )
         values.append(est.value)
         exact = exact and est.exact
         if est.converged is not None:

@@ -25,6 +25,7 @@ from leavitt_lab.lpa import (
     multiply,
     path_element,
 )
+from leavitt_lab.matricial import acyclic_decompose
 from leavitt_lab.spi import incomparable_closed_path
 
 
@@ -475,6 +476,19 @@ def oracle_column_sum_norm(matrix: list[list[Fraction]]) -> Fraction:
     return max(
         sum((abs(row[j]) for row in matrix), Fraction(0)) for j in range(cols)
     )
+
+
+def oracle_spatial_rep_acyclic(g: Graph, x: Element):
+    """(paths, blocks) of the float image by the exact route: the dense table
+    of ``acyclic_decompose`` converted entry by entry to complex doubles."""
+    decomp = acyclic_decompose(g, x)
+    paths, blocks = {}, {}
+    for key, matrix in decomp.blocks.items():
+        paths[key.vertex] = decomp.paths[key]
+        blocks[key.vertex] = np.array(
+            [[complex(c) for c in row] for row in matrix], dtype=np.complex128
+        )
+    return paths, blocks
 
 
 def _oracle_dual_sign_power(v: np.ndarray, r: float) -> np.ndarray:

@@ -449,6 +449,70 @@ def test_norm_on_the_empty_graph(capsys, tmp_path):
     assert out == '{"p":1.5,"norm":0.0,"exact":true}\n'
 
 
+def test_norm_exit_2_over_the_block_budget(capsys, tmp_path):
+    # the doubled line on 40 vertices has 2^40 - 1 paths into its sink; none is built
+    n = 40
+    verts = [f"v{i}" for i in range(n)]
+    edges = [{"id": f"{k}{i}", "src": verts[i], "dst": verts[i + 1]} for i in range(n - 1) for k in "ab"]
+    gp, ep = tmp_path / "g.json", tmp_path / "elem.json"
+    gp.write_text(json.dumps({"vertices": verts, "edges": edges}))
+    ep.write_text('[{"alpha":[],"alpha_src":"v0","beta":[],"beta_src":"v0","re":"1","im":"0"}]')
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
+
+
+def huge_coefficient_element(tmp_path, digits):
+    """e·e* over a2 (u -e-> v) with the coefficient 10^digits."""
+    ep = tmp_path / f"huge{digits}.json"
+    ep.write_text(
+        json.dumps([{"alpha": ["e"], "alpha_src": "u", "beta": ["e"], "beta_src": "u", "re": "1" + "0" * digits, "im": "0"}])
+    )
+    return str(ep)
+
+
+# "error": a float warning from numpy would be a second stderr line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ["1", "1.5", "2", "3"])
+def test_norm_exit_2_on_a_coefficient_beyond_double_range(capsys, tmp_path, a2_file, p):
+    # the conversion to a double raised OverflowError: exit 1 with a traceback
+    elem = huge_coefficient_element(tmp_path, 400)
+    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", p])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p, printed",
+    [
+        ("1", '{"p":1.0,"norm":1e+300,"exact":true}\n'),
+        ("1.5", None),
+        ("2", '{"p":2.0,"norm":1e+300,"exact":false}\n'),
+        ("3", None),
+    ],
+)
+def test_norm_never_prints_infinity(capsys, tmp_path, a2_file, p, printed):
+    # the norm is 1e300; at p = 1.5 and 3 |y|^p overflows inside the power
+    # iteration, which printed "lower_bound":Infinity, invalid JSON and no bound
+    elem = huge_coefficient_element(tmp_path, 300)
+    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", p])
+    if printed is None:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflowed a double" in err
+    else:
+        assert code == 0
+        assert out == printed
+
+
 def test_normalize_exit_2_on_non_string_edge_id_over_omega_graph(capsys, tmp_path):
     # Graph.path rejects the id before an omega id parse would call str methods on it
     gp, ep = tmp_path / "g.json", tmp_path / "elem.json"
@@ -593,6 +657,7 @@ def test_transform_complete_exit_8(capsys, tmp_path, r2_file):
 EXIT_CODE = {
     errors.FormatError: 2,
     errors.BudgetExceeded: 2,
+    errors.FloatRange: 2,
     ValueError: 2,
     errors.EmptyGraph: 3,
     errors.NotSPI: 4,

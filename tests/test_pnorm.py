@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leavitt_lab
-from leavitt_lab import zoo
-from leavitt_lab.errors import EmptyMatrix, NotAcyclic
-from leavitt_lab.lpa import multiply, path_element, vertex_element, zero
-from leavitt_lab.graph import Path
+from leavitt_lab import matricial, zoo
+from leavitt_lab.errors import BudgetExceeded, EmptyMatrix, FloatRange, NotAcyclic
+from leavitt_lab.lpa import gauss, monomial_element, multiply, path_element, vertex_element, zero
+from leavitt_lab.graph import Graph, Path, path_counts
 from leavitt_lab.matricial import acyclic_decompose, paths_into_by_sink
 from leavitt_lab.pnorm import (
     degree_component_quadrature_error,
@@ -25,7 +25,14 @@ from leavitt_lab.pnorm import (
 )
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_column_sum_norm, oracle_power_iteration
+from oracles import oracle_column_sum_norm, oracle_power_iteration, oracle_spatial_rep_acyclic
+
+
+def doubled_line(n: int) -> Graph:
+    """v0 -> v1 -> ... -> v(n-1) with two parallel edges a_i, b_i at each step:
+    2^(n-1-i) paths from v_i into the sink, 2^n - 1 in all."""
+    verts = tuple(f"v{i}" for i in range(n))
+    return Graph(verts, tuple((f"{k}{i}", verts[i], verts[i + 1]) for i in range(n - 1) for k in "ab"))
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +65,76 @@ def test_spatial_rep_matches_exact_decomposition(a3):
             err = np.abs(rep.blocks[key.vertex] - exact)
             scale = np.maximum(np.abs(exact), 1.0)
             assert (err <= 1e-15 * scale).all()
+
+
+@st.composite
+def acyclic_graphs_and_elements(draw):
+    """A random DAG (edges only from an earlier to a later vertex of a shuffled
+    order, so parallel edges, several sinks and isolated vertices all occur)
+    and a random element over it, zero included."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    if pairs:
+        for k, (i, j) in enumerate(draw(st.lists(st.sampled_from(pairs), max_size=8))):
+            edges.append((f"e{k}", order[i], order[j]))
+    g = Graph(tuple(draw(st.permutations(order))), tuple(edges))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x = random_element(g, rng, max_terms=draw(st.integers(1, 6)), max_len=3, nonzero=False)
+    return g, x
+
+
+@given(acyclic_graphs_and_elements())
+@settings(deadline=None, max_examples=200)
+def test_spatial_rep_matches_exact_table_bitwise(case):
+    g, x = case
+    rep = spatial_rep_acyclic(g, x)
+    paths, blocks = oracle_spatial_rep_acyclic(g, x)
+    assert rep.paths == paths
+    assert list(rep.blocks) == list(blocks)
+    for v, M in blocks.items():
+        assert rep.blocks[v].dtype == M.dtype and rep.blocks[v].shape == M.shape
+        assert rep.blocks[v].tobytes() == M.tobytes()
+
+
+def test_path_counts_match_the_paths_into_each_sink():
+    for g in (zoo.a2(), zoo.a3(), zoo.line(4), zoo.two_isolated(), doubled_line(6)):
+        counts = path_counts(g)
+        assert {v: counts[v] for v in paths_into_by_sink(g)} == {
+            v: len(ps) for v, ps in paths_into_by_sink(g).items()
+        }
+
+
+def test_spatial_rep_refuses_doubled_line_over_budget():
+    # 2^40 - 1 paths into the sink: counted, never built
+    g = doubled_line(40)
+    start = time.perf_counter()
+    assert path_counts(g)["v39"] == 2**40 - 1
+    with pytest.raises(BudgetExceeded, match="budget"):
+        spatial_rep_acyclic(g, vertex_element(g, "v0"))
+    with pytest.raises(BudgetExceeded, match="budget"):
+        acyclic_decompose(g, vertex_element(g, "v0"))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spatial_rep_budget_is_inclusive(monkeypatch):
+    g = Graph(("u", "v", "s", "t"), (("e", "u", "s"), ("f", "v", "s"), ("h", "u", "t")))
+    # 3 paths into s and 2 into t: 9 + 4 entries
+    x = vertex_element(g, "u")
+    monkeypatch.setattr(matricial, "BLOCK_BUDGET", 13)
+    rep = spatial_rep_acyclic(g, x)
+    assert sum(M.size for M in rep.blocks.values()) == 13
+    monkeypatch.setattr(matricial, "BLOCK_BUDGET", 12)
+    with pytest.raises(BudgetExceeded):
+        spatial_rep_acyclic(g, x)
+
+
+def test_spatial_rep_refuses_a_coefficient_beyond_double_range(a2):
+    e = Path("u", ("e",))
+    x = monomial_element(a2, e, e, gauss(10**400))
+    with pytest.raises(FloatRange):
+        spatial_rep_acyclic(a2, x)
 
 
 def test_spatial_rep_multiplicative_up_to_float(a3):
@@ -269,6 +346,28 @@ def test_element_norm_on_long_line_within_budget():
         )
     }
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_element_norm_on_doubled_line_within_budget(p):
+    # a 2047-row block: the exact dense table behind it took 2.5-2.9 s at p = 1
+    # and 3.1-3.9 s at p = 3 on a 2-core machine
+    g = doubled_line(11)
+    start = time.perf_counter()
+    est = element_norm_estimate(g, vertex_element(g, "v0"), p)
+    elapsed = time.perf_counter() - start
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_element_norm_refuses_an_overflowed_estimate(a2, p):
+    # the norm is 1e300, but |y|^p overflows inside the power iteration
+    e = Path("u", ("e",))
+    x = monomial_element(a2, e, e, gauss(10**300))
+    assert element_norm_estimate(a2, x, 1.0).value == 1e300
+    with pytest.raises(FloatRange):
+        element_norm_estimate(a2, x, p)
 
 
 def test_acyclic_blocks_hold_their_sink():
