@@ -35,7 +35,8 @@ class OmegaUnsupported(LeavittError):
 
 
 class GraphMismatch(LeavittError):
-    """Elements over two different graphs cannot be combined."""
+    """Elements over two different graphs cannot be combined, or an element
+    is read against a graph other than its own."""
 
 
 class NotInFiltration(LeavittError):

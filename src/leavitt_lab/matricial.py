@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
+from .errors import (
+    BudgetExceeded,
+    GraphMismatch,
+    NotAcyclic,
+    NotInFiltration,
+    OmegaUnsupported,
+    ZeroElement,
+)
 from .graph import Graph, Path, path_counts, path_levels
 from .lpa import (
     Element,
@@ -28,8 +35,9 @@ from .lpa import (
 
 # entries of all acyclic sink blocks together (64 MiB as complex128 floats):
 # the doubled line (two parallel edges between neighbours) on 11 vertices,
-# 2047 paths into its sink, just fits.  It bounds the blocks' storage only,
-# not the time or workspace a norm of them then takes.
+# 2047 paths into its sink, just fits.  It bounds the blocks' storage only;
+# a norm then works on the components of a block's nonzero pattern, which on
+# the doubled line are 1024 nonzero 1×1 components.
 BLOCK_BUDGET = 2**22
 
 
@@ -214,7 +222,7 @@ def acyclic_expansion(
     hold more than ``BLOCK_BUDGET`` entries in all.
     """
     if x.graph != g:
-        raise ValueError("element is not over the given graph")
+        raise GraphMismatch("element is not over the given graph")
     _require_row_finite_finite(g)
     if g.analysis.cycle_bases:
         raise NotAcyclic("the graph has a cycle")

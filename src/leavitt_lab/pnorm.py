@@ -4,9 +4,12 @@ norms on l^p, and circle-quadrature validation of the degree projections.
 The float blocks are filled straight from the matricial module's expansion
 of an element into matrix units, each exact coefficient rounded once to a
 complex double, within a budget on the number of block entries.  The
-l^p -> l^p operator norm is exact for p = 1 (maximum column sum), a singular
-value for p = 2, and otherwise a certified lower bound from a nonlinear power
-iteration with restarts.  The restarts run as one stacked iteration over a
+l^p -> l^p operator norm is exact for p = 1 (maximum column sum).  For other
+p it is the maximum over the connected components of the matrix's nonzero
+pattern, since a block-diagonal matrix's norm is its blocks' largest: a 1×1
+component [c] gives |c|, another component its largest singular value at
+p = 2 and otherwise a certified lower bound from a nonlinear power iteration
+with restarts.  The restarts run as one stacked iteration over a
 (restarts, n) array, each row doing the arithmetic of a lone restart bit for
 bit.
 """
@@ -223,12 +226,46 @@ def power_iteration_lower_bound(
     return NormEstimate(value, exact=False, converged=converged)
 
 
+def _components(M: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """Rows and columns of each connected component of the bipartite graph
+    whose edges are the nonzero entries of M, both in increasing order, the
+    components in the order of their first row.  Zero rows and columns lie
+    in no component."""
+    m = M.shape[0]
+    rows, cols = np.nonzero(M)
+    rows, cols = rows.tolist(), (cols + m).tolist()
+    parent = list(range(m + M.shape[1]))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for i, j in zip(rows, cols):
+        a, b = find(i), find(j)
+        if a != b:
+            parent[b] = a
+    # rows are numbered before columns, so a component's first row founds it
+    components: dict[int, tuple[list[int], list[int]]] = {}
+    for node in sorted(set(rows).union(cols)):
+        if node < m:
+            components.setdefault(find(node), ([], []))[0].append(node)
+        else:
+            components[find(node)][1].append(node - m)
+    return list(components.values())
+
+
 def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Operator norm of a complex matrix on l^p.
 
-    p = 1 is the exact maximum column absolute sum; p = 2 is the largest
-    singular value.  Other p report the power-iteration lower bound with a
-    convergence flag.
+    p = 1 is the exact maximum column absolute sum of M.  Otherwise the norm
+    is the maximum over the connected components of M's nonzero pattern (the
+    bipartite graph joining row i to column j where M[i, j] != 0; M is
+    block-diagonal in them up to a permutation): a 1×1 component [c] gives
+    |c|, another component its largest singular value at p = 2 and its
+    power-iteration lower bound at other p.  ``converged`` is the AND over
+    the iterated components, True when there are none; a NaN value wins the
+    maximum.
     """
     p = _check_p(p)
     M = np.asarray(M, dtype=np.complex128)
@@ -236,10 +273,19 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
         raise EmptyMatrix("norm of an empty matrix")
     if p == 1.0:
         return NormEstimate(float(np.abs(M).sum(axis=0).max()), exact=True)
-    if p == 2.0:
-        # the full norm, but only to float precision: exact stays False
-        return NormEstimate(float(np.linalg.norm(M, 2)), exact=False, converged=True)
-    return power_iteration_lower_bound(M, p, seed=seed, tol=tol)
+    value, converged = 0.0, True
+    for rows, cols in _components(M):
+        if len(rows) == len(cols) == 1:
+            v = float(abs(M[rows[0], cols[0]]))
+        elif p == 2.0:
+            v = float(np.linalg.norm(M[np.ix_(rows, cols)], 2))
+        else:
+            est = power_iteration_lower_bound(M[np.ix_(rows, cols)], p, seed=seed, tol=tol)
+            v, converged = est.value, converged and est.converged
+        if v > value or v != v:
+            value = v
+    # p = 2 is the full norm, but only to float precision: exact stays False
+    return NormEstimate(value, exact=False, converged=converged)
 
 
 def element_norm_estimate(

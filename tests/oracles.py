@@ -555,3 +555,17 @@ def oracle_power_iteration(M, p: float, restarts: int, seed: int, tol: float, ma
     e[col] = 1.0
     starts.append(e)
     return max((_oracle_power_leg(M, p, x, tol, max_iter) for x in starts), key=lambda r: r[0])
+
+
+def oracle_dense_norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10):
+    """(value, exact, converged) of the l^p operator norm of the whole matrix,
+    with no split into components: the exact maximum column sum at p = 1, the
+    largest singular value at p = 2, and otherwise the power iteration over
+    every row and column at once, with production's restarts and budget."""
+    M = np.asarray(M, dtype=np.complex128)
+    if p == 1.0:
+        return float(np.abs(M).sum(axis=0).max()), True, None
+    if p == 2.0:
+        return float(np.linalg.norm(M, 2)), False, True
+    value, converged = oracle_power_iteration(M, p, 8, seed, tol, 200)
+    return value, False, converged

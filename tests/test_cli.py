@@ -493,16 +493,42 @@ def test_norm_exit_2_on_a_coefficient_beyond_double_range(capsys, tmp_path, a2_f
     "p, printed",
     [
         ("1", '{"p":1.0,"norm":1e+300,"exact":true}\n'),
-        ("1.5", None),
+        ("1.5", '{"p":1.5,"exact":false,"lower_bound":1e+300,"converged":true}\n'),
         ("2", '{"p":2.0,"norm":1e+300,"exact":false}\n'),
-        ("3", None),
+        ("3", '{"p":3.0,"exact":false,"lower_bound":1e+300,"converged":true}\n'),
     ],
 )
 def test_norm_never_prints_infinity(capsys, tmp_path, a2_file, p, printed):
-    # the norm is 1e300; at p = 1.5 and 3 |y|^p overflows inside the power
-    # iteration, which printed "lower_bound":Infinity, invalid JSON and no bound
+    # the norm is 1e300 at every p: the block's one nonzero entry is a 1×1
+    # component, so no power iteration sums |y|^p (which printed
+    # "lower_bound":Infinity, invalid JSON and no bound, and later exited 2)
     elem = huge_coefficient_element(tmp_path, 300)
     code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", p])
+    assert code == 0
+    assert out == printed
+    assert err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p, printed", [("1", '{"p":1.0,"norm":2e+300,"exact":true}\n'), ("1.5", None), ("3", None)]
+)
+def test_norm_exit_2_when_the_power_iteration_overflows(capsys, tmp_path, p, printed):
+    # 10^300·(f·f* + f·(ef)* + (ef)·f*) over a3 (u -e1-> v -e2-> w), f = e2:
+    # one connected 2×2 component, so p = 1.5 and 3 iterate and |y|^p overflows
+    g = zoo.a3()
+    gp, ep = tmp_path / "a3.json", tmp_path / "elem.json"
+    gp.write_text(graph_to_json(g))
+    f, ef = (["e2"], "v"), (["e1", "e2"], "u")
+    ep.write_text(
+        json.dumps(
+            [
+                {"alpha": a, "alpha_src": sa, "beta": b, "beta_src": sb, "re": "1" + "0" * 300, "im": "0"}
+                for (a, sa), (b, sb) in ((f, f), (f, ef), (ef, f))
+            ]
+        )
+    )
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", p])
     if printed is None:
         assert code == 2
         assert out == ""
@@ -511,6 +537,19 @@ def test_norm_never_prints_infinity(capsys, tmp_path, a2_file, p, printed):
     else:
         assert code == 0
         assert out == printed
+
+
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_norm_schema_when_every_component_is_1x1(capsys, tmp_path, a2_file, p):
+    # the vertex u of a2 is e·e*: one 1×1 component, so nothing iterates, yet
+    # the output keeps the lower-bound keys
+    g = zoo.a2()
+    elem = write_element(tmp_path, g, vertex_element(g, "u"))
+    code, out, err = run(capsys, ["norm", "--graph", a2_file, "--element", elem, "--p", p])
+    assert code == 0
+    assert list(json.loads(out).items()) == [
+        ("p", float(p)), ("exact", False), ("lower_bound", 1.0), ("converged", True)
+    ]
 
 
 def test_normalize_exit_2_on_non_string_edge_id_over_omega_graph(capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leavitt_lab import zoo
-from leavitt_lab.errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
+from leavitt_lab.errors import GraphMismatch, NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
 from leavitt_lab.graph import Graph, Path
 from leavitt_lab.lpa import (
     GaussianRational,
@@ -163,6 +163,14 @@ def test_acyclic_a2_examples(a2):
 def test_acyclic_rejects_cycles(r2):
     with pytest.raises(NotAcyclic):
         acyclic_decompose(r2, vertex_element(r2, "v"))
+
+
+def test_acyclic_rejects_an_element_over_another_graph(a2, a3, r2):
+    # a typed precondition, checked before the graph's own: r2 has a cycle
+    for g in (a3, r2):
+        with pytest.raises(GraphMismatch, match="not over the given graph"):
+            acyclic_decompose(g, vertex_element(a2, "u"))
+    assert not issubclass(GraphMismatch, ValueError)
 
 
 def test_acyclic_multiplicative_a3(a3):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -25,7 +26,12 @@ from leavitt_lab.pnorm import (
 )
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_column_sum_norm, oracle_power_iteration, oracle_spatial_rep_acyclic
+from oracles import (
+    oracle_column_sum_norm,
+    oracle_dense_norm_estimate,
+    oracle_power_iteration,
+    oracle_spatial_rep_acyclic,
+)
 
 
 def doubled_line(n: int) -> Graph:
@@ -308,6 +314,130 @@ def test_stacked_power_iteration_matches_serial_oracle_bitwise(inputs):
     assert_matches_oracle(*inputs)
 
 
+def random_block(rng, rows: int, cols: int, complex_: bool, sparse: bool) -> np.ndarray:
+    """A Gaussian block, complex or real; dense (every entry nonzero, so its
+    pattern is connected) or rounded, which zeroes some entries."""
+    B = rng.standard_normal((rows, cols))
+    if complex_:
+        B = B + 1j * rng.standard_normal((rows, cols))
+    return np.round(2 * B) if sparse else B
+
+
+def direct_sum(blocks, zero_rows: int = 0, zero_cols: int = 0) -> np.ndarray:
+    """diag(blocks...), then zero_rows zero rows and zero_cols zero columns."""
+    m = sum(B.shape[0] for B in blocks) + zero_rows
+    n = sum(B.shape[1] for B in blocks) + zero_cols
+    M = np.zeros((m, n), dtype=np.complex128)
+    i = j = 0
+    for B in blocks:
+        M[i : i + B.shape[0], j : j + B.shape[1]] = B
+        i, j = i + B.shape[0], j + B.shape[1]
+    return M
+
+
+@st.composite
+def permuted_direct_sums(draw):
+    """A permuted direct sum of 0-4 random blocks (1×1, rectangular or square;
+    real or complex; dense or sparse), with 0-2 zero rows and columns; with
+    no block, a zero matrix of at least one row and one column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4))
+    blocks = [random_block(rng, r, c, draw(st.booleans()), draw(st.booleans())) for r, c in shapes]
+    M = direct_sum(blocks, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    if M.size == 0:
+        M = np.zeros((max(M.shape[0], 1), max(M.shape[1], 1)), dtype=np.complex128)
+    return M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])]
+
+
+NORM_PS = [1.0, 1.1, 1.5, 2.0, 3.0, 8.0]
+
+
+@given(permuted_direct_sums(), st.sampled_from(NORM_PS), st.integers(0, 1000))
+@example(np.zeros((3, 2)), 3.0, 0)
+@settings(deadline=None, max_examples=300)
+def test_norm_on_components_matches_the_dense_route(M, p, seed):
+    est = norm_estimate(M, p, seed=seed)
+    value, exact, converged = oracle_dense_norm_estimate(M, p, seed=seed)
+    assert est.exact is exact
+    if p == 1.0:
+        # equal reprs are equal bits
+        assert (repr(est.value), est.converged) == (repr(value), converged)
+    elif p == 2.0:
+        assert abs(est.value - value) <= 1e-12 * value
+        assert est.converged is True
+    else:
+        # the largest entry is a ratio the iteration reaches; Riesz-Thorin bounds every ratio
+        A = np.abs(M)
+        low = float(A.max())
+        high = float(A.sum(axis=0).max()) ** (1 / p) * float(A.sum(axis=1).max()) ** (1 - 1 / p)
+        assert low * (1 - 1e-9) <= est.value <= high * (1 + 1e-9)
+        assert type(est.converged) is bool
+
+
+@st.composite
+def connected_blocks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return random_block(rng, rows, cols, draw(st.booleans()), sparse=False).astype(np.complex128)
+
+
+# a Jordan-like block the power iteration leaves unconverged, beside a smaller converged one
+JORDAN = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=np.complex128)
+
+
+@given(connected_blocks(), connected_blocks(), st.sampled_from(NORM_PS), st.integers(0, 1000))
+@example(JORDAN, np.full((3, 3), 0.1, dtype=np.complex128), 3.0, 0)
+@settings(deadline=None, max_examples=200)
+def test_norm_of_a_direct_sum_is_the_max_of_its_blocks_bitwise(A, B, p, seed):
+    d, a, b = (norm_estimate(X, p, seed=seed) for X in (direct_sum([A, B]), A, B))
+    assert repr(d.value) == repr(max(a.value, b.value))
+    assert (d.exact, d.converged) == (a.exact, a.converged and b.converged)
+
+
+@given(
+    connected_blocks(),
+    st.sampled_from([1.1, 1.5, 3.0, 8.0]),
+    st.lists(st.integers(0, 5), max_size=3),
+    st.lists(st.integers(0, 5), max_size=3),
+)
+@example(JORDAN, 1.5, [1], [0, 2])
+@settings(deadline=None, max_examples=100)
+def test_norm_keeps_the_row_and_column_order_of_a_component(C, p, zero_rows, zero_cols):
+    # zero rows and columns between the component's own leave it to the power
+    # iteration exactly as it stands, rows and columns in increasing order
+    if C.shape == (1, 1):
+        C = np.hstack([C, C])
+    M = np.insert(C, np.array([min(i, C.shape[0]) for i in zero_rows], dtype=np.intp), 0, axis=0)
+    M = np.insert(M, np.array([min(j, C.shape[1]) for j in zero_cols], dtype=np.intp), 0, axis=1)
+    est, lone = norm_estimate(M, p, seed=3), power_iteration_lower_bound(C, p, seed=3)
+    assert (repr(est.value), est.converged) == (repr(lone.value), lone.converged)
+
+
+NON_FINITE_CASES = [
+    (bad, p, bad_first)
+    for bad in ("nan", "inf", "overflow")
+    for p in NORM_PS
+    # a column sum and an SVD of the 1e300 block stay finite
+    if not (bad == "overflow" and p in (1.0, 2.0))
+    for bad_first in (True, False)
+]
+
+
+@pytest.mark.parametrize("bad, p, bad_first", NON_FINITE_CASES)
+def test_norm_never_hides_a_non_finite_component(bad, p, bad_first):
+    # Python's max(0.0, nan) is 0.0: the component maximum must not drop a
+    # NaN or an infinity behind a larger finite component, before or after it
+    if bad == "overflow":
+        # a connected 2×2 block whose |y|^p overflows in the power iteration
+        B = np.full((2, 2), 1e300)
+    else:
+        B = np.array([[float(bad)]])
+    blocks = [B, np.full((3, 3), 5.0)]
+    M = direct_sum(blocks if bad_first else blocks[::-1])
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(norm_estimate(M, p).value)
+
+
 # ---------------------------------------------------------------------------
 # element norms
 # ---------------------------------------------------------------------------
@@ -348,10 +478,11 @@ def test_element_norm_on_long_line_within_budget():
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_element_norm_on_doubled_line_within_budget(p):
-    # a 2047-row block: the exact dense table behind it took 2.5-2.9 s at p = 1
-    # and 3.1-3.9 s at p = 3 on a 2-core machine
+    # a 2047-row block of 1024 nonzero 1×1 components: the exact dense table
+    # behind it took 2.5-2.9 s at p = 1 and 3.1-3.9 s at p = 3 on a 2-core
+    # machine, and the SVD of the whole block 5.8-7.8 s at p = 2
     g = doubled_line(11)
     start = time.perf_counter()
     est = element_norm_estimate(g, vertex_element(g, "v0"), p)
@@ -360,14 +491,28 @@ def test_element_norm_on_doubled_line_within_budget(p):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_element_norm_refuses_an_overflowed_estimate(a2, p):
-    # the norm is 1e300, but |y|^p overflows inside the power iteration
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_element_norm_of_a_huge_1x1_component(a2, p):
+    # e·e* is one 1×1 component, whose norm |c| needs no power iteration
     e = Path("u", ("e",))
-    x = monomial_element(a2, e, e, gauss(10**300))
-    assert element_norm_estimate(a2, x, 1.0).value == 1e300
-    with pytest.raises(FloatRange):
-        element_norm_estimate(a2, x, p)
+    est = element_norm_estimate(a2, monomial_element(a2, e, e, gauss(10**300)), p)
+    assert est.value == 1e300
+    assert est.converged is (None if p == 1.0 else True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_element_norm_refuses_an_overflowed_estimate(a3, p):
+    # 10^300·(f·f* + f·(ef)* + (ef)·f*), f = e2: one connected 2×2 component
+    # of norm about 1.6e300 at p = 2, but |y|^p overflows inside the power
+    # iteration
+    f, ef = Path("v", ("e2",)), Path("u", ("e1", "e2"))
+    x = zero(a3)
+    for a, b in ((f, f), (f, ef), (ef, f)):
+        x = x + monomial_element(a3, a, b, gauss(10**300))
+    assert element_norm_estimate(a3, x, 1.0).value == 2e300
+    with pytest.raises(FloatRange, match="overflowed a double"):
+        element_norm_estimate(a3, x, p)
 
 
 def test_acyclic_blocks_hold_their_sink():
