@@ -182,12 +182,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     elif args.op == "desingularize":
         out = desingularize(g, args.depth)
     elif args.op == "reachable":
-        if not args.from_vertex:
-            raise FormatError("reachable needs --from VERTEX")
         out = reachable_subgraph(g, args.from_vertex)
     else:  # "complete"; argparse admits no other op
-        if not args.subgraph:
-            raise FormatError("complete needs --subgraph FILE")
         F = graph_from_json(_read(args.subgraph))
         emb = complete_and_embed(g, F)
         out = emb.domain
@@ -214,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand declares only the options its cmd_* reads
-    def inputs(name, summary, element=True, formats=None):
-        sp = sub.add_parser(name, help=summary)
+    # each subcommand, and each transform operation, declares only the
+    # options its code reads
+    def inputs(parsers, name, summary, element=True, formats=None):
+        sp = parsers.add_parser(name, help=summary)
         sp.add_argument("--graph", required=True, help="graph JSON file")
         if element:
             sp.add_argument("--element", required=True, help="element JSON file")
@@ -225,28 +222,34 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = inputs(
-        "classify", "decide the simplicity trichotomy", element=False, formats=("json", "text")
+        sub, "classify", "decide the simplicity trichotomy",
+        element=False, formats=("json", "text"),
     )
     sp.add_argument("--frontier", choices=("refuse", "sink"), default="refuse")
 
-    inputs("witness", "produce x, y, v with x·a·y = v", formats=("json", "text"))
+    inputs(sub, "witness", "produce x, y, v with x·a·y = v", formats=("json", "text"))
 
-    inputs("normalize", "normal form of an element")
+    inputs(sub, "normalize", "normal form of an element")
 
-    sp = inputs("norm", "l^p operator norm over a finite acyclic graph")
+    sp = inputs(sub, "norm", "l^p operator norm over a finite acyclic graph")
     sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = inputs("transform", "graph surgeries", element=False, formats=("json", "dot"))
-    sp.add_argument(
-        "op", choices=("remove-sources", "desingularize", "reachable", "complete")
-    )
-    sp.add_argument("--depth", type=int, default=1)
-    sp.add_argument("--from", dest="from_vertex")
-    sp.add_argument("--subgraph")
-    sp.add_argument("--emit-embedding", dest="emit_embedding")
-    sp.add_argument("-o", "--output")
+    sp = sub.add_parser("transform", help="graph surgeries")
+    ops = sp.add_subparsers(dest="op", required=True)
+    for op, summary in (
+        ("remove-sources", "delete sources until none is left"),
+        ("desingularize", "truncate the omega edge families"),
+        ("reachable", "the subgraph reachable from a vertex"),
+        ("complete", "complete a subgraph and embed its algebra"),
+    ):
+        sp = inputs(ops, op, summary, element=False, formats=("json", "dot"))
+        sp.add_argument("-o", "--output")
+    ops.choices["desingularize"].add_argument("--depth", type=int, default=1)
+    ops.choices["reachable"].add_argument("--from", dest="from_vertex", required=True)
+    ops.choices["complete"].add_argument("--subgraph", required=True)
+    ops.choices["complete"].add_argument("--emit-embedding", dest="emit_embedding")
 
     return parser
 

@@ -18,8 +18,9 @@ class BudgetExceeded(LeavittError):
 
 
 class FloatRange(LeavittError):
-    """A floating-point computation overflows a double: an exact value too
-    large to convert, or an intermediate result that reaches inf or NaN."""
+    """A floating-point computation leaves the finite doubles: an exact value
+    too large to convert, an intermediate result that reaches inf or NaN, or
+    a matrix handed to a norm kernel with an infinite or NaN entry."""
 
 
 class EmptyGraph(LeavittError):

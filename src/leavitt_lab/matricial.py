@@ -11,7 +11,7 @@ indexed by all paths into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -41,16 +41,14 @@ from .lpa import (
 BLOCK_BUDGET = 2**22
 
 
-@dataclass(frozen=True, slots=True)
-class BlockKey:
-    """(kind, vertex, stage); kind is "sink" or "regular", stage None for acyclic blocks."""
+class BlockKey(NamedTuple):
+    """(kind, vertex, stage); kind is "sink" or "regular", stage None for
+    acyclic blocks.  Keys sort as tuples: within one decomposition two keys
+    never share both kind and vertex unless both have an integer stage."""
 
     kind: str
     vertex: str
     stage: Optional[int]
-
-    def sort_key(self) -> tuple:
-        return (self.kind, self.vertex, -1 if self.stage is None else self.stage)
 
 
 @dataclass
@@ -63,12 +61,11 @@ class BlockDecomposition:
     """
 
     graph: Graph
-    stage: Optional[int]
     blocks: dict[BlockKey, list[list[GaussianRational]]]
     paths: dict[BlockKey, tuple[Path, ...]]
 
     def block_order(self) -> list[BlockKey]:
-        return sorted(self.blocks, key=BlockKey.sort_key)
+        return sorted(self.blocks)
 
     def recompose(self) -> Element:
         raw: dict[Monomial, GaussianRational] = {}
@@ -100,7 +97,7 @@ def blockwise_product(a: BlockDecomposition, b: BlockDecomposition) -> BlockDeco
                     if row[j]:
                         C[i][j] = C[i][j] + aik * row[j]
         blocks[key] = C
-    return BlockDecomposition(a.graph, a.stage, blocks, dict(a.paths))
+    return BlockDecomposition(a.graph, blocks, dict(a.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def _expand(g: Graph, terms, n: int) -> dict[Monomial, GaussianRational]:
     return out
 
 
-def _assemble(g: Graph, stage: Optional[int], paths: dict, expansion: dict) -> BlockDecomposition:
+def _assemble(g: Graph, paths: dict, expansion: dict) -> BlockDecomposition:
     """Blocks indexed by ``paths``: each expanded a·b* is the (a, b) entry of
     the one block listing both a and b."""
     where = {p: (key, i) for key, plist in paths.items() for i, p in enumerate(plist)}
@@ -145,7 +142,7 @@ def _assemble(g: Graph, stage: Optional[int], paths: dict, expansion: dict) -> B
     for m, c in expansion.items():
         key, i = where[m.alpha]
         blocks[key][i][where[m.beta][1]] = c
-    return BlockDecomposition(g, stage, blocks, paths)
+    return BlockDecomposition(g, blocks, paths)
 
 
 def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
@@ -192,7 +189,7 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
                 paths[BlockKey("sink", v, r)] = tuple(plist)
             elif r == n:
                 paths[BlockKey("regular", v, n)] = tuple(plist)
-    return _assemble(g, n, paths, expansion)
+    return _assemble(g, paths, expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     """
     by_sink, expansion = acyclic_expansion(g, x)
     paths = {BlockKey("sink", v, None): plist for v, plist in by_sink.items()}
-    return _assemble(g, None, paths, expansion)
+    return _assemble(g, paths, expansion)
 
 
 # ---------------------------------------------------------------------------

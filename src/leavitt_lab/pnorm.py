@@ -11,7 +11,8 @@ component [c] gives |c|, another component its largest singular value at
 p = 2 and otherwise a certified lower bound from a nonlinear power iteration
 with restarts.  The restarts run as one stacked iteration over a
 (restarts, n) array, each row doing the arithmetic of a lone restart bit for
-bit.
+bit.  A matrix with an infinite or NaN entry has no norm here: every kernel
+refuses it with FloatRange.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .lpa import Element, degree_component
 from .matricial import acyclic_expansion
 
 P_MIN, P_MAX = 1.0, 8.0
+# seeded random starts of the power iteration, and its steps per start
+RESTARTS, MAX_ITER = 8, 200
 
 
 def _lazy_numpy():
@@ -51,10 +54,16 @@ def _lazy_numpy():
 np = _lazy_numpy()
 
 
-def _check_p(p: float) -> float:
+def _check_args(p: float, seed: int, tol: float) -> float:
+    """p as a float; raises ValueError for p outside [P_MIN, P_MAX], a
+    negative seed, or a tol that is not a finite number >= 0."""
     p = float(p)
     if not (P_MIN <= p <= P_MAX):
         raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}]")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     return p
 
 
@@ -126,102 +135,93 @@ def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
+def _finite_matrix(M) -> np.ndarray:
+    """M as a complex128 array; raises EmptyMatrix for an empty matrix and
+    FloatRange for an infinite or NaN entry, whose norm no kernel here gives."""
+    M = np.asarray(M, dtype=np.complex128)
+    if M.size == 0:
+        raise EmptyMatrix("norm of an empty matrix")
+    if not np.isfinite(M).all():
+        raise FloatRange("the matrix has an infinite or NaN entry")
+    return M
+
+
 def _stacked_power_iteration(
-    M: np.ndarray, p: float, X: np.ndarray, tol: float, max_iter: int
+    M: np.ndarray, p: float, X: np.ndarray, tol: float
 ) -> list[tuple[float, bool]]:
     """Higham's nonlinear power method from every row of X at once.
 
-    Each row does the arithmetic of a lone iteration from that start and
-    leaves the live set on the step where that iteration would stop: a zero
-    image, no gain beyond ``tol``, a zero dual vector, or ``max_iter`` steps
-    (the only way to end unconverged).  Returns (best ratio, converged) per row.
+    Each row does the arithmetic of a lone iteration from that start and is
+    marked stopped on the step where that iteration would stop: a zero
+    image, no gain beyond ``tol``, a zero dual vector, or ``MAX_ITER`` steps
+    (the only way to end unconverged).  A stopped row stays in the stack,
+    its later values unread, so its divisions by zero are silenced; the
+    silencing covers every row, so a live row's inf/inf after an overflow
+    warns no more either.
+    Returns (best ratio, converged) per row.
     """
     q = p / (p - 1.0)
     MH = M.conj().T
     nx = _row_norms(X, p)
     best = [0.0] * X.shape[0]
-    converged = [s == 0 for s in nx.tolist()]
-    live = [i for i, c in enumerate(converged) if not c]
-    X = X[live] / nx[live, None]
-    for _ in range(max_iter):
-        if not live:
-            break
-        Y = _matvec_rows(M, X)
-        gamma = _row_norms(Y, p)
-        keep = []
-        for j, (i, g) in enumerate(zip(live, gamma.tolist())):
-            prev = best[i]
-            if g > prev:
-                best[i] = g
-            if g == 0.0 or g <= prev * (1.0 + tol):
-                converged[i] = True
-            else:
-                keep.append(j)
-        if len(keep) < len(live):
-            if not keep:
-                break
-            live, Y, gamma = [live[j] for j in keep], Y[keep], gamma[keep]
-        Z = _matvec_rows(MH, _dual_sign_power(Y / gamma[:, None], p))
-        zmax = np.maximum.reduce(np.abs(Z), axis=1)
-        if not zmax.all():
-            live, Z, zmax = _drop_stopped(live, converged, zmax != 0.0, Z, zmax)
-        X = _dual_sign_power(Z / zmax[:, None], q)
-        nx = _row_norms(X, p)
-        if not nx.all():
-            live, X, nx = _drop_stopped(live, converged, nx != 0.0, X, nx)
+    stopped = [s == 0.0 for s in nx.tolist()]
+    with np.errstate(divide="ignore", invalid="ignore"):
         X = X / nx[:, None]
-    return list(zip(best, converged))
+        for _ in range(MAX_ITER):
+            if all(stopped):
+                break
+            Y = _matvec_rows(M, X)
+            gamma = _row_norms(Y, p)
+            for i, g in enumerate(gamma.tolist()):
+                if not stopped[i]:
+                    prev = best[i]
+                    if g > prev:
+                        best[i] = g
+                    stopped[i] = g == 0.0 or g <= prev * (1.0 + tol)
+            if all(stopped):
+                break
+            Z = _matvec_rows(MH, _dual_sign_power(Y / gamma[:, None], p))
+            zmax = np.maximum.reduce(np.abs(Z), axis=1)
+            X = _dual_sign_power(Z / zmax[:, None], q)
+            nx = _row_norms(X, p)
+            if not (zmax.all() and nx.all()):
+                stopped = [
+                    s or z == 0.0 or n == 0.0
+                    for s, z, n in zip(stopped, zmax.tolist(), nx.tolist())
+                ]
+            X = X / nx[:, None]
+    return list(zip(best, stopped))
 
 
-def _drop_stopped(live: list[int], converged: list[bool], keep: np.ndarray, *arrays):
-    """Mark the live rows not in ``keep`` converged; return the kept live
-    rows and the kept rows of each array."""
-    kept = []
-    for i, k in zip(live, keep.tolist()):
-        if k:
-            kept.append(i)
-        else:
-            converged[i] = True
-    return (kept, *(a[keep] for a in arrays))
-
-
-def power_iteration_lower_bound(
-    M,
-    p: float,
-    restarts: int = 8,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> NormEstimate:
+def power_iteration_lower_bound(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Certified lower bound for the l^p operator norm by nonlinear power iteration.
 
     The value is the best ratio ||Mx||_p / ||x||_p over the iterates of every
-    restart, hence always a valid lower bound; ``converged`` reports whether
-    the best restart reached a stationary estimate.  The restarts run as one
-    stacked iteration and reduce by max, the first maximum winning ties.
-    At p = 2 the norm is the largest singular value, so this returns
-    ``norm_estimate(M, 2.0)``.
+    restart (``RESTARTS`` seeded random starts and the unit vector at the
+    heaviest column, each for at most ``MAX_ITER`` steps), hence always a
+    valid lower bound; ``converged`` reports whether the best restart reached
+    a stationary estimate.  The restarts run as one stacked iteration and
+    reduce by max, the first maximum winning ties.  At p = 2 the norm is the
+    largest singular value, so this returns ``norm_estimate(M, 2.0)``.
     """
-    p = _check_p(p)
+    p = _check_args(p, seed, tol)
     if p == 1.0:
         raise ValueError("use norm_estimate for p = 1; the column-sum formula is exact")
     if p == 2.0:
         return norm_estimate(M, p)
-    M = np.asarray(M, dtype=np.complex128)
-    if M.size == 0:
-        raise EmptyMatrix("norm of an empty matrix")
+    M = _finite_matrix(M)
 
     rng = np.random.default_rng(seed)
     n = M.shape[1]
     starts = [
-        rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(restarts)
+        rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(RESTARTS)
     ]
     col = int(np.argmax((np.abs(M) ** p).sum(axis=0)))
     e = np.zeros(n, dtype=np.complex128)
     e[col] = 1.0
     starts.append(e)
 
-    results = _stacked_power_iteration(M, p, np.array(starts), tol, max_iter)
+    results = _stacked_power_iteration(M, p, np.array(starts), tol)
     value, converged = max(results, key=lambda r: r[0])
     return NormEstimate(value, exact=False, converged=converged)
 
@@ -264,13 +264,11 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
     block-diagonal in them up to a permutation): a 1×1 component [c] gives
     |c|, another component its largest singular value at p = 2 and its
     power-iteration lower bound at other p.  ``converged`` is the AND over
-    the iterated components, True when there are none; a NaN value wins the
-    maximum.
+    the iterated components, True when there are none.  Raises FloatRange
+    when M has an infinite or NaN entry.
     """
-    p = _check_p(p)
-    M = np.asarray(M, dtype=np.complex128)
-    if M.size == 0:
-        raise EmptyMatrix("norm of an empty matrix")
+    p = _check_args(p, seed, tol)
+    M = _finite_matrix(M)
     if p == 1.0:
         return NormEstimate(float(np.abs(M).sum(axis=0).max()), exact=True)
     value, converged = 0.0, True
@@ -282,6 +280,8 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
         else:
             est = power_iteration_lower_bound(M[np.ix_(rows, cols)], p, seed=seed, tol=tol)
             v, converged = est.value, converged and est.converged
+        # NaN wins: max(0.0, nan) is 0.0.  A finite entry can still yield NaN,
+        # e.g. the SVD of a block whose entry's modulus overflows a double
         if v > value or v != v:
             value = v
     # p = 2 is the full norm, but only to float precision: exact stays False
@@ -293,30 +293,28 @@ def element_norm_estimate(
 ) -> NormEstimate:
     """Norm of an element of a finite acyclic algebra: max over sink blocks.
 
-    Raises FloatRange when a block's estimate is not a finite double: the
-    computation overflowed somewhere (in the power iteration, |y|^p can
-    overflow even when the norm itself is a double), and the value would be
-    a false bound.
+    Raises FloatRange when the norm is not a finite double: the computation
+    overflowed somewhere (in the power iteration, |y|^p can overflow even
+    when the norm itself is a double), and the value would be a false bound.
     """
-    p = _check_p(p)
+    p = _check_args(p, seed, tol)
     rep = spatial_rep_acyclic(g, x)
-    values = []
-    exact = True
-    converged: Optional[bool] = None
-    for v in sorted(rep.blocks):
-        # an overflow is reported once, as FloatRange, not as numpy warnings too
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = norm_estimate(rep.blocks[v], p, seed=seed, tol=tol)
+    # an overflow is reported once, as FloatRange, not as numpy warnings too
+    with np.errstate(over="ignore", invalid="ignore"):
+        ests = [norm_estimate(M, p, seed=seed, tol=tol) for M in rep.blocks.values()]
+    if not ests:
+        return NormEstimate(0.0, exact=True)
+    # every block is checked: max() would drop a NaN that follows a number
+    for est in ests:
         if not math.isfinite(est.value):
             raise FloatRange(
-                f"the l^{p:g} norm computation of a block overflowed a double (estimate {est.value})"
+                f"the l^{p:g} norm computation of a block overflowed a double"
+                f" (estimate {est.value})"
             )
-        values.append(est.value)
-        exact = exact and est.exact
-        if est.converged is not None:
-            converged = est.converged if converged is None else (converged and est.converged)
-    value = max(values) if values else 0.0
-    return NormEstimate(value, exact=exact, converged=converged)
+    value = max(est.value for est in ests)
+    if p == 1.0:
+        return NormEstimate(value, exact=True)
+    return NormEstimate(value, exact=False, converged=all(est.converged for est in ests))
 
 
 # ---------------------------------------------------------------------------

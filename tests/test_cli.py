@@ -12,7 +12,7 @@ from conftest import source_tail_into_rose
 from leavitt_lab import errors, transforms, zoo
 from leavitt_lab.cli import COMMANDS, build_parser, main
 from leavitt_lab.graph import Graph, graph_from_json, graph_to_json
-from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element
+from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element, zero
 
 
 @pytest.fixture
@@ -441,12 +441,56 @@ def test_norm_checks_p_before_the_graph(capsys, tmp_path, r2_file):
 
 
 def test_norm_on_the_empty_graph(capsys, tmp_path):
+    # no sink block at all: the norm is 0 and exact at every p
     gp, ep = tmp_path / "empty.json", tmp_path / "zero.json"
     gp.write_text('{"vertices":[]}')
     ep.write_text("[]")
-    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", "1.5"])
+    for p in ("1", "1.5", "2", "3"):
+        argv = ["norm", "--graph", str(gp), "--element", str(ep), "--p", p]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out == f'{{"p":{float(p)},"norm":0.0,"exact":true}}\n'
+
+
+@pytest.mark.parametrize(
+    "p, printed",
+    [
+        ("1", '{"p":1.0,"norm":0.0,"exact":true}\n'),
+        ("1.5", '{"p":1.5,"exact":false,"lower_bound":0.0,"converged":true}\n'),
+        ("2", '{"p":2.0,"norm":0.0,"exact":false}\n'),
+        ("3", '{"p":3.0,"exact":false,"lower_bound":0.0,"converged":true}\n'),
+    ],
+)
+def test_norm_of_the_zero_element(capsys, tmp_path, p, printed):
+    # a zero block has no component: nothing iterates, yet each p keeps its keys
+    g = zoo.a3()
+    gp = tmp_path / "a3.json"
+    gp.write_text(graph_to_json(g))
+    elem = write_element(tmp_path, g, zero(g))
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", elem, "--p", p])
     assert code == 0
-    assert out == '{"p":1.5,"norm":0.0,"exact":true}\n'
+    assert out == printed
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--tol", "nan", "error: tol must be a finite number >= 0, got nan"),
+        ("--tol", "-5", "error: tol must be a finite number >= 0, got -5.0"),
+        ("--tol", "inf", "error: tol must be a finite number >= 0, got inf"),
+        ("--seed", "-1", "error: seed must be >= 0, got -1"),
+    ],
+)
+def test_norm_rejects_a_bad_tol_or_seed(capsys, tmp_path, a2_file, option, value, message):
+    # a NaN or negative tol ran every step unconverged, an infinite one stopped
+    # after one step, and a negative seed failed inside numpy without naming it
+    g = zoo.a2()
+    elem = write_element(tmp_path, g, path_element(g, ("e",)))
+    argv = ["norm", "--graph", a2_file, "--element", elem, "--p", "3", option, value]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
 
 
 def test_norm_exit_2_over_the_block_budget(capsys, tmp_path):
@@ -537,6 +581,32 @@ def test_norm_exit_2_when_the_power_iteration_overflows(capsys, tmp_path, p, pri
     else:
         assert code == 0
         assert out == printed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ["1", "1.5", "2", "3"])
+def test_norm_exit_2_when_an_entry_modulus_overflows(capsys, tmp_path, p):
+    # 15·10^307·(1+i)·(f·f* + f·(ef)* + (ef)·f*) over a3: each entry is a
+    # finite complex double whose modulus is not, and the SVD of the 2×2
+    # component at p = 2 is NaN, which must not hide behind max(0.0, nan)
+    g = zoo.a3()
+    gp, ep = tmp_path / "a3.json", tmp_path / "elem.json"
+    gp.write_text(graph_to_json(g))
+    f, ef = (["e2"], "v"), (["e1", "e2"], "u")
+    c = "15" + "0" * 307
+    ep.write_text(
+        json.dumps(
+            [
+                {"alpha": a, "alpha_src": sa, "beta": b, "beta_src": sb, "re": c, "im": c}
+                for (a, sa), (b, sb) in ((f, f), (f, ef), (ef, f))
+            ]
+        )
+    )
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", p])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflowed a double" in err
 
 
 @pytest.mark.parametrize("p", ["1.5", "3"])
@@ -902,19 +972,25 @@ def test_unknown_flags_rejected():
 
 def test_subcommands_declare_only_the_options_they_read():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (ops,) = [
+        a for a in sub.choices["transform"]._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsers = {**sub.choices, **{f"transform {op}": sp for op, sp in ops.choices.items()}}
     declared = {
         name: {s for action in sp._actions for s in action.option_strings}
-        for name, sp in sub.choices.items()
+        for name, sp in parsers.items()
     }
+    graph_out = {"-h", "--help", "--graph", "--format", "-o", "--output"}
     assert declared == {
         "classify": {"-h", "--help", "--graph", "--format", "--frontier"},
         "witness": {"-h", "--help", "--graph", "--element", "--format"},
         "normalize": {"-h", "--help", "--graph", "--element"},
         "norm": {"-h", "--help", "--graph", "--element", "--p", "--seed", "--tol"},
-        "transform": {
-            "-h", "--help", "--graph", "--format", "--depth", "--from", "--subgraph",
-            "--emit-embedding", "-o", "--output",
-        },
+        "transform": {"-h", "--help"},
+        "transform remove-sources": graph_out,
+        "transform desingularize": graph_out | {"--depth"},
+        "transform reachable": graph_out | {"--from"},
+        "transform complete": graph_out | {"--subgraph", "--emit-embedding"},
     }
 
 
@@ -924,6 +1000,11 @@ def test_subcommands_declare_only_the_options_they_read():
         ["witness", "--element", "a.json", "--seed", "0"],
         ["classify", "--tol", "1"],
         ["normalize", "--element", "a.json", "--format", "text"],
+        # each transform operation takes only its own options
+        ["transform", "remove-sources", "--depth", "3", "--from", "zz", "--emit-embedding", "o.json"],
+        ["transform", "desingularize", "--subgraph", "f.json"],
+        ["transform", "reachable", "--from", "v", "--depth", "2"],
+        ["transform", "complete", "--subgraph", "f.json", "--from", "v"],
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(capsys, r2_file, argv):
@@ -932,4 +1013,16 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, r2_file, argv)
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "unrecognized arguments" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["transform", "reachable"], "--from"), (["transform", "complete"], "--subgraph")],
+)
+def test_transform_operations_require_the_options_they_read(capsys, r2_file, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", r2_file])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"the following arguments are required: {option}" in out.err
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leavitt_lab
-from leavitt_lab import matricial, zoo
+from leavitt_lab import matricial, pnorm, zoo
 from leavitt_lab.errors import BudgetExceeded, EmptyMatrix, FloatRange, NotAcyclic
 from leavitt_lab.lpa import gauss, monomial_element, multiply, path_element, vertex_element, zero
 from leavitt_lab.graph import Graph, Path, path_counts
@@ -264,8 +265,8 @@ def test_norm_estimate_flags():
 def power_iteration_inputs(draw):
     """A matrix of size 1-20 (real or complex; dense, with a zero column and a
     zero row, zero, strictly triangular hence nilpotent, or with one inf or
-    nan entry), scaled by 1, by 1e-170 (M^H M underflows) or by 1e200 (|y|^p
-    overflows), plus the iteration's settings."""
+    nan entry, which is refused), scaled by 1, by 1e-170 (M^H M underflows)
+    or by 1e200 (|y|^p overflows), plus the iteration's settings."""
     rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((rows, cols))
@@ -294,10 +295,16 @@ def power_iteration_inputs(draw):
 
 
 def assert_matches_oracle(M, p, restarts, seed, max_iter):
+    # hypothesis runs many examples per test call, so the constants are
+    # patched per example rather than through the monkeypatch fixture
+    with mock.patch.multiple(pnorm, RESTARTS=restarts, MAX_ITER=max_iter):
+        if not np.isfinite(M).all():
+            with pytest.raises(FloatRange):
+                power_iteration_lower_bound(M, p, seed=seed)
+            return
+        with np.errstate(all="ignore"):
+            est = power_iteration_lower_bound(M, p, seed=seed, tol=1e-10)
     with np.errstate(all="ignore"):
-        est = power_iteration_lower_bound(
-            M, p, restarts=restarts, seed=seed, tol=1e-10, max_iter=max_iter
-        )
         value, converged = oracle_power_iteration(M, p, restarts, seed, 1e-10, max_iter)
     # repr round-trips a float exactly, so equal reprs are equal bits (and nan == nan)
     assert (repr(est.value), est.converged) == (repr(value), converged)
@@ -415,7 +422,7 @@ def test_norm_keeps_the_row_and_column_order_of_a_component(C, p, zero_rows, zer
 
 NON_FINITE_CASES = [
     (bad, p, bad_first)
-    for bad in ("nan", "inf", "overflow")
+    for bad in ("nan", "inf", "overflow", "modulus")
     for p in NORM_PS
     # a column sum and an SVD of the 1e300 block stay finite
     if not (bad == "overflow" and p in (1.0, 2.0))
@@ -425,17 +432,29 @@ NON_FINITE_CASES = [
 
 @pytest.mark.parametrize("bad, p, bad_first", NON_FINITE_CASES)
 def test_norm_never_hides_a_non_finite_component(bad, p, bad_first):
-    # Python's max(0.0, nan) is 0.0: the component maximum must not drop a
-    # NaN or an infinity behind a larger finite component, before or after it
+    # Python's max(0.0, nan) is 0.0: no NaN or infinity may hide behind a
+    # larger finite component, before or after it
     if bad == "overflow":
         # a connected 2×2 block whose |y|^p overflows in the power iteration
         B = np.full((2, 2), 1e300)
+    elif bad == "modulus":
+        # finite entries whose modulus is no double: the SVD at p = 2 gives
+        # NaN, which must win over the finite 3×3 component
+        B = np.full((2, 2), 1.5e308 * (1 + 1j))
     else:
+        # a non-finite entry has no norm here: every kernel refuses it
         B = np.array([[float(bad)]])
     blocks = [B, np.full((3, 3), 5.0)]
     M = direct_sum(blocks if bad_first else blocks[::-1])
-    with np.errstate(all="ignore"):
-        assert not math.isfinite(norm_estimate(M, p).value)
+    if bad in ("overflow", "modulus"):
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(norm_estimate(M, p).value)
+        return
+    with pytest.raises(FloatRange):
+        norm_estimate(M, p)
+    if p != 1.0:
+        with pytest.raises(FloatRange):
+            power_iteration_lower_bound(M, p)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +480,21 @@ def test_element_norm_max_over_blocks():
     )
     x = vertex_element(g2, "v1").scale(2) + vertex_element(g2, "v2")
     assert element_norm_estimate(g2, x, 1.0).value == 2.0
+
+
+def test_element_norm_converged_is_the_and_over_blocks(monkeypatch):
+    # sink v: u = e·e*, a 1×1 component that nothing iterates (converged);
+    # sink z: f·f* + f·(gf)* + (gf)·f* over x -g-> y -f-> z, one connected
+    # 2×2 component whose restarts all end unconverged after a single step
+    g = Graph(("u", "v", "x", "y", "z"), (("e", "u", "v"), ("g", "x", "y"), ("f", "y", "z")))
+    f, gf = Path("y", ("f",)), Path("x", ("g", "f"))
+    x = vertex_element(g, "u")
+    for a, b in ((f, f), (f, gf), (gf, f)):
+        x = x + monomial_element(g, a, b, gauss(1))
+    monkeypatch.setattr(pnorm, "MAX_ITER", 1)
+    for p in (1.5, 3.0):
+        est = element_norm_estimate(g, x, p)
+        assert est.value > 1.0 and est.converged is False
 
 
 def test_element_norm_on_long_line_within_budget():
@@ -513,6 +547,28 @@ def test_element_norm_refuses_an_overflowed_estimate(a3, p):
     assert element_norm_estimate(a3, x, 1.0).value == 2e300
     with pytest.raises(FloatRange, match="overflowed a double"):
         element_norm_estimate(a3, x, p)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", NORM_PS)
+@pytest.mark.parametrize("huge_first", [True, False])
+def test_element_norm_refuses_a_non_finite_block_in_any_place(p, huge_first):
+    # two copies of a3 (sinks w and z); one carries
+    # 1.5·10^308·(1+i)·(f·f* + f·(ef)* + (ef)·f*), whose SVD is NaN at p = 2
+    # and whose other norms overflow, the other a finite block of norm 1;
+    # w's block comes first
+    g = Graph(
+        ("u", "v", "w", "x", "y", "z"),
+        (("e1", "u", "v"), ("e2", "v", "w"), ("d1", "x", "y"), ("d2", "y", "z")),
+    )
+    copies = [(Path("v", ("e2",)), Path("u", ("e1", "e2"))), (Path("y", ("d2",)), Path("x", ("d1", "d2")))]
+    (f, ef), (t, _) = copies if huge_first else copies[::-1]
+    x = monomial_element(g, t, t, gauss(1))
+    huge = gauss(15 * 10**307, 15 * 10**307)
+    for a, b in ((f, f), (f, ef), (ef, f)):
+        x = x + monomial_element(g, a, b, huge)
+    with pytest.raises(FloatRange, match="overflowed a double"):
+        element_norm_estimate(g, x, p)
 
 
 def test_acyclic_blocks_hold_their_sink():
