@@ -35,9 +35,10 @@ from .lpa import (
 
 # entries of all acyclic sink blocks together (64 MiB as complex128 floats):
 # the doubled line (two parallel edges between neighbours) on 11 vertices,
-# 2047 paths into its sink, just fits.  It bounds the blocks' storage only;
-# a norm then works on the components of a block's nonzero pattern, which on
-# the doubled line are 1024 nonzero 1×1 components.
+# 2047 paths into its sink, just fits.  It applies at every p, so exit codes
+# do not depend on p, though only the exact table and the p = 1 norm build
+# the dense blocks: at other p the norm fills just the components of the
+# blocks' nonzero pattern, which on the doubled line are 1024 1×1 arrays.
 BLOCK_BUDGET = 2**22
 
 
@@ -208,12 +209,10 @@ def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     return {v: tuple(ps) for v, ps in by_sink.items()}
 
 
-def acyclic_expansion(
-    g: Graph, x: Element
-) -> tuple[dict[str, tuple[Path, ...]], dict[Monomial, GaussianRational]]:
-    """The paths into each sink and x expanded into monomials a·b* with a and
-    b ending at the same sink: the rows, columns and nonzero entries of the
-    acyclic block decomposition.
+def acyclic_expansion(g: Graph, x: Element) -> dict[Monomial, GaussianRational]:
+    """x expanded into monomials a·b* with a and b ending at the same sink:
+    the nonzero entries of the acyclic block decomposition, whose rows and
+    columns are ``paths_into_by_sink(g)``.
 
     Raises BudgetExceeded, before any path is built, when the blocks would
     hold more than ``BLOCK_BUDGET`` entries in all.
@@ -230,7 +229,7 @@ def acyclic_expansion(
             f"the sink blocks would hold {entries} entries, over the budget of {BLOCK_BUDGET}"
         )
     # no path reaches length |V|, so the expansion stops only at sinks
-    return paths_into_by_sink(g), _expand(g, x.terms(), len(g.vertices))
+    return _expand(g, x.terms(), len(g.vertices))
 
 
 def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
@@ -241,8 +240,8 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     is first expanded into such monomials via the identity u = sum of d·d*
     over paths d from u to the sinks.
     """
-    by_sink, expansion = acyclic_expansion(g, x)
-    paths = {BlockKey("sink", v, None): plist for v, plist in by_sink.items()}
+    expansion = acyclic_expansion(g, x)
+    paths = {BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(g).items()}
     return _assemble(g, paths, expansion)
 
 

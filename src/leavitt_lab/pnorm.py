@@ -4,15 +4,18 @@ norms on l^p, and circle-quadrature validation of the degree projections.
 The float blocks are filled straight from the matricial module's expansion
 of an element into matrix units, each exact coefficient rounded once to a
 complex double, within a budget on the number of block entries.  The
-l^p -> l^p operator norm is exact for p = 1 (maximum column sum).  For other
-p it is the maximum over the connected components of the matrix's nonzero
-pattern, since a block-diagonal matrix's norm is its blocks' largest: a 1×1
-component [c] gives |c|, another component its largest singular value at
-p = 2 and otherwise a certified lower bound from a nonlinear power iteration
-with restarts.  The restarts run as one stacked iteration over a
-(restarts, n) array, each row doing the arithmetic of a lone restart bit for
-bit.  A matrix with an infinite or NaN entry has no norm here: every kernel
-refuses it with FloatRange.
+l^p -> l^p operator norm is exact for p = 1 (maximum column sum of the whole
+block).  For other p it is the maximum over the connected components of the
+nonzero pattern, since a block-diagonal matrix's norm is its blocks'
+largest, and one routine gives each component's norm: a 1×1 component [c]
+gives |c|, a single row its l^q norm (q = p/(p-1)) and a single column its
+l^p norm (Hölder), another component its largest singular value at p = 2
+and otherwise a certified lower bound from a nonlinear power iteration with
+restarts.  An element's components at p != 1 come straight from its
+expanded terms, with no dense block.  The restarts run as one stacked
+iteration over a (restarts, n) array, each row doing the arithmetic of a
+lone restart bit for bit.  A matrix with an infinite or NaN entry has no
+norm here: every kernel refuses it with FloatRange.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Optional
 
 from .errors import EmptyMatrix, FloatRange
 from .graph import Graph, Path
-from .lpa import Element, degree_component
-from .matricial import acyclic_expansion
+from .lpa import Element, GaussianRational, Monomial, degree_component
+from .matricial import acyclic_expansion, paths_into_by_sink
 
 P_MIN, P_MAX = 1.0, 8.0
 # seeded random starts of the power iteration, and its steps per start
@@ -84,16 +87,23 @@ def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     ``matricial.BLOCK_BUDGET`` entries, and FloatRange when a coefficient is
     too large for a double.
     """
-    paths, expansion = acyclic_expansion(g, x)
+    terms = _float_terms(acyclic_expansion(g, x))
+    paths = paths_into_by_sink(g)
     blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
     where = {p: (blocks[v], i) for v, plist in paths.items() for i, p in enumerate(plist)}
+    for m, z in terms:
+        block, i = where[m.alpha]
+        block[i, where[m.beta][1]] = z
+    return SpatialMatrix(blocks, paths)
+
+
+def _float_terms(expansion: dict[Monomial, GaussianRational]) -> list[tuple[Monomial, complex]]:
+    """Each expanded coefficient rounded once to a complex double; raises
+    FloatRange when one is too large for a double."""
     try:
-        for m, c in expansion.items():
-            block, i = where[m.alpha]
-            block[i, where[m.beta][1]] = complex(c)
+        return [(m, complex(c)) for m, c in expansion.items()]
     except OverflowError:
         raise FloatRange("a coefficient of the element is too large for a double") from None
-    return SpatialMatrix(blocks, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +221,32 @@ def power_iteration_lower_bound(M, p: float, seed: int = 0, tol: float = 1e-10) 
         return norm_estimate(M, p)
     M = _finite_matrix(M)
 
-    rng = np.random.default_rng(seed)
-    n = M.shape[1]
-    starts = [
-        rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(RESTARTS)
-    ]
-    col = int(np.argmax((np.abs(M) ** p).sum(axis=0)))
-    e = np.zeros(n, dtype=np.complex128)
-    e[col] = 1.0
-    starts.append(e)
+    # one draw, yet the stream of one real and one imaginary draw of n per restart
+    Z = np.random.default_rng(seed).standard_normal((RESTARTS, 2, M.shape[1]))
+    starts = np.zeros((RESTARTS + 1, M.shape[1]), dtype=np.complex128)
+    starts[:RESTARTS] = Z[:, 0] + 1j * Z[:, 1]
+    starts[RESTARTS, int(np.argmax((np.abs(M) ** p).sum(axis=0)))] = 1.0
 
-    results = _stacked_power_iteration(M, p, np.array(starts), tol)
+    results = _stacked_power_iteration(M, p, starts, tol)
     value, converged = max(results, key=lambda r: r[0])
     return NormEstimate(value, exact=False, converged=converged)
+
+
+def _roots(n: int, links) -> list[int]:
+    """One representative node per connected component, for each of the
+    nodes 0..n-1 joined by the pairs in ``links``."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for i, j in links:
+        a, b = find(i), find(j)
+        if a != b:
+            parent[b] = a
+    return [find(a) for a in range(n)]
 
 
 def _components(M: np.ndarray) -> list[tuple[list[int], list[int]]]:
@@ -234,25 +257,82 @@ def _components(M: np.ndarray) -> list[tuple[list[int], list[int]]]:
     m = M.shape[0]
     rows, cols = np.nonzero(M)
     rows, cols = rows.tolist(), (cols + m).tolist()
-    parent = list(range(m + M.shape[1]))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for i, j in zip(rows, cols):
-        a, b = find(i), find(j)
-        if a != b:
-            parent[b] = a
+    root = _roots(m + M.shape[1], zip(rows, cols))
     # rows are numbered before columns, so a component's first row founds it
     components: dict[int, tuple[list[int], list[int]]] = {}
     for node in sorted(set(rows).union(cols)):
         if node < m:
-            components.setdefault(find(node), ([], []))[0].append(node)
+            components.setdefault(root[node], ([], []))[0].append(node)
         else:
-            components[find(node)][1].append(node - m)
+            components[root[node]][1].append(node - m)
     return list(components.values())
+
+
+def _block_order(path: Path) -> tuple:
+    """A path's place among the rows (or columns) of its sink block, the
+    (length, lex) order of ``paths_into_by_sink``."""
+    return len(path.edges), path.edges
+
+
+def _expansion_components(expansion: dict[Monomial, GaussianRational]) -> list[np.ndarray]:
+    """The connected components of the sink blocks' nonzero pattern, each
+    filled as its own complex128 array, straight from the expanded terms:
+    row a is joined to column b for each a·b* whose coefficient is nonzero
+    as a double.  Rows and columns keep the block's order, so each array is
+    the block's submatrix on them, bit for bit.  Raises FloatRange when a
+    coefficient is too large for a double."""
+    terms = [(m, z) for m, z in _float_terms(expansion) if z]
+    # the rows, then the columns, as the nodes 0, 1, ...
+    rows: dict[Path, int] = {}
+    for m, _ in terms:
+        rows.setdefault(m.alpha, len(rows))
+    cols: dict[Path, int] = {}
+    for m, _ in terms:
+        cols.setdefault(m.beta, len(rows) + len(cols))
+    root = _roots(len(rows) + len(cols), [(rows[m.alpha], cols[m.beta]) for m, _ in terms])
+    groups: dict[int, list[tuple[Monomial, complex]]] = {}
+    for m, z in terms:
+        groups.setdefault(root[rows[m.alpha]], []).append((m, z))
+    components = []
+    for group in groups.values():
+        row_of = {a: i for i, a in enumerate(sorted({m.alpha for m, _ in group}, key=_block_order))}
+        col_of = {b: j for j, b in enumerate(sorted({m.beta for m, _ in group}, key=_block_order))}
+        C = np.zeros((len(row_of), len(col_of)), dtype=np.complex128)
+        for m, z in group:
+            C[row_of[m.alpha], col_of[m.beta]] = z
+        components.append(C)
+    return components
+
+
+def _vector_norm(v: np.ndarray, r: float) -> float:
+    """The l^r norm of a nonzero vector, scaled by its largest modulus before
+    the power r: unscaled, |v_j|^r overflows for [3, 4] at r = 1e9 + 1, and
+    for entries near 1e200 at r = 2."""
+    mags = np.abs(v)
+    top = mags.max()
+    return float(top * np.add.reduce((mags / top) ** r) ** (1.0 / r))
+
+
+def _component_norm(C: np.ndarray, p: float, seed: int, tol: float) -> tuple[float, bool]:
+    """(l^p operator norm, converged) of one connected component C, p != 1.
+
+    A 1×1 component [c] gives |c|.  By Hölder's inequality a single row c
+    gives its l^q norm, q = p/(p-1), and a single column its l^p norm.  At
+    p = 2 any other component gives its largest singular value, and at other
+    p the power iteration's lower bound; only the power iteration can leave
+    ``converged`` False.
+    """
+    m, n = C.shape
+    if m == n == 1:
+        return float(abs(C[0, 0])), True
+    if m == 1:
+        return _vector_norm(C[0], p / (p - 1.0)), True
+    if n == 1:
+        return _vector_norm(C[:, 0], p), True
+    if p == 2.0:
+        return float(np.linalg.norm(C, 2)), True
+    est = power_iteration_lower_bound(C, p, seed=seed, tol=tol)
+    return est.value, est.converged
 
 
 def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
@@ -261,11 +341,12 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
     p = 1 is the exact maximum column absolute sum of M.  Otherwise the norm
     is the maximum over the connected components of M's nonzero pattern (the
     bipartite graph joining row i to column j where M[i, j] != 0; M is
-    block-diagonal in them up to a permutation): a 1×1 component [c] gives
-    |c|, another component its largest singular value at p = 2 and its
-    power-iteration lower bound at other p.  ``converged`` is the AND over
-    the iterated components, True when there are none.  Raises FloatRange
-    when M has an infinite or NaN entry.
+    block-diagonal in them up to a permutation), each component's norm as
+    ``_component_norm`` gives it: |c| for a 1×1 component, Hölder's closed
+    form for a single row or column, the largest singular value at p = 2
+    and the power-iteration lower bound at other p.  ``converged`` is the
+    AND over the iterated components, True when there are none.  Raises
+    FloatRange when M has an infinite or NaN entry.
     """
     p = _check_args(p, seed, tol)
     M = _finite_matrix(M)
@@ -273,13 +354,8 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
         return NormEstimate(float(np.abs(M).sum(axis=0).max()), exact=True)
     value, converged = 0.0, True
     for rows, cols in _components(M):
-        if len(rows) == len(cols) == 1:
-            v = float(abs(M[rows[0], cols[0]]))
-        elif p == 2.0:
-            v = float(np.linalg.norm(M[np.ix_(rows, cols)], 2))
-        else:
-            est = power_iteration_lower_bound(M[np.ix_(rows, cols)], p, seed=seed, tol=tol)
-            v, converged = est.value, converged and est.converged
+        v, c = _component_norm(M[np.ix_(rows, cols)], p, seed, tol)
+        converged = converged and c
         # NaN wins: max(0.0, nan) is 0.0.  A finite entry can still yield NaN,
         # e.g. the SVD of a block whose entry's modulus overflows a double
         if v > value or v != v:
@@ -291,30 +367,41 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
 def element_norm_estimate(
     g: Graph, x: Element, p: float, seed: int = 0, tol: float = 1e-10
 ) -> NormEstimate:
-    """Norm of an element of a finite acyclic algebra: max over sink blocks.
+    """Norm of an element of a finite acyclic algebra: the maximum over the
+    sink blocks of its spatial image.
 
-    Raises FloatRange when the norm is not a finite double: the computation
-    overflowed somewhere (in the power iteration, |y|^p can overflow even
-    when the norm itself is a double), and the value would be a false bound.
+    p = 1 takes the exact column sums of each dense block, as
+    ``norm_estimate`` does.  At other p no dense block is built: the
+    components of the blocks' nonzero pattern come straight from the
+    expanded terms, and each gives its norm as in ``norm_estimate``, so the
+    value equals ``norm_estimate``'s maximum over the blocks.  Every
+    component is checked, since max() would drop a NaN that follows a
+    number.  Raises FloatRange when a component's norm is not a finite
+    double: the computation overflowed somewhere (in the power iteration,
+    |y|^p can overflow even when the norm itself is a double), and the value
+    would be a false bound.
     """
     p = _check_args(p, seed, tol)
-    rep = spatial_rep_acyclic(g, x)
     # an overflow is reported once, as FloatRange, not as numpy warnings too
     with np.errstate(over="ignore", invalid="ignore"):
-        ests = [norm_estimate(M, p, seed=seed, tol=tol) for M in rep.blocks.values()]
-    if not ests:
+        if p == 1.0:
+            rep = spatial_rep_acyclic(g, x)
+            norms = [(norm_estimate(M, p).value, None) for M in rep.blocks.values()]
+        else:
+            components = _expansion_components(acyclic_expansion(g, x))
+            norms = [_component_norm(C, p, seed, tol) for C in components]
+    if not g.vertices:
+        # only the empty graph has no sink block
         return NormEstimate(0.0, exact=True)
-    # every block is checked: max() would drop a NaN that follows a number
-    for est in ests:
-        if not math.isfinite(est.value):
+    for v, _ in norms:
+        if not math.isfinite(v):
             raise FloatRange(
-                f"the l^{p:g} norm computation of a block overflowed a double"
-                f" (estimate {est.value})"
+                f"the l^{p:g} norm computation of a block overflowed a double (estimate {v})"
             )
-    value = max(est.value for est in ests)
+    value = max((v for v, _ in norms), default=0.0)
     if p == 1.0:
         return NormEstimate(value, exact=True)
-    return NormEstimate(value, exact=False, converged=all(est.converged for est in ests))
+    return NormEstimate(value, exact=False, converged=all(c for _, c in norms))
 
 
 # ---------------------------------------------------------------------------

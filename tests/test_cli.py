@@ -622,6 +622,32 @@ def test_norm_schema_when_every_component_is_1x1(capsys, tmp_path, a2_file, p):
     ]
 
 
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_norm_schema_when_every_component_is_a_row_or_column(capsys, tmp_path, p):
+    # w·(e2)* + w·(e1 e2)* + e2·w* + (e1 e2)·w* over a3: a 1×2 row and a 2×1
+    # column component, whose norms are closed forms, yet the output keeps
+    # the lower-bound keys: exact stays false at every p != 1
+    g = zoo.a3()
+    gp, ep = tmp_path / "a3.json", tmp_path / "elem.json"
+    gp.write_text(graph_to_json(g))
+    w, e2, e12 = ([], "w"), (["e2"], "v"), (["e1", "e2"], "u")
+    ep.write_text(
+        json.dumps(
+            [
+                {"alpha": a, "alpha_src": sa, "beta": b, "beta_src": sb, "re": "1", "im": "0"}
+                for (a, sa), (b, sb) in ((w, e2), (w, e12), (e2, w), (e12, w))
+            ]
+        )
+    )
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", p])
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ["p", "exact", "lower_bound", "converged"]
+    assert (obj["p"], obj["exact"], obj["converged"]) == (float(p), False, True)
+    # the larger of 2^(1/q) (the row) and 2^(1/p) (the column)
+    assert obj["lower_bound"] == pytest.approx(2 ** (2 / 3), rel=1e-15)
+
+
 def test_normalize_exit_2_on_non_string_edge_id_over_omega_graph(capsys, tmp_path):
     # Graph.path rejects the id before an omega id parse would call str methods on it
     gp, ep = tmp_path / "g.json", tmp_path / "elem.json"
