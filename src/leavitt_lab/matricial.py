@@ -35,10 +35,11 @@ from .lpa import (
 
 # entries of all acyclic sink blocks together (64 MiB as complex128 floats):
 # the doubled line (two parallel edges between neighbours) on 11 vertices,
-# 2047 paths into its sink, just fits.  It applies at every p, so exit codes
-# do not depend on p, though only the exact table and the p = 1 norm build
-# the dense blocks: at other p the norm fills just the components of the
-# blocks' nonzero pattern, which on the doubled line are 1024 1×1 arrays.
+# 2047 paths into its sink, just fits.  It applies to the norm at every p,
+# so exit codes do not depend on p, though only the exact table and the
+# spatial image build the dense blocks: the norm fills just the components
+# of the blocks' nonzero pattern, which on the doubled line are 1024 1×1
+# arrays.
 BLOCK_BUDGET = 2**22
 
 

@@ -4,18 +4,19 @@ norms on l^p, and circle-quadrature validation of the degree projections.
 The float blocks are filled straight from the matricial module's expansion
 of an element into matrix units, each exact coefficient rounded once to a
 complex double, within a budget on the number of block entries.  The
-l^p -> l^p operator norm is exact for p = 1 (maximum column sum of the whole
-block).  For other p it is the maximum over the connected components of the
-nonzero pattern, since a block-diagonal matrix's norm is its blocks'
-largest, and one routine gives each component's norm: a 1×1 component [c]
-gives |c|, a single row its l^q norm (q = p/(p-1)) and a single column its
-l^p norm (Hölder), another component its largest singular value at p = 2
-and otherwise a certified lower bound from a nonlinear power iteration with
-restarts.  An element's components at p != 1 come straight from its
-expanded terms, with no dense block.  The restarts run as one stacked
-iteration over a (restarts, n) array, each row doing the arithmetic of a
-lone restart bit for bit.  A matrix with an infinite or NaN entry has no
-norm here: every kernel refuses it with FloatRange.
+l^p -> l^p operator norm is the maximum over the connected components of
+the nonzero pattern, at every p, since a block-diagonal matrix's norm is
+its blocks' largest.  One builder finds the components, of a dense matrix
+or straight from an element's expanded terms with no dense block, and one
+routine gives each component's norm: at p = 1 its exact largest column
+sum; otherwise a 1×1 component [c] gives |c|, a single row its l^q norm
+(q = p/(p-1)) and a single column its l^p norm (Hölder), another component
+its largest singular value at p = 2 and otherwise a certified lower bound
+from a nonlinear power iteration with restarts.  A dense matrix keeps its
+whole column sums at p = 1.  The restarts run as one stacked iteration
+over a (restarts, n) array, each row doing the arithmetic of a lone
+restart bit for bit.  A matrix with an infinite or NaN entry has no norm
+here: every kernel refuses it with FloatRange.
 """
 
 from __future__ import annotations
@@ -91,17 +92,17 @@ def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     paths = paths_into_by_sink(g)
     blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
     where = {p: (blocks[v], i) for v, plist in paths.items() for i, p in enumerate(plist)}
-    for m, z in terms:
-        block, i = where[m.alpha]
-        block[i, where[m.beta][1]] = z
+    for a, b, z in terms:
+        block, i = where[a]
+        block[i, where[b][1]] = z
     return SpatialMatrix(blocks, paths)
 
 
-def _float_terms(expansion: dict[Monomial, GaussianRational]) -> list[tuple[Monomial, complex]]:
-    """Each expanded coefficient rounded once to a complex double; raises
-    FloatRange when one is too large for a double."""
+def _float_terms(expansion: dict[Monomial, GaussianRational]) -> list[tuple[Path, Path, complex]]:
+    """(a, b, c) for each expanded a·b*, its coefficient c rounded once to a
+    complex double; raises FloatRange when one is too large for a double."""
     try:
-        return [(m, complex(c)) for m, c in expansion.items()]
+        return [(m.alpha, m.beta, complex(c)) for m, c in expansion.items()]
     except OverflowError:
         raise FloatRange("a coefficient of the element is too large for a double") from None
 
@@ -146,9 +147,12 @@ def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _finite_matrix(M) -> np.ndarray:
-    """M as a complex128 array; raises EmptyMatrix for an empty matrix and
-    FloatRange for an infinite or NaN entry, whose norm no kernel here gives."""
+    """M as a complex128 array; raises ValueError when M is not 2-D,
+    EmptyMatrix for an empty matrix and FloatRange for an infinite or NaN
+    entry, whose norm no kernel here gives."""
     M = np.asarray(M, dtype=np.complex128)
+    if M.ndim != 2:
+        raise ValueError(f"a matrix must be 2-D, got shape {M.shape}")
     if M.size == 0:
         raise EmptyMatrix("norm of an empty matrix")
     if not np.isfinite(M).all():
@@ -211,8 +215,12 @@ def power_iteration_lower_bound(M, p: float, seed: int = 0, tol: float = 1e-10) 
     heaviest column, each for at most ``MAX_ITER`` steps), hence always a
     valid lower bound; ``converged`` reports whether the best restart reached
     a stationary estimate.  The restarts run as one stacked iteration and
-    reduce by max, the first maximum winning ties.  At p = 2 the norm is the
-    largest singular value, so this returns ``norm_estimate(M, 2.0)``.
+    reduce by max, the first maximum winning ties.  Each restart stops once
+    a step gains at most ``tol`` relative, so two such bounds of one norm
+    from other start sets (a matrix and its components, say) agree only to
+    about ``tol``: 1.7e-12 and 9.7e-12 apart were seen at tol = 1e-10.  At
+    p = 2 the norm is the largest singular value, so this returns
+    ``norm_estimate(M, 2.0)``.
     """
     p = _check_args(p, seed, tol)
     if p == 1.0:
@@ -232,76 +240,49 @@ def power_iteration_lower_bound(M, p: float, seed: int = 0, tol: float = 1e-10) 
     return NormEstimate(value, exact=False, converged=converged)
 
 
-def _roots(n: int, links) -> list[int]:
-    """One representative node per connected component, for each of the
-    nodes 0..n-1 joined by the pairs in ``links``."""
-    parent = list(range(n))
+def _components(entries, key) -> list[np.ndarray]:
+    """The connected components of the bipartite graph joining row a to
+    column b for each entry (a, b, z) whose z is nonzero, each filled as its
+    own complex128 array, its rows and its columns sorted by ``key``: the
+    submatrix on them, bit for bit, when ``key`` is the matrix's own order.
+    Rows and columns with no nonzero entry lie in no component."""
+    entries = [(a, b, z) for a, b, z in entries if z]
+    # the rows, then the columns, as the nodes 0, 1, ... of a union-find
+    rows: dict = {}
+    for a, _, _ in entries:
+        rows.setdefault(a, len(rows))
+    cols: dict = {}
+    for _, b, _ in entries:
+        cols.setdefault(b, len(rows) + len(cols))
+    parent = list(range(len(rows) + len(cols)))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-    for i, j in links:
-        a, b = find(i), find(j)
-        if a != b:
-            parent[b] = a
-    return [find(a) for a in range(n)]
-
-
-def _components(M: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Rows and columns of each connected component of the bipartite graph
-    whose edges are the nonzero entries of M, both in increasing order, the
-    components in the order of their first row.  Zero rows and columns lie
-    in no component."""
-    m = M.shape[0]
-    rows, cols = np.nonzero(M)
-    rows, cols = rows.tolist(), (cols + m).tolist()
-    root = _roots(m + M.shape[1], zip(rows, cols))
-    # rows are numbered before columns, so a component's first row founds it
-    components: dict[int, tuple[list[int], list[int]]] = {}
-    for node in sorted(set(rows).union(cols)):
-        if node < m:
-            components.setdefault(root[node], ([], []))[0].append(node)
-        else:
-            components[root[node]][1].append(node - m)
-    return list(components.values())
+    for a, b, _ in entries:
+        i, j = find(rows[a]), find(cols[b])
+        if i != j:
+            parent[j] = i
+    groups: dict[int, list] = {}
+    for entry in entries:
+        groups.setdefault(find(rows[entry[0]]), []).append(entry)
+    components = []
+    for group in groups.values():
+        row_of = {a: i for i, a in enumerate(sorted({a for a, _, _ in group}, key=key))}
+        col_of = {b: j for j, b in enumerate(sorted({b for _, b, _ in group}, key=key))}
+        C = np.zeros((len(row_of), len(col_of)), dtype=np.complex128)
+        for a, b, z in group:
+            C[row_of[a], col_of[b]] = z
+        components.append(C)
+    return components
 
 
 def _block_order(path: Path) -> tuple:
     """A path's place among the rows (or columns) of its sink block, the
     (length, lex) order of ``paths_into_by_sink``."""
     return len(path.edges), path.edges
-
-
-def _expansion_components(expansion: dict[Monomial, GaussianRational]) -> list[np.ndarray]:
-    """The connected components of the sink blocks' nonzero pattern, each
-    filled as its own complex128 array, straight from the expanded terms:
-    row a is joined to column b for each a·b* whose coefficient is nonzero
-    as a double.  Rows and columns keep the block's order, so each array is
-    the block's submatrix on them, bit for bit.  Raises FloatRange when a
-    coefficient is too large for a double."""
-    terms = [(m, z) for m, z in _float_terms(expansion) if z]
-    # the rows, then the columns, as the nodes 0, 1, ...
-    rows: dict[Path, int] = {}
-    for m, _ in terms:
-        rows.setdefault(m.alpha, len(rows))
-    cols: dict[Path, int] = {}
-    for m, _ in terms:
-        cols.setdefault(m.beta, len(rows) + len(cols))
-    root = _roots(len(rows) + len(cols), [(rows[m.alpha], cols[m.beta]) for m, _ in terms])
-    groups: dict[int, list[tuple[Monomial, complex]]] = {}
-    for m, z in terms:
-        groups.setdefault(root[rows[m.alpha]], []).append((m, z))
-    components = []
-    for group in groups.values():
-        row_of = {a: i for i, a in enumerate(sorted({m.alpha for m, _ in group}, key=_block_order))}
-        col_of = {b: j for j, b in enumerate(sorted({m.beta for m, _ in group}, key=_block_order))}
-        C = np.zeros((len(row_of), len(col_of)), dtype=np.complex128)
-        for m, z in group:
-            C[row_of[m.alpha], col_of[m.beta]] = z
-        components.append(C)
-    return components
 
 
 def _vector_norm(v: np.ndarray, r: float) -> float:
@@ -314,15 +295,22 @@ def _vector_norm(v: np.ndarray, r: float) -> float:
 
 
 def _component_norm(C: np.ndarray, p: float, seed: int, tol: float) -> tuple[float, bool]:
-    """(l^p operator norm, converged) of one connected component C, p != 1.
+    """(l^p operator norm, converged) of one connected component C.
 
-    A 1×1 component [c] gives |c|.  By Hölder's inequality a single row c
-    gives its l^q norm, q = p/(p-1), and a single column its l^p norm.  At
-    p = 2 any other component gives its largest singular value, and at other
-    p the power iteration's lower bound; only the power iteration can leave
+    p = 1 gives the largest column sum, added row by row.  Otherwise a 1×1
+    component [c] gives |c|; by Hölder's inequality a single row c gives its
+    l^q norm, q = p/(p-1), and a single column its l^p norm; any other
+    component gives its largest singular value at p = 2 and the power
+    iteration's lower bound at other p.  Only the power iteration can leave
     ``converged`` False.
     """
     m, n = C.shape
+    if p == 1.0:
+        # cumsum adds the rows in order, as sum(axis=0) does over a C-ordered
+        # block; numpy sums a single column pairwise, in another order.  Even
+        # a 1×1 component takes this route: numpy's |c| of an array element
+        # and of a scalar can differ in the last bit
+        return float(np.abs(C).cumsum(axis=0)[-1].max()), True
     if m == n == 1:
         return float(abs(C[0, 0])), True
     if m == 1:
@@ -335,33 +323,45 @@ def _component_norm(C: np.ndarray, p: float, seed: int, tol: float) -> tuple[flo
     return est.value, est.converged
 
 
+def _max_norm(norms, p: float) -> NormEstimate:
+    """The norm of a direct sum from its blocks' (norm, converged) pairs: the
+    largest norm, 0.0 for none, a NaN winning (max(0.0, nan) is 0.0; a finite
+    entry can still yield NaN, e.g. the SVD of a block whose entry's modulus
+    overflows a double).  ``converged`` is the AND over the blocks; only
+    p = 1 is exact (p = 2 is the full norm, but only to float precision)."""
+    value, converged = 0.0, True
+    for v, c in norms:
+        converged = converged and c
+        if v > value or v != v:
+            value = v
+    if p == 1.0:
+        return NormEstimate(value, exact=True)
+    return NormEstimate(value, exact=False, converged=converged)
+
+
 def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Operator norm of a complex matrix on l^p.
 
-    p = 1 is the exact maximum column absolute sum of M.  Otherwise the norm
-    is the maximum over the connected components of M's nonzero pattern (the
-    bipartite graph joining row i to column j where M[i, j] != 0; M is
-    block-diagonal in them up to a permutation), each component's norm as
-    ``_component_norm`` gives it: |c| for a 1×1 component, Hölder's closed
-    form for a single row or column, the largest singular value at p = 2
-    and the power-iteration lower bound at other p.  ``converged`` is the
+    p = 1 is the exact maximum column absolute sum of the whole of M, whose
+    sums numpy adds pairwise when M is not C-ordered (``M[:, perm]``, say),
+    so a split into components could change the last bit.  Otherwise the
+    norm is the maximum over the connected components of M's nonzero
+    pattern (the bipartite graph joining row i to column j where
+    M[i, j] != 0; M is block-diagonal in them up to a permutation), each
+    component's norm as ``_component_norm`` gives it.  ``converged`` is the
     AND over the iterated components, True when there are none.  Raises
-    FloatRange when M has an infinite or NaN entry.
+    ValueError when M is not 2-D, EmptyMatrix when it is empty and
+    FloatRange when it has an infinite or NaN entry.
     """
     p = _check_args(p, seed, tol)
     M = _finite_matrix(M)
     if p == 1.0:
-        return NormEstimate(float(np.abs(M).sum(axis=0).max()), exact=True)
-    value, converged = 0.0, True
-    for rows, cols in _components(M):
-        v, c = _component_norm(M[np.ix_(rows, cols)], p, seed, tol)
-        converged = converged and c
-        # NaN wins: max(0.0, nan) is 0.0.  A finite entry can still yield NaN,
-        # e.g. the SVD of a block whose entry's modulus overflows a double
-        if v > value or v != v:
-            value = v
-    # p = 2 is the full norm, but only to float precision: exact stays False
-    return NormEstimate(value, exact=False, converged=converged)
+        norms = [(float(np.abs(M).sum(axis=0).max()), True)]
+    else:
+        rows, cols = np.nonzero(M)
+        entries = zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist())
+        norms = (_component_norm(C, p, seed, tol) for C in _components(entries, int))
+    return _max_norm(norms, p)
 
 
 def element_norm_estimate(
@@ -370,38 +370,28 @@ def element_norm_estimate(
     """Norm of an element of a finite acyclic algebra: the maximum over the
     sink blocks of its spatial image.
 
-    p = 1 takes the exact column sums of each dense block, as
-    ``norm_estimate`` does.  At other p no dense block is built: the
-    components of the blocks' nonzero pattern come straight from the
-    expanded terms, and each gives its norm as in ``norm_estimate``, so the
-    value equals ``norm_estimate``'s maximum over the blocks.  Every
-    component is checked, since max() would drop a NaN that follows a
-    number.  Raises FloatRange when a component's norm is not a finite
-    double: the computation overflowed somewhere (in the power iteration,
-    |y|^p can overflow even when the norm itself is a double), and the value
-    would be a false bound.
+    No dense block is built and the paths into the sinks are not listed, at
+    any p: the components of the blocks' nonzero pattern come straight from
+    the expanded terms, each in its block's own row and column order, and
+    each gives its norm as in ``norm_estimate``, so the value equals
+    ``norm_estimate``'s maximum over the blocks, bit for bit.  Raises
+    FloatRange when the norm is not a finite double: the computation
+    overflowed somewhere (in the power iteration, |y|^p can overflow even
+    when the norm itself is a double), and the value would be a false bound.
     """
     p = _check_args(p, seed, tol)
     # an overflow is reported once, as FloatRange, not as numpy warnings too
     with np.errstate(over="ignore", invalid="ignore"):
-        if p == 1.0:
-            rep = spatial_rep_acyclic(g, x)
-            norms = [(norm_estimate(M, p).value, None) for M in rep.blocks.values()]
-        else:
-            components = _expansion_components(acyclic_expansion(g, x))
-            norms = [_component_norm(C, p, seed, tol) for C in components]
+        components = _components(_float_terms(acyclic_expansion(g, x)), _block_order)
+        est = _max_norm((_component_norm(C, p, seed, tol) for C in components), p)
     if not g.vertices:
         # only the empty graph has no sink block
         return NormEstimate(0.0, exact=True)
-    for v, _ in norms:
-        if not math.isfinite(v):
-            raise FloatRange(
-                f"the l^{p:g} norm computation of a block overflowed a double (estimate {v})"
-            )
-    value = max((v for v, _ in norms), default=0.0)
-    if p == 1.0:
-        return NormEstimate(value, exact=True)
-    return NormEstimate(value, exact=False, converged=all(c for _, c in norms))
+    if not math.isfinite(est.value):
+        raise FloatRange(
+            f"the l^{p:g} norm computation of a block overflowed a double (estimate {est.value})"
+        )
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -195,6 +196,19 @@ def test_norm_diagonal_p15():
 def test_norm_empty_matrix():
     with pytest.raises(EmptyMatrix):
         norm_estimate(np.zeros((0, 0)), 1.0)
+
+
+@pytest.mark.parametrize("M", [[1.0, 2.0], [[[1.0]]], 3.0, []])
+def test_norm_refuses_a_matrix_that_is_not_2d(M):
+    # a vector was read as a single row at p = 1 (its sum) and failed to
+    # unpack its shape at other p
+    shape = np.shape(M)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            norm_estimate(M, p)
+    for p in (1.5, 3.0):
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            power_iteration_lower_bound(M, p)
 
 
 def test_norm_p1_exactness_oracle():
@@ -675,8 +689,22 @@ def lex_is_not_block_order():
     return g, x
 
 
+def star_of_sources():
+    """Σ (1/(3+i))·e_i over the star e_i: s_i -> w, i = 0..8: one column of
+    nine entries, whose sum numpy takes pairwise as a (9, 1) array, in the
+    last bit otherwise (1.5198773448773446) than the sink block's row by row
+    sum (1.5198773448773448)."""
+    sources = tuple(f"s{i}" for i in range(9))
+    g = Graph(sources + ("w",), tuple((f"e{i}", s, "w") for i, s in enumerate(sources)))
+    x = zero(g)
+    for i in range(9):
+        x = x + path_element(g, (f"e{i}",)).scale(Fraction(1, 3 + i))
+    return g, x
+
+
 @given(acyclic_graphs_and_elements(), st.sampled_from(NORM_PS), st.integers(0, 1000))
 @example(lex_is_not_block_order(), 3.0, 0)
+@example(star_of_sources(), 1.0, 0)
 @settings(deadline=None, max_examples=300)
 def test_element_norm_matches_the_dense_route(case, p, seed):
     # the components built from the expanded terms against the sink blocks
@@ -712,6 +740,18 @@ def test_element_norm_matches_the_dense_route(case, p, seed):
             default=0.0,
         )
         assert dense * (1 - 1e-10) <= est.value <= high * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_element_norm_builds_no_dense_block(p):
+    spies = [
+        mock.patch.object(pnorm, name, wraps=getattr(pnorm, name))
+        for name in ("spatial_rep_acyclic", "paths_into_by_sink")
+    ]
+    with spies[0] as dense, spies[1] as paths:
+        for g, x in (lex_is_not_block_order(), star_of_sources(), row_and_column_element()):
+            element_norm_estimate(g, x, p)
+    assert (dense.call_count, paths.call_count) == (0, 0)
 
 
 def test_acyclic_blocks_hold_their_sink():
