@@ -84,6 +84,14 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(args: argparse.Namespace) -> Graph:
     return graph_from_json(_read(args.graph))
 
@@ -188,13 +196,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
         emb = complete_and_embed(g, F)
         out = emb.domain
         if args.emit_embedding:
-            with open(args.emit_embedding, "w", encoding="utf-8") as fh:
-                fh.write(emb.to_json() + "\n")
+            _write(args.emit_embedding, emb.to_json() + "\n")
 
     text = graph_to_dot(out) if args.fmt == "dot" else graph_to_json(out) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

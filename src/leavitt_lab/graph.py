@@ -10,7 +10,6 @@ function of immutable values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
@@ -35,8 +34,7 @@ def omega_exit_marker(src: str, dst: str) -> str:
     return f"ω({src}->{dst})"
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
@@ -64,23 +62,55 @@ class Path(NamedTuple):
         return "<" + "·".join(self.edges) + ">"
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable directed multigraph with optional omega (countable) edge families."""
+    """Immutable directed multigraph with optional omega (countable) edge families.
+
+    Graphs compare and hash by their four fields, which cannot be reassigned:
+    the derived tables below are computed from them once and cached on the
+    instance.
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...] = ()
-    omega_pairs: tuple[tuple[str, str], ...] = ()
-    frontier: frozenset[str] = frozenset()
+    edges: tuple[Edge, ...]
+    omega_pairs: tuple[tuple[str, str], ...]
+    frontier: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        pairs = dict.fromkeys((pair[0], pair[1]) for pair in self.omega_pairs)
-        object.__setattr__(self, "omega_pairs", tuple(pairs))
-        object.__setattr__(self, "frontier", frozenset(self.frontier))
+    def __init__(
+        self,
+        vertices: Iterable[str],
+        edges: Iterable = (),
+        omega_pairs: Iterable = (),
+        frontier: Iterable[str] = frozenset(),
+    ):
+        fields = self.__dict__
+        fields["vertices"] = tuple(vertices)
+        fields["edges"] = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        fields["omega_pairs"] = tuple(dict.fromkeys((pair[0], pair[1]) for pair in omega_pairs))
+        fields["frontier"] = frozenset(frontier)
         self._validate()
+
+    def _key(self) -> tuple:
+        return self.vertices, self.edges, self.omega_pairs, self.frontier
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r}, "
+            f"omega_pairs={self.omega_pairs!r}, frontier={self.frontier!r})"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _validate(self) -> None:
         vset = set()
@@ -105,7 +135,7 @@ class Graph:
                     f"omega pairs {prefixes[prefix]!r} and {(src, dst)!r} both generate the edge ids {prefix}k"
                 )
             prefixes[prefix] = (src, dst)
-        object.__setattr__(self, "_omega_by_prefix", prefixes)
+        self.__dict__["_omega_by_prefix"] = prefixes
         for e in self.edges:
             if self._parse_omega_id(e.id) is not None:
                 raise ValueError(f"edge id {e.id!r} collides with a generated omega edge id")
@@ -465,8 +495,7 @@ class Verdict(Enum):
     SIMPLE_PURELY_INFINITE = "SimplePurelyInfinite"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     witness: Union[Path, frozenset[str], str]
 
@@ -726,15 +755,25 @@ def graph_from_json(text: str) -> Graph:
     return graph_from_json_obj(obj)
 
 
+# one pass, so the quoting is injective; a newline becomes the two
+# characters \n, so every statement keeps a line of its own
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
+def _dot_id(s: str) -> str:
+    """A DOT quoted string holding s, with \\, " and newline escaped."""
+    return '"' + s.translate(_DOT_ESCAPES) + '"'
+
+
 def graph_to_dot(g: Graph) -> str:
     """One digraph; edge labels are edge ids, omega pairs are dashed with label ω."""
     lines = ["digraph G {"]
     for v in g.vertices:
         attrs = ' [peripheries=2]' if v in g.frontier else ""
-        lines.append(f'  "{v}"{attrs};')
+        lines.append(f"  {_dot_id(v)}{attrs};")
     for e in g.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];')
+        lines.append(f"  {_dot_id(e.src)} -> {_dot_id(e.dst)} [label={_dot_id(e.id)}];")
     for src, dst in g.omega_pairs:
-        lines.append(f'  "{src}" -> "{dst}" [label="ω", style=dashed];')
+        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="ω", style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,9 +10,8 @@ deterministic function of the graph alone.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
 from .graph import Graph, Path, canonical_json, enumerate_paths
@@ -22,7 +21,12 @@ from .graph import Graph, Path, canonical_json, enumerate_paths
 # coefficients: the Gaussian rationals Q(i)
 # ---------------------------------------------------------------------------
 
-Rationalish = Union[int, Fraction]
+# ``fractions`` (with ``decimal`` and ``numbers``) is imported only where a
+# Fraction is built: integer and plain ASCII coefficients never need it
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rationalish = Union[int, Fraction]
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -42,10 +46,13 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        if not (isinstance(re, int) and isinstance(im, int)):
+            from fractions import Fraction
+
+            if not isinstance(re, (int, Fraction)):
+                re = Fraction(re)
+            if not isinstance(im, (int, Fraction)):
+                im = Fraction(im)
         # re and im are in lowest terms, so over their least common
         # denominator d no prime divides a, b and d at once: already reduced
         d = lcm(re.denominator, im.denominator)
@@ -55,10 +62,14 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.b, self.d)
 
     def __eq__(self, other) -> bool:
@@ -475,6 +486,8 @@ def _rational(entry: dict, key: str) -> tuple[int, int]:
         n, d = int(num), int(den or 1)
         if d:
             return (-n if negative else n), d
+    from fractions import Fraction
+
     f = Fraction(value)
     return f.numerator, f.denominator
 

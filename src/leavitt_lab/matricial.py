@@ -10,7 +10,6 @@ indexed by all paths into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -53,8 +52,7 @@ class BlockKey(NamedTuple):
     stage: Optional[int]
 
 
-@dataclass
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """A family of dense exact matrices indexed by path lists.
 
     ``blocks[key][i][j]`` is the coefficient of the monomial built from the
@@ -251,8 +249,7 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeZeroWitness:
+class DegreeZeroWitness(NamedTuple):
     """x, y with x·a·y = vertex, where x has degree -h and y degree h."""
 
     x: Element

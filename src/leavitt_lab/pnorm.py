@@ -25,8 +25,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptyMatrix, FloatRange
 from .graph import Graph, Path
@@ -71,8 +70,7 @@ def _check_args(p: float, seed: int, tol: float) -> float:
     return p
 
 
-@dataclass
-class SpatialMatrix:
+class SpatialMatrix(NamedTuple):
     """Per-sink complex float matrices indexed by the paths into each sink."""
 
     blocks: dict[str, np.ndarray]
@@ -112,8 +110,7 @@ def _float_terms(expansion: dict[Monomial, GaussianRational]) -> list[tuple[Path
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
     value: float
     exact: bool
     converged: Optional[bool] = None

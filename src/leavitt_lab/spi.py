@@ -11,7 +11,6 @@ needed at the last stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple
@@ -316,8 +315,7 @@ def annihilating_closed_path(b: Element, v: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """x, y, v with x·a·y = v, plus the trace of the stages that built them."""
 
     x: Element

@@ -6,7 +6,7 @@ All transforms are pure Graph -> Graph (or Graph -> EmbeddingData) functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BecameEmpty, BudgetExceeded, InternalError, NoInfiniteEmitters, NotASubgraph
 from .graph import Edge, Graph, canonical_json, graph_to_json_obj, omega_edge_id, reachable_from
@@ -114,8 +114,7 @@ def reachable_subgraph(g: Graph, w: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     """The completed graph of a finite subgraph, with its images inside the
     ambient algebra.
 

@@ -872,6 +872,21 @@ def test_transform_output_file(capsys, tmp_path):
     assert graph_from_json(out_file.read_text()) == zoo.r2()
 
 
+@pytest.mark.parametrize("option", ["-o", "--emit-embedding"])
+def test_transform_unwritable_output_exits_2(capsys, tmp_path, r2_file, option):
+    sub = tmp_path / "sub.json"
+    sub.write_text(graph_to_json(Graph(("v",), (("e", "v", "v"),))))
+    target = str(tmp_path / "no" / "such" / "dir" / "out.json")
+    code, out, err = run(
+        capsys,
+        ["transform", "complete", "--graph", r2_file, "--subgraph", str(sub), option, target],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and round trips
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from itertools import combinations_with_replacement
 
@@ -17,6 +18,7 @@ from leavitt_lab.errors import (
     UnknownVertex,
 )
 from leavitt_lab.graph import (
+    Edge,
     Graph,
     Path,
     Verdict,
@@ -111,6 +113,28 @@ def test_path_is_a_named_tuple_value():
         p.edges = ()
     with pytest.raises(AttributeError):
         p.extra = 1
+
+
+def test_graph_is_an_immutable_value():
+    text = graph_to_json(zoo.omega_spi())
+    g, h = graph_from_json(text), graph_from_json(text)
+    assert g == h and hash(g) == hash(h) and {g: 1}[h] == 1
+    other = Graph(g.vertices, g.edges, g.omega_pairs, {"v"})
+    assert other != g and g != (g.vertices, g.edges, g.omega_pairs, g.frontier)
+    with pytest.raises(AttributeError):
+        g.vertices = ()
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g.analysis is g.analysis and g.vertices == h.vertices
+
+
+def test_graph_repr_and_edge_value():
+    assert repr(zoo.rose(2)) == (
+        "Graph(vertices=('v',), edges=(Edge(id='e', src='v', dst='v'), "
+        "Edge(id='f', src='v', dst='v')), omega_pairs=(), frontier=frozenset())"
+    )
+    assert Edge("e", "v", "v") == ("e", "v", "v")
+    assert Graph(("v",), (("e", "v", "v"),)).edges == (Edge("e", "v", "v"),)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +520,35 @@ def test_graph_json_rejects_non_string_ids(obj):
 
 
 def test_dot_export(omega_spi):
-    dot = graph_to_dot(omega_spi)
-    assert dot.startswith("digraph G {")
-    assert '"w" -> "v" [label="f"];' in dot
-    assert '"v" -> "w" [label="ω", style=dashed];' in dot
+    assert graph_to_dot(omega_spi) == (
+        'digraph G {\n  "v";\n  "w";\n  "w" -> "v" [label="f"];\n'
+        '  "v" -> "w" [label="ω", style=dashed];\n}\n'
+    )
+
+
+def test_dot_escapes_hostile_ids():
+    vertices = ('a"b', "c\\", "n\nl", "plain")
+    edge = ('e"];x[label="', 'a"b', "c\\")
+    g = Graph(vertices, (edge, ("e\\\n", "n\nl", "plain")), (("plain", 'a"b'),), {"c\\", "n\nl"})
+    lines = graph_to_dot(g).splitlines()
+    assert lines[0] == "digraph G {" and lines[-1] == "}"
+    assert len(lines) == 2 + len(vertices) + 3  # one statement per line
+    quoted = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+    unescape = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+
+    def fields(line):
+        return [re.sub(r"\\.", lambda m: unescape[m.group()], f) for f in quoted.findall(line)]
+
+    # every quoted field is an id, and every node statement is a listed vertex
+    assert [fields(line) for line in lines[1:5]] == [[v] for v in vertices]
+    assert [fields(line) for line in lines[5:8]] == [
+        ['a"b', "c\\", edge[0]], ["n\nl", "plain", "e\\\n"], ["plain", 'a"b', "ω"]
+    ]
+    assert [line.endswith("[peripheries=2];") for line in lines[1:5]] == [False, True, True, False]
+    # what is left outside the quotes is the fixed DOT syntax: no injected node
+    assert [quoted.sub("Q", line) for line in lines[5:8]] == [
+        "  Q -> Q [label=Q];", "  Q -> Q [label=Q];", "  Q -> Q [label=Q, style=dashed];"
+    ]
 
 
 def test_duplicate_ids_rejected():

@@ -79,6 +79,18 @@ def test_gaussian_rational_field_ops():
         gauss(0).reciprocal()
 
 
+def test_gaussian_rational_arguments_and_parts():
+    # fractions is imported lazily, but every argument type still works
+    c = GaussianRational(Fraction(3, 4), "-2/6")
+    assert (c.a, c.b, c.d) == (9, -4, 12)
+    assert GaussianRational(0.5, 2) == GaussianRational(Fraction(1, 2), 2)
+    assert GaussianRational(True) == GaussianRational(1) == GR_ONE
+    for re_, im in [(c.re, c.im), (GR_ONE.re, GR_ONE.im)]:
+        assert type(re_) is Fraction and type(im) is Fraction
+    assert (c.re, c.im) == (Fraction(3, 4), Fraction(-1, 3))
+    assert repr(c) == "3/4-1/3i"
+
+
 BIG = 10**30
 rationals = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))

@@ -20,6 +20,8 @@ from leavitt_lab.lpa import gauss, monomial_element, multiply, path_element, ver
 from leavitt_lab.graph import Graph, Path, path_counts
 from leavitt_lab.matricial import acyclic_decompose, paths_into_by_sink
 from leavitt_lab.pnorm import (
+    NormEstimate,
+    SpatialMatrix,
     degree_component_quadrature_error,
     element_norm_estimate,
     norm_estimate,
@@ -52,6 +54,15 @@ def test_spatial_rep_matrix_unit(a2):
     rep = spatial_rep_acyclic(a2, path_element(a2, ("e",)))
     assert list(rep.blocks) == ["v"]
     np.testing.assert_allclose(rep.blocks["v"], [[0, 0], [1, 0]])
+
+
+def test_value_types_are_named_tuples(a2):
+    rep = spatial_rep_acyclic(a2, path_element(a2, ("e",)))
+    assert isinstance(rep, SpatialMatrix) and rep._fields == ("blocks", "paths")
+    assert NormEstimate(1.0, True).converged is None
+    assert NormEstimate(1.0, True) == (1.0, True, None)
+    with pytest.raises(AttributeError):
+        NormEstimate(1.0, True).value = 2.0
 
 
 def test_spatial_rep_zero(a3):
