@@ -350,6 +350,23 @@ def path_counts(g: Graph) -> dict[str, int]:
     return count
 
 
+def tail_counts(g: Graph) -> dict[str, int]:
+    """The number of paths from each vertex of a finite acyclic graph to a
+    sink: tails[u] = 1 at a sink, else the sum of tails[r(e)] over the edges
+    e out of u.  The twin of ``path_counts``, one pass in reverse topological
+    order, O(V + E), building no path."""
+    waiting = {v: len(g.out_edges[v]) for v in g.vertices}
+    tails = {v: int(not waiting[v]) for v in g.vertices}
+    ready = [v for v in g.vertices if not waiting[v]]
+    for v in ready:
+        for e in g.in_edges[v]:
+            tails[e.src] += tails[v]
+            waiting[e.src] -= 1
+            if not waiting[e.src]:
+                ready.append(e.src)
+    return tails
+
+
 def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
     """All paths of length n (optionally with range ``end``): level n of ``path_levels``."""
     if n < 0:

@@ -20,7 +20,7 @@ from .errors import (
     OmegaUnsupported,
     ZeroElement,
 )
-from .graph import Graph, Path, path_counts, path_levels
+from .graph import Graph, Path, path_counts, path_levels, tail_counts
 from .lpa import (
     Element,
     GaussianRational,
@@ -32,14 +32,16 @@ from .lpa import (
     path_element,
 )
 
-# entries of all acyclic sink blocks together (64 MiB as complex128 floats):
-# the doubled line (two parallel edges between neighbours) on 11 vertices,
-# 2047 paths into its sink, just fits.  It applies to the norm at every p,
-# so exit codes do not depend on p, though only the exact table and the
-# spatial image build the dense blocks: the norm fills just the components
-# of the blocks' nonzero pattern, which on the doubled line are 1024 1×1
-# arrays.
+# entries of the dense blocks that are filled (64 MiB as complex128 floats):
+# all the acyclic sink blocks together, for the two builders of the dense
+# blocks, the exact table and the spatial image, and each connected
+# component of a norm on its own.  The doubled line (two parallel edges
+# between neighbours) on 11 vertices, 2047 paths into its sink, just fits.
 BLOCK_BUDGET = 2**22
+# terms of an acyclic expansion, what the norm builds at every p (about
+# 1 KB each, with its norm components): the doubled line's vertex v0 makes
+# 2^(n-1) of them on n vertices, so it answers up to n = 19, in seconds
+EXPANSION_BUDGET = 2**18
 
 
 class BlockKey(NamedTuple):
@@ -208,27 +210,47 @@ def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     return {v: tuple(ps) for v, ps in by_sink.items()}
 
 
-def acyclic_expansion(g: Graph, x: Element) -> dict[Monomial, GaussianRational]:
-    """x expanded into monomials a·b* with a and b ending at the same sink:
-    the nonzero entries of the acyclic block decomposition, whose rows and
-    columns are ``paths_into_by_sink(g)``.
-
-    Raises BudgetExceeded, before any path is built, when the blocks would
-    hold more than ``BLOCK_BUDGET`` entries in all.
-    """
+def _require_acyclic(g: Graph, x: Element) -> None:
     if x.graph != g:
         raise GraphMismatch("element is not over the given graph")
     _require_row_finite_finite(g)
     if g.analysis.cycle_bases:
         raise NotAcyclic("the graph has a cycle")
+
+
+def acyclic_expansion(g: Graph, x: Element) -> dict[Monomial, GaussianRational]:
+    """x expanded into monomials a·b* with a and b ending at the same sink:
+    the nonzero entries of the acyclic block decomposition, whose rows and
+    columns are ``paths_into_by_sink(g)``.
+
+    Raises BudgetExceeded, before any path is built, when the expansion
+    would make more than ``EXPANSION_BUDGET`` terms: a term a·b* makes one
+    per path from r(a) to a sink.
+    """
+    _require_acyclic(g, x)
+    tails, terms = tail_counts(g), x.terms()
+    made = sum(tails[g.range_of(m.alpha)] for m, _ in terms)
+    if made > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"the expansion would make {made} terms, over the budget of {EXPANSION_BUDGET}"
+        )
+    # no path reaches length |V|, so the expansion stops only at sinks
+    return _expand(g, terms, len(g.vertices))
+
+
+def check_sink_blocks(g: Graph, x: Element) -> None:
+    """Raises as ``acyclic_expansion(g, x)`` does on a graph or element it
+    refuses, and BudgetExceeded when x's dense sink blocks would hold more
+    than ``BLOCK_BUDGET`` entries in all: an O(V + E) count, for the two
+    builders of the dense blocks to make before they expand x or list the
+    paths into the sinks."""
+    _require_acyclic(g, x)
     counts = path_counts(g)
     entries = sum(counts[v] ** 2 for v in g.vertices if g.is_sink(v))
     if entries > BLOCK_BUDGET:
         raise BudgetExceeded(
             f"the sink blocks would hold {entries} entries, over the budget of {BLOCK_BUDGET}"
         )
-    # no path reaches length |V|, so the expansion stops only at sinks
-    return _expand(g, x.terms(), len(g.vertices))
 
 
 def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
@@ -239,6 +261,7 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     is first expanded into such monomials via the identity u = sum of d·d*
     over paths d from u to the sinks.
     """
+    check_sink_blocks(g, x)
     expansion = acyclic_expansion(g, x)
     paths = {BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(g).items()}
     return _assemble(g, paths, expansion)

@@ -1,22 +1,19 @@
 """Numeric l^p kernels: spatial matrix images of acyclic algebras, operator
 norms on l^p, and circle-quadrature validation of the degree projections.
 
-The float blocks are filled straight from the matricial module's expansion
-of an element into matrix units, each exact coefficient rounded once to a
-complex double, within a budget on the number of block entries.  The
-l^p -> l^p operator norm is the maximum over the connected components of
-the nonzero pattern, at every p, since a block-diagonal matrix's norm is
-its blocks' largest.  One builder finds the components, of a dense matrix
-or straight from an element's expanded terms with no dense block, and one
-routine gives each component's norm: at p = 1 its exact largest column
-sum; otherwise a 1×1 component [c] gives |c|, a single row its l^q norm
-(q = p/(p-1)) and a single column its l^p norm (Hölder), another component
-its largest singular value at p = 2 and otherwise a certified lower bound
-from a nonlinear power iteration with restarts.  A dense matrix keeps its
-whole column sums at p = 1.  The restarts run as one stacked iteration
-over a (restarts, n) array, each row doing the arithmetic of a lone
-restart bit for bit.  A matrix with an infinite or NaN entry has no norm
-here: every kernel refuses it with FloatRange.
+The l^p -> l^p operator norm of a block-diagonal matrix is its blocks'
+largest, so an element's norm is the maximum over the connected components
+of its sink blocks' nonzero pattern, formed straight from the matricial
+expansion into matrix units with each exact coefficient rounded once to a
+complex double, and with no sink block built.  A component's norm at p = 1
+is its exact largest column sum; otherwise a 1×1 component [c] gives |c|, a
+single row its l^q norm (q = p/(p-1)) and a single column its l^p norm
+(Hölder).  These closed forms run in Python floats with one modulus, libm's
+hypot.  Only a component of two rows and two columns at p != 1 is filled
+densely and runs numpy: its largest singular value at p = 2, otherwise a
+certified lower bound from a nonlinear power iteration whose restarts run
+as one stacked iteration.  A matrix with an infinite or NaN entry has no
+norm here: every kernel refuses it with FloatRange.
 """
 
 from __future__ import annotations
@@ -27,10 +24,11 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import EmptyMatrix, FloatRange
+from . import matricial
+from .errors import BudgetExceeded, EmptyMatrix, FloatRange
 from .graph import Graph, Path
 from .lpa import Element, GaussianRational, Monomial, degree_component
-from .matricial import acyclic_expansion, paths_into_by_sink
+from .matricial import acyclic_expansion, check_sink_blocks, paths_into_by_sink
 
 P_MIN, P_MAX = 1.0, 8.0
 # seeded random starts of the power iteration, and its steps per start
@@ -39,9 +37,10 @@ RESTARTS, MAX_ITER = 8, 200
 
 def _lazy_numpy():
     """numpy, executed on first attribute access.  Importing it takes most of
-    a cold start and only the norm kernels use it.  BLAS is held to one
-    thread, so that a norm does not depend on the machine's core count; the
-    variables stay set until numpy executes."""
+    a cold start, and only the dense kernels, the quadrature check and a norm
+    component of two rows and two columns at p != 1 use it.  BLAS is held to
+    one thread, so that a norm does not depend on the machine's core count;
+    the variables stay set until numpy executes."""
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -82,10 +81,11 @@ def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     a·b* puts its coefficient, as a complex double, at (a, b) of the block of
     the sink both paths end at; every other entry is zero.
 
-    Raises BudgetExceeded when the blocks would hold more than
-    ``matricial.BLOCK_BUDGET`` entries, and FloatRange when a coefficient is
-    too large for a double.
+    Raises BudgetExceeded, before anything is built, when the blocks or the
+    expansion would exceed their budgets in ``matricial``, and FloatRange
+    when a coefficient is too large for a double.
     """
+    check_sink_blocks(g, x)
     terms = _float_terms(acyclic_expansion(g, x))
     paths = paths_into_by_sink(g)
     blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
@@ -117,12 +117,10 @@ class NormEstimate(NamedTuple):
 
 
 def _row_norms(Y: np.ndarray, p: float) -> np.ndarray:
-    """``np.linalg.norm(y, ord=p)`` of every row y of Y, to the last bit.
-
+    """``np.linalg.norm(y, ord=p)`` of every row y of Y, to the last bit:
     numpy sums |y|^p and takes the root of that scalar; a root taken over
     the whole array can differ from the scalar one in the last bit, so it is
-    taken row by row, in Python floats, with the same libm ``pow``.
-    """
+    taken row by row, in Python floats, with the same libm ``pow``."""
     root = 1.0 / p
     return np.array([s ** root for s in np.add.reduce(np.abs(Y) ** p, axis=1).tolist()])
 
@@ -168,8 +166,7 @@ def _stacked_power_iteration(
     (the only way to end unconverged).  A stopped row stays in the stack,
     its later values unread, so its divisions by zero are silenced; the
     silencing covers every row, so a live row's inf/inf after an overflow
-    warns no more either.
-    Returns (best ratio, converged) per row.
+    warns no more either.  Returns (best ratio, converged) per row.
     """
     q = p / (p - 1.0)
     MH = M.conj().T
@@ -237,20 +234,17 @@ def power_iteration_lower_bound(M, p: float, seed: int = 0, tol: float = 1e-10) 
     return NormEstimate(value, exact=False, converged=converged)
 
 
-def _components(entries, key) -> list[np.ndarray]:
+def _components(entries, key) -> list[tuple[int, int, list]]:
     """The connected components of the bipartite graph joining row a to
-    column b for each entry (a, b, z) whose z is nonzero, each filled as its
-    own complex128 array, its rows and its columns sorted by ``key``: the
-    submatrix on them, bit for bit, when ``key`` is the matrix's own order.
-    Rows and columns with no nonzero entry lie in no component."""
+    column b for each entry (a, b, z) whose z is nonzero, each as (rows,
+    columns, cells): its rows and its columns numbered in ``key`` order, and
+    its entries as cells (row, column, z) in row-major order, the submatrix
+    on them when ``key`` is the matrix's own order.  No zero is filled in,
+    and rows and columns with no nonzero entry lie in no component."""
     entries = [(a, b, z) for a, b, z in entries if z]
     # the rows, then the columns, as the nodes 0, 1, ... of a union-find
-    rows: dict = {}
-    for a, _, _ in entries:
-        rows.setdefault(a, len(rows))
-    cols: dict = {}
-    for _, b, _ in entries:
-        cols.setdefault(b, len(rows) + len(cols))
+    rows = {a: i for i, a in enumerate(dict.fromkeys(a for a, _, _ in entries))}
+    cols = {b: len(rows) + j for j, b in enumerate(dict.fromkeys(b for _, b, _ in entries))}
     parent = list(range(len(rows) + len(cols)))
 
     def find(i: int) -> int:
@@ -269,54 +263,57 @@ def _components(entries, key) -> list[np.ndarray]:
     for group in groups.values():
         row_of = {a: i for i, a in enumerate(sorted({a for a, _, _ in group}, key=key))}
         col_of = {b: j for j, b in enumerate(sorted({b for _, b, _ in group}, key=key))}
-        C = np.zeros((len(row_of), len(col_of)), dtype=np.complex128)
-        for a, b, z in group:
-            C[row_of[a], col_of[b]] = z
-        components.append(C)
+        # the (row, column) pairs are distinct, so z is never compared
+        cells = sorted((row_of[a], col_of[b], z) for a, b, z in group)
+        components.append((len(row_of), len(col_of), cells))
     return components
 
 
 def _block_order(path: Path) -> tuple:
-    """A path's place among the rows (or columns) of its sink block, the
-    (length, lex) order of ``paths_into_by_sink``."""
+    """A path's place in its sink block, the (length, lex) order of ``paths_into_by_sink``."""
     return len(path.edges), path.edges
 
 
-def _vector_norm(v: np.ndarray, r: float) -> float:
-    """The l^r norm of a nonzero vector, scaled by its largest modulus before
-    the power r: unscaled, |v_j|^r overflows for [3, 4] at r = 1e9 + 1, and
-    for entries near 1e200 at r = 2."""
-    mags = np.abs(v)
-    top = mags.max()
-    return float(top * np.add.reduce((mags / top) ** r) ** (1.0 / r))
+def _abs(z: complex) -> float:
+    """|z| by libm's hypot, as ``np.hypot`` gives it; inf where abs overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
-def _component_norm(C: np.ndarray, p: float, seed: int, tol: float) -> tuple[float, bool]:
-    """(l^p operator norm, converged) of one connected component C.
+def _component_norm(m: int, n: int, cells, p: float, seed: int, tol: float) -> tuple[float, bool]:
+    """(l^p operator norm, converged) of an m×n component from ``_components``.
 
-    p = 1 gives the largest column sum, added row by row.  Otherwise a 1×1
-    component [c] gives |c|; by Hölder's inequality a single row c gives its
-    l^q norm, q = p/(p-1), and a single column its l^p norm; any other
-    component gives its largest singular value at p = 2 and the power
-    iteration's lower bound at other p.  Only the power iteration can leave
-    ``converged`` False.
+    p = 1, and a 1×1 component [c] at any p, give the largest column sum
+    (|c|); otherwise a single row gives its l^q norm, q = p/(p-1), and a
+    single column its l^p norm (Hölder), all in Python floats from the
+    nonzero cells.  Any other component is filled as a dense array and runs
+    numpy: its largest singular value at p = 2, and at other p the power
+    iteration's lower bound, which alone can leave ``converged`` False.
     """
-    m, n = C.shape
-    if p == 1.0:
-        # cumsum adds the rows in order, as sum(axis=0) does over a C-ordered
-        # block; numpy sums a single column pairwise, in another order.  Even
-        # a 1×1 component takes this route: numpy's |c| of an array element
-        # and of a scalar can differ in the last bit
-        return float(np.abs(C).cumsum(axis=0)[-1].max()), True
-    if m == n == 1:
-        return float(abs(C[0, 0])), True
-    if m == 1:
-        return _vector_norm(C[0], p / (p - 1.0)), True
-    if n == 1:
-        return _vector_norm(C[:, 0], p), True
-    if p == 2.0:
-        return float(np.linalg.norm(C, 2)), True
-    est = power_iteration_lower_bound(C, p, seed=seed, tol=tol)
+    if p == 1.0 or m == n == 1:
+        # rows added in order, as numpy's sum(axis=0) over a C-ordered dense
+        # block (whose zeros change no bit), not Python 3.12's compensated sum()
+        sums = [0.0] * n
+        for _, j, z in cells:
+            sums[j] += _abs(z)
+        return max(sums), True
+    if m == 1 or n == 1:
+        # scaled by the largest modulus before the power r: unscaled, |c_j|^r
+        # overflows for [3, 4] at r = 1e9 + 1, and for entries near 1e200 at r = 2
+        r = p / (p - 1.0) if m == 1 else p
+        mags = [_abs(z) for _, _, z in cells]
+        top = max(mags)
+        return top * math.fsum((v / top) ** r for v in mags) ** (1.0 / r), True
+    rows, cols, zs = zip(*cells)
+    # an overflow reaches the caller as inf or NaN, not as numpy warnings too
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = np.zeros((m, n), dtype=np.complex128)
+        dense[rows, cols] = zs
+        if p == 2.0:
+            return float(np.linalg.norm(dense, 2)), True
+        est = power_iteration_lower_bound(dense, p, seed=seed, tol=tol)
     return est.value, est.converged
 
 
@@ -339,25 +336,25 @@ def _max_norm(norms, p: float) -> NormEstimate:
 def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Operator norm of a complex matrix on l^p.
 
-    p = 1 is the exact maximum column absolute sum of the whole of M, whose
-    sums numpy adds pairwise when M is not C-ordered (``M[:, perm]``, say),
-    so a split into components could change the last bit.  Otherwise the
-    norm is the maximum over the connected components of M's nonzero
-    pattern (the bipartite graph joining row i to column j where
-    M[i, j] != 0; M is block-diagonal in them up to a permutation), each
-    component's norm as ``_component_norm`` gives it.  ``converged`` is the
-    AND over the iterated components, True when there are none.  Raises
-    ValueError when M is not 2-D, EmptyMatrix when it is empty and
-    FloatRange when it has an infinite or NaN entry.
+    p = 1 is the exact maximum column absolute sum of the whole of M, with
+    ``np.hypot`` as the modulus, whose sums numpy adds pairwise when M is not
+    C-ordered (``M[:, perm]``, say), so a split into components could change
+    the last bit.  Otherwise the norm is the maximum over the connected
+    components of M's nonzero pattern (the bipartite graph joining row i to
+    column j where M[i, j] != 0; M is block-diagonal in them up to a
+    permutation), each component's norm as ``_component_norm`` gives it.
+    ``converged`` is the AND over the iterated components, True when there
+    are none.  Raises ValueError when M is not 2-D, EmptyMatrix when it is
+    empty and FloatRange when it has an infinite or NaN entry.
     """
     p = _check_args(p, seed, tol)
     M = _finite_matrix(M)
     if p == 1.0:
-        norms = [(float(np.abs(M).sum(axis=0).max()), True)]
+        norms = [(float(np.hypot(M.real, M.imag).sum(axis=0).max()), True)]
     else:
         rows, cols = np.nonzero(M)
         entries = zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist())
-        norms = (_component_norm(C, p, seed, tol) for C in _components(entries, int))
+        norms = (_component_norm(*C, p, seed, tol) for C in _components(entries, int))
     return _max_norm(norms, p)
 
 
@@ -367,20 +364,23 @@ def element_norm_estimate(
     """Norm of an element of a finite acyclic algebra: the maximum over the
     sink blocks of its spatial image.
 
-    No dense block is built and the paths into the sinks are not listed, at
-    any p: the components of the blocks' nonzero pattern come straight from
-    the expanded terms, each in its block's own row and column order, and
-    each gives its norm as in ``norm_estimate``, so the value equals
+    No sink block is built and the paths into the sinks are not listed: the
+    components of the blocks' nonzero pattern come straight from the
+    expanded terms, each in its block's own row and column order, and each
+    gives its norm as in ``norm_estimate``, so the value equals
     ``norm_estimate``'s maximum over the blocks, bit for bit.  Raises
-    FloatRange when the norm is not a finite double: the computation
-    overflowed somewhere (in the power iteration, |y|^p can overflow even
-    when the norm itself is a double), and the value would be a false bound.
+    BudgetExceeded, at every p, when a component would hold more than
+    ``matricial.BLOCK_BUDGET`` entries, and FloatRange when the norm is not
+    a finite double: the computation overflowed somewhere (in the power
+    iteration, |y|^p can overflow even when the norm itself is a double),
+    and the value would be a false bound.
     """
     p = _check_args(p, seed, tol)
-    # an overflow is reported once, as FloatRange, not as numpy warnings too
-    with np.errstate(over="ignore", invalid="ignore"):
-        components = _components(_float_terms(acyclic_expansion(g, x)), _block_order)
-        est = _max_norm((_component_norm(C, p, seed, tol) for C in components), p)
+    components = _components(_float_terms(acyclic_expansion(g, x)), _block_order)
+    size, budget = max((m * n for m, n, _ in components), default=0), matricial.BLOCK_BUDGET
+    if size > budget:
+        raise BudgetExceeded(f"a component would hold {size} entries, over the budget of {budget}")
+    est = _max_norm((_component_norm(*C, p, seed, tol) for C in components), p)
     if not g.vertices:
         # only the empty graph has no sink block
         return NormEstimate(0.0, exact=True)

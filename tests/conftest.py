@@ -1,9 +1,15 @@
 import random
+import sys
 
 import pytest
 
-from leavitt_lab import zoo
-from leavitt_lab.graph import Graph
+# set before the package is imported: a __pycache__ written into the source
+# tree would change later cold-start timings of that tree (the subprocess
+# tests pass PYTHONDONTWRITEBYTECODE for the same reason)
+sys.dont_write_bytecode = True
+
+from leavitt_lab import zoo  # noqa: E402
+from leavitt_lab.graph import Graph  # noqa: E402
 
 
 @pytest.fixture

@@ -561,10 +561,12 @@ def oracle_dense_norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10):
     """(value, exact, converged) of the l^p operator norm of the whole matrix,
     with no split into components: the exact maximum column sum at p = 1, the
     largest singular value at p = 2, and otherwise the power iteration over
-    every row and column at once, with production's restarts and budget."""
+    every row and column at once, with production's restarts and budget.
+    The p = 1 modulus is libm's hypot, as ``np.hypot`` and Python's ``abs``
+    give it, not numpy's vectorised complex absolute."""
     M = np.asarray(M, dtype=np.complex128)
     if p == 1.0:
-        return float(np.abs(M).sum(axis=0).max()), True, None
+        return float(np.hypot(M.real, M.imag).sum(axis=0).max()), True, None
     if p == 2.0:
         return float(np.linalg.norm(M, 2)), False, True
     value, converged = oracle_power_iteration(M, p, 8, seed, tol, 200)

@@ -43,9 +43,16 @@ def run(capsys, argv):
 
 def child_env(hash_seed="0"):
     """A minimal env that keeps stray variables out; the child imports the
-    same leavitt_lab this process imported, installed or from source."""
+    same leavitt_lab this process imported, installed or from source, and
+    writes no bytecode: a __pycache__ left in the source tree would change
+    later cold-start timings of that tree."""
     package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
-    return {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root}
+    return {
+        "PYTHONHASHSEED": hash_seed,
+        "PATH": "/usr/bin:/bin:/usr/local/bin",
+        "PYTHONPATH": package_root,
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +498,19 @@ def test_norm_rejects_a_bad_tol_or_seed(capsys, tmp_path, a2_file, option, value
     assert code == 2
     assert out == ""
     assert err == message + "\n"
+
+
+def test_norm_answers_under_the_expansion_budget(capsys, tmp_path):
+    # the doubled line on 12 vertices: v0 expands into 2^11 terms; the dense
+    # sink block of 4095^2 entries, which the norm does not build, used to
+    # be refused with exit 2
+    verts = [f"v{i}" for i in range(12)]
+    edges = [{"id": f"{k}{i}", "src": verts[i], "dst": verts[i + 1]} for i in range(11) for k in "ab"]
+    gp, ep = tmp_path / "g.json", tmp_path / "elem.json"
+    gp.write_text(json.dumps({"vertices": verts, "edges": edges}))
+    ep.write_text('[{"alpha":[],"alpha_src":"v0","beta":[],"beta_src":"v0","re":"1","im":"0"}]')
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", str(ep), "--p", "1"])
+    assert (code, out, err) == (0, '{"p":1.0,"norm":1.0,"exact":true}\n', "")
 
 
 def test_norm_exit_2_over_the_block_budget(capsys, tmp_path):
@@ -997,6 +1017,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "leavitt_lab", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
@@ -1007,6 +1028,7 @@ def test_unknown_flags_rejected():
         [sys.executable, "-m", "leavitt_lab", "classify", "--graph", "x", "--bogus"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 2
 

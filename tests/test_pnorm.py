@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -16,9 +17,18 @@ from hypothesis import strategies as st
 import leavitt_lab
 from leavitt_lab import matricial, pnorm, zoo
 from leavitt_lab.errors import BudgetExceeded, EmptyMatrix, FloatRange, NotAcyclic
-from leavitt_lab.lpa import gauss, monomial_element, multiply, path_element, vertex_element, zero
-from leavitt_lab.graph import Graph, Path, path_counts
-from leavitt_lab.matricial import acyclic_decompose, paths_into_by_sink
+from leavitt_lab.lpa import (
+    Monomial,
+    gauss,
+    monomial_element,
+    multiply,
+    normalize_terms,
+    path_element,
+    vertex_element,
+    zero,
+)
+from leavitt_lab.graph import Graph, Path, path_counts, path_levels, tail_counts
+from leavitt_lab.matricial import acyclic_decompose, acyclic_expansion, paths_into_by_sink
 from leavitt_lab.pnorm import (
     NormEstimate,
     SpatialMatrix,
@@ -147,6 +157,92 @@ def test_spatial_rep_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(matricial, "BLOCK_BUDGET", 12)
     with pytest.raises(BudgetExceeded):
         spatial_rep_acyclic(g, x)
+
+
+def test_tail_counts_match_the_paths_to_the_sinks():
+    for g in (zoo.a2(), zoo.a3(), zoo.line(4), zoo.two_isolated(), doubled_line(6)):
+        paths = [q for level in path_levels(g, len(g.vertices) - 1) for q in level]
+        to_sinks = [q.source for q in paths if g.is_sink(g.range_of(q))]
+        assert tail_counts(g) == {u: to_sinks.count(u) for u in g.vertices}
+    # v0 would expand into 2^39 terms, which the norm refuses on this count
+    assert tail_counts(doubled_line(40))["v0"] == 2**39
+
+
+def test_norm_budget_counts_expanded_terms(monkeypatch):
+    # on 12 vertices v0 expands into 2^11 terms, 1×1 components whose norm
+    # needs no dense block; the 4095 paths into the sink make dense blocks of
+    # 4095^2 entries, over BLOCK_BUDGET, which the dense builders still refuse
+    g = doubled_line(12)
+    x = vertex_element(g, "v0")
+    assert tail_counts(g)["v0"] == 2**11
+    for p in (1.0, 2.0):
+        assert element_norm_estimate(g, x, p).value == pytest.approx(1.0, rel=1e-12)
+    # on 18 vertices the dense builders refuse on the count, before expanding
+    # v0 into 2^17 terms, which takes seconds
+    start = time.perf_counter()
+    for h in (g, doubled_line(18)):
+        for dense in (spatial_rep_acyclic, acyclic_decompose):
+            with pytest.raises(BudgetExceeded, match="sink blocks"):
+                dense(h, vertex_element(h, "v0"))
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(matricial, "EXPANSION_BUDGET", 2**11 - 1)
+    with pytest.raises(BudgetExceeded, match="expansion would make 2048 terms"):
+        element_norm_estimate(g, x, 1.0)
+
+
+def zigzag(n: int):
+    """The doubled line on n vertices with sum_i a_i·a_i* + a_(i+1)·a_i* over
+    the N = 2^(n-1) paths a_i from v0 to the sink, in block order: about 2N
+    expanded terms, all in one N×N component of the sink block."""
+    g = doubled_line(n)
+    paths = [q for q in path_levels(g, n - 1)[n - 1] if q.source == "v0"]
+    assert len(paths) == 2 ** (n - 1)
+    terms = {Monomial(a, a): gauss(1) for a in paths}
+    terms.update((Monomial(b, a), gauss(1)) for a, b in zip(paths, paths[1:]))
+    return g, normalize_terms(g, terms)
+
+
+def test_norm_budget_bounds_each_component(monkeypatch):
+    # a sparse component is held to BLOCK_BUDGET before any is filled in, at
+    # every p, though the expansion is far within its own budget
+    g, x = zigzag(5)
+    monkeypatch.setattr(matricial, "BLOCK_BUDGET", 16 * 16)
+    for p in (1.0, 1.5, 2.0):
+        assert element_norm_estimate(g, x, p).value > 1.0
+    monkeypatch.setattr(matricial, "BLOCK_BUDGET", 16 * 16 - 1)
+    for p in (1.0, 1.5, 2.0):
+        with pytest.raises(BudgetExceeded, match="a component would hold 256 entries"):
+            element_norm_estimate(g, x, p)
+    monkeypatch.undo()
+    # at the real budgets: 8191 expanded terms form one 4096×4096 component,
+    # 2^24 entries, refused at once rather than filled
+    start = time.perf_counter()
+    g, x = zigzag(13)
+    tails = tail_counts(g)
+    assert sum(tails[g.range_of(m.alpha)] for m, _ in x.terms()) < matricial.EXPANSION_BUDGET
+    for p in (1.0, 3.0):
+        with pytest.raises(BudgetExceeded, match=f"a component would hold {2**24} entries"):
+            element_norm_estimate(g, x, p)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_expansion_budget_refuses_what_the_block_budget_let_through():
+    # u -> r through 143 edges a_i, r -> s through 13 edges e_k: the element
+    # sum of a_i·a_j* over 20,165 pairs i != j expands into 13 terms each,
+    # 2^18 + 1 in all, over EXPANSION_BUDGET, though the one sink block of
+    # 143·13 + 13 + 1 = 1873 paths holds 1873^2 entries, within BLOCK_BUDGET
+    edges = [(f"a{i}", "u", "r") for i in range(143)] + [(f"e{k}", "r", "s") for k in range(13)]
+    g = Graph(("u", "r", "s"), tuple(edges))
+    pairs = [(i, j) for i in range(143) for j in range(143) if i != j][:20165]
+    terms = {Monomial(Path("u", (f"a{i}",)), Path("u", (f"a{j}",))): gauss(1) for i, j in pairs}
+    x = normalize_terms(g, terms)
+    assert len(x) == 20165
+    assert path_counts(g)["s"] ** 2 == 1873**2 <= matricial.BLOCK_BUDGET
+    start = time.perf_counter()
+    for build in (lambda: element_norm_estimate(g, x, 1.0), lambda: spatial_rep_acyclic(g, x)):
+        with pytest.raises(BudgetExceeded, match=f"expansion would make {2**18 + 1} terms"):
+            build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spatial_rep_refuses_a_coefficient_beyond_double_range(a2):
@@ -785,6 +881,80 @@ def test_element_norm_max_formula(a3):
         assert element_norm_estimate(a3, x, 1.0).value == (max(per_block) if per_block else 0.0)
 
 
+def decimal_modulus(c) -> Decimal:
+    """|c| of an exact coefficient (a + b·i)/d, to the context's precision."""
+    return (Decimal(c.a * c.a + c.b * c.b)).sqrt() / c.d
+
+
+def exact_components(expansion) -> list[list[tuple]]:
+    """The connected components of the expansion's pattern, each a list of
+    its (row, column, coefficient) entries, by a search over rows and
+    columns."""
+    by_row, by_col = {}, {}
+    for m, c in expansion.items():
+        by_row.setdefault(m.alpha, []).append((m.alpha, m.beta, c))
+        by_col.setdefault(m.beta, []).append((m.alpha, m.beta, c))
+    seen, components = set(), []
+    for m, c in expansion.items():
+        if (m.alpha, m.beta) in seen:
+            continue
+        component, stack = [], [(m.alpha, m.beta, c)]
+        seen.add((m.alpha, m.beta))
+        while stack:
+            entry = stack.pop()
+            component.append(entry)
+            for other in by_row[entry[0]] + by_col[entry[1]]:
+                if other[:2] not in seen:
+                    seen.add(other[:2])
+                    stack.append(other)
+        components.append(component)
+    return components
+
+
+# one double's unit roundoff: each modulus is off by at most 3u (the
+# coefficient's rounding, then hypot's one ulp), a sum of k moduli by (k + 2)u
+# and a closed form, whose error the root divides by r, by at most 16u
+U = 2.0**-53
+
+
+@given(acyclic_graphs_and_elements(), st.sampled_from([1.1, 1.5, 2.0, 3.0, 8.0]))
+@settings(deadline=None, max_examples=300)
+def test_closed_forms_agree_with_a_decimal_reference(case, p):
+    # p = 1 on every element, and at other p the elements whose components
+    # are all 1×1, single rows or single columns, against 50 digits from the
+    # exact coefficients
+    g, x = case
+    components = exact_components(acyclic_expansion(g, x))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sums: dict = {}
+        for _, b, c in (entry for comp in components for entry in comp):
+            sums[b] = sums.get(b, 0) + decimal_modulus(c)
+        k = max((len(comp) for comp in components), default=0)
+        ref = float(max(sums.values(), default=0))
+        assert abs(element_norm_estimate(g, x, 1.0).value - ref) <= (k + 2) * U * ref
+        closed = []
+        for comp in components:
+            rows, cols = {a for a, _, _ in comp}, {b for _, b, _ in comp}
+            if len(rows) > 1 and len(cols) > 1:
+                return
+            r = Decimal(p / (p - 1.0) if len(rows) == 1 else p)
+            closed.append(sum(decimal_modulus(c) ** r for _, _, c in comp) ** (1 / r))
+        ref = float(max(closed, default=0))
+    assert abs(element_norm_estimate(g, x, p).value - ref) <= 16 * U * ref
+
+
+@pytest.mark.parametrize("p", NORM_PS)
+def test_the_modulus_is_correctly_rounded(a2, p):
+    # |1 + 5i| = sqrt(26) rounds to 5.0990195135927845, as libm's hypot gives
+    # it through Python's abs and np.hypot; numpy 2.4's complex absolute gave
+    # 5.099019513592785, one ulp above, on an x86-64 machine with AVX-512
+    e = Path("u", ("e",))
+    est = element_norm_estimate(a2, monomial_element(a2, e, e, gauss(1, 5)), p)
+    assert repr(est.value) == repr(float(Decimal(26).sqrt())) == "5.0990195135927845"
+    assert repr(norm_estimate([[1 + 5j]], p).value) == "5.0990195135927845"
+
+
 # ---------------------------------------------------------------------------
 # quadrature check of the degree projections
 # ---------------------------------------------------------------------------
@@ -829,7 +999,11 @@ def test_norm_does_not_depend_on_blas_threads():
     package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
     outputs = []
     for threads in ("1", "2"):
-        env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root}
+        env = {
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+            "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=env, timeout=120

@@ -27,7 +27,12 @@ def test_script_runs(argv):
         [sys.executable, os.path.join(SCRIPTS, argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": package_root},
+        # no bytecode written into the tree under test, as in test_cli.child_env
+        env={
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+            "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

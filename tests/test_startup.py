@@ -2,9 +2,12 @@
 every module loaded at import time is paid on every call."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import leavitt_lab
 from leavitt_lab import zoo
@@ -19,7 +22,7 @@ before = set(sys.modules)
 import leavitt_lab.cli
 
 imported = set(sys.modules) - before
-code = leavitt_lab.cli.main(["normalize", "--graph", sys.argv[1], "--element", sys.argv[2]])
+code = leavitt_lab.cli.main(sys.argv[1:])
 print(repr((code, sorted(imported), sorted(set(sys.modules) - before - imported))))
 """
 
@@ -33,14 +36,26 @@ ELEMENT = (
 )
 
 
-def test_cli_import_and_normalize_load_no_heavy_module(tmp_path):
-    graph, element = tmp_path / "g.json", tmp_path / "a.json"
-    graph.write_text(graph_to_json(zoo.r2()))
-    element.write_text(ELEMENT)
+def term(alpha, beta) -> dict:
+    """The monomial alpha·beta* with coefficient 1 over a3 (u -e1-> v -e2-> w)."""
+    (a, a_src), (b, b_src) = alpha, beta
+    return {"alpha": a, "alpha_src": a_src, "beta": b, "beta_src": b_src, "re": "1", "im": "0"}
+
+
+W, E2, E12 = ([], "w"), (["e2"], "v"), (["e1", "e2"], "u")
+# e2·e2* + e2·(e1 e2)* + (e1 e2)·e2*: one connected 2×2 component
+TWO_BY_TWO = [term(E2, E2), term(E2, E12), term(E12, E2)]
+# e2·w* + (e1 e2)·w*, a 2×1 column, and w·e2*, a 1×1 component
+COLUMN_AND_ONE = [term(E2, W), term(E12, W), term(W, E2)]
+
+
+def run_cli_child(argv) -> tuple[int, list[str], list[str], str]:
+    """(exit code, modules importing the CLI loaded, modules the call then
+    loaded, the call's stdout) of ``cli.main(argv)`` in a fresh interpreter."""
     # the child imports the same leavitt_lab this process imported, installed or from source
     package_root = os.path.dirname(os.path.dirname(leavitt_lab.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(graph), str(element)],
+        [sys.executable, "-c", CHILD, *argv],
         capture_output=True,
         text=True,
         # no bytecode written: a __pycache__ left in the source tree would
@@ -53,12 +68,47 @@ def test_cli_import_and_normalize_load_no_heavy_module(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    *normal_form, last = proc.stdout.splitlines()
-    code, imported, normalized = ast.literal_eval(last)
-    assert code == 0 and normal_form[0].startswith("[{")
+    *out, last = proc.stdout.splitlines()
+    code, imported, called = ast.literal_eval(last)
+    return code, imported, called, "\n".join(out)
+
+
+def test_cli_import_and_normalize_load_no_heavy_module(tmp_path):
+    graph, element = tmp_path / "g.json", tmp_path / "a.json"
+    graph.write_text(graph_to_json(zoo.r2()))
+    element.write_text(ELEMENT)
+    code, imported, normalized, out = run_cli_child(
+        ["normalize", "--graph", str(graph), "--element", str(element)]
+    )
+    assert code == 0 and out.startswith("[{")
     assert "leavitt_lab.cli" in imported
     assert HEAVY.isdisjoint(imported)
     # numpy is a LazyLoader module until an attribute is read; executing it
     # would load its submodules
     assert not [m for m in imported if m.startswith("numpy.")]
     assert not [m for m in normalized if m in HEAVY or m.startswith("numpy")]
+
+
+@pytest.mark.parametrize(
+    "terms, p, runs_numpy",
+    [
+        # p = 1 has a closed form for every component
+        (TWO_BY_TWO, "1", False),
+        (COLUMN_AND_ONE, "1.5", False),
+        (COLUMN_AND_ONE, "2", False),
+        (COLUMN_AND_ONE, "3", False),
+        # the control: a 2×2 component at p = 1.5 runs the power iteration
+        (TWO_BY_TWO, "1.5", True),
+    ],
+    ids=["2x2-p1", "column-and-1x1-p1.5", "column-and-1x1-p2", "column-and-1x1-p3", "2x2-p1.5"],
+)
+def test_norm_runs_numpy_only_for_a_component_without_a_closed_form(tmp_path, terms, p, runs_numpy):
+    graph, element = tmp_path / "g.json", tmp_path / "a.json"
+    graph.write_text(graph_to_json(zoo.a3()))
+    element.write_text(json.dumps(terms))
+    code, imported, called, out = run_cli_child(
+        ["norm", "--graph", str(graph), "--element", str(element), "--p", p]
+    )
+    assert code == 0 and json.loads(out)["p"] == float(p)
+    assert not [m for m in imported if m.startswith("numpy.")]
+    assert any(m.startswith("numpy.") for m in called) is runs_numpy
