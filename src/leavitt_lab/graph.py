@@ -677,15 +677,14 @@ def classify_graph(g: Graph, frontier: str = "refuse") -> Classification:
     truncation stubs (they are kept in the graph but not used as closure seeds,
     since in the untruncated graph their tails continue).
     """
+    if frontier not in ("refuse", "sink"):
+        raise ValueError("frontier must be 'refuse' or 'sink'")
     if not g.vertices:
         raise EmptyGraph("cannot classify the empty graph")
-    if g.frontier:
-        if frontier == "refuse":
-            raise FrontierPresent(
-                "graph has truncation-frontier vertices; classify with frontier='sink' to treat them as stubs"
-            )
-        if frontier != "sink":
-            raise ValueError("frontier must be 'refuse' or 'sink'")
+    if g.frontier and frontier == "refuse":
+        raise FrontierPresent(
+            "graph has truncation-frontier vertices; classify with frontier='sink' to treat them as stubs"
+        )
     return g.analysis.classification
 
 

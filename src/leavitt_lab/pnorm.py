@@ -13,7 +13,10 @@ hypot.  Only a component of two rows and two columns at p != 1 is filled
 densely and runs numpy: its largest singular value at p = 2, otherwise a
 certified lower bound from a nonlinear power iteration whose restarts run
 as one stacked iteration.  A matrix with an infinite or NaN entry has no
-norm here: every kernel refuses it with FloatRange.
+norm here: every kernel refuses it with FloatRange.  The quadrature check
+runs on the same expanded terms, bounded by the expansion budget.  The dense
+images and a whole matrix's norm stay as the reference route, which no
+production route calls.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from typing import NamedTuple, Optional
 from . import matricial
 from .errors import BudgetExceeded, EmptyMatrix, FloatRange
 from .graph import Graph, Path
-from .lpa import Element, GaussianRational, Monomial, degree_component
+from .lpa import Element, GaussianRational, Monomial
 from .matricial import acyclic_expansion, check_sink_blocks, paths_into_by_sink
 
 P_MIN, P_MAX = 1.0, 8.0
 # seeded random starts of the power iteration, and its steps per start
 RESTARTS, MAX_ITER = 8, 200
+# nodes of the quadrature check, 2(2·max(maxdeg, |n|) + 1): |n| up to 16383
+QUADRATURE_NODES = 2**16
 
 
 def _lazy_numpy():
@@ -70,7 +75,8 @@ def _check_args(p: float, seed: int, tol: float) -> float:
 
 
 class SpatialMatrix(NamedTuple):
-    """Per-sink complex float matrices indexed by the paths into each sink."""
+    """Per-sink complex float matrices indexed by the paths into each sink:
+    the dense reference picture, which no production route reads."""
 
     blocks: dict[str, np.ndarray]
     paths: dict[str, tuple[Path, ...]]
@@ -79,11 +85,11 @@ class SpatialMatrix(NamedTuple):
 def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     """Float image of the acyclic block decomposition: each expanded monomial
     a·b* puts its coefficient, as a complex double, at (a, b) of the block of
-    the sink both paths end at; every other entry is zero.
-
-    Raises BudgetExceeded, before anything is built, when the blocks or the
-    expansion would exceed their budgets in ``matricial``, and FloatRange
-    when a coefficient is too large for a double.
+    the sink both paths end at; every other entry is zero.  The reference
+    route: no production route calls it.  Raises BudgetExceeded, before
+    anything is built, when the blocks or the expansion would exceed their
+    budgets in ``matricial``, and FloatRange when a coefficient is too large
+    for a double.
     """
     check_sink_blocks(g, x)
     terms = _float_terms(acyclic_expansion(g, x))
@@ -345,7 +351,8 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
     permutation), each component's norm as ``_component_norm`` gives it.
     ``converged`` is the AND over the iterated components, True when there
     are none.  Raises ValueError when M is not 2-D, EmptyMatrix when it is
-    empty and FloatRange when it has an infinite or NaN entry.
+    empty and FloatRange when it has an infinite or NaN entry.  The reference
+    for a whole matrix: no production route calls it.
     """
     p = _check_args(p, seed, tol)
     M = _finite_matrix(M)
@@ -398,27 +405,24 @@ def element_norm_estimate(
 
 def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
     """Deviation between circle-averaged gauge rotations and the symbolic
-    degree-n component, in the spatial representation.
-
-    The gauge action rotates a matrix entry by z^(row length - column length),
-    so the rectangle rule with enough equispaced nodes integrates the entry
-    exactly; the node count is twice the minimum 2·maxdeg+1, widened when |n|
-    itself exceeds the element's degree spread.
+    degree-n component, over the expanded terms a·b*, whose degree-n ones
+    are the component's: the gauge action rotates a·b*'s entry by
+    z^(|a| - |b|), so the rectangle rule on twice the minimum 2·maxdeg+1
+    nodes, more when |n| exceeds maxdeg, integrates it exactly.  Raises
+    BudgetExceeded, before anything is built, above ``QUADRATURE_NODES``
+    nodes or ``matricial.EXPANSION_BUDGET`` terms.  Overflow gives inf or NaN.
     """
-    rep = spatial_rep_acyclic(g, x)
-    sym = spatial_rep_acyclic(g, degree_component(x, n))
     maxdeg = max((abs(d) for d in x.degrees()), default=0)
     K = 2 * (2 * max(maxdeg, abs(n)) + 1)
+    if K > QUADRATURE_NODES:
+        raise BudgetExceeded(f"the quadrature would take {K} nodes, over the budget of {QUADRATURE_NODES}")
+    terms = _float_terms(acyclic_expansion(g, x))
+    degs = np.array([a.length - b.length for a, b, _ in terms], dtype=int)
+    vals = np.array([z for _, _, z in terms], dtype=np.complex128)
+    sym = np.where(degs == n, vals, 0)
     thetas = 2.0 * np.pi * np.arange(K) / K
-
-    worst = 0.0
-    for v, M in rep.blocks.items():
-        rows = np.array([p_.length for p_ in rep.paths[v]])
-        degs = rows[:, None] - rows[None, :]
-        acc = np.zeros_like(M)
-        for theta in thetas:
-            phases = np.exp(1j * theta * degs)
-            acc += np.exp(-1j * n * theta) * (phases * M)
-        acc /= K
-        worst = max(worst, float(np.abs(acc - sym.blocks[v]).max()))
-    return worst
+    acc = np.zeros_like(vals)
+    for theta in thetas:
+        acc += np.exp(-1j * n * theta) * (np.exp(1j * theta * degs) * vals)
+    acc /= K
+    return float(np.abs(acc - sym).max(initial=0.0))

@@ -369,8 +369,10 @@ def _least_path_into(g: Graph, n: int, w: str) -> Path:
 def spi_witness(a: Element) -> Witness:
     """Produce x, y, v with x·a·y = v for a nonzero element over an SPI graph.
 
-    Requires a finite row-finite graph without sources (route other graphs
-    through remove_sources / desingularize first).  The stages:
+    Requires a finite row-finite graph without sources: a graph with sources
+    is refused with HasSources and one with infinite emitters with
+    OmegaUnsupported.  No transform carries the element across (remove_sources
+    deletes the sources, which the element may use).  The stages:
 
     * Step 4: if the degree-zero part vanishes, shift the least nonzero
       homogeneous component to degree zero by composing with a path of

@@ -20,12 +20,14 @@ from leavitt_lab.lpa import (
     Element,
     GaussianRational,
     Monomial,
+    degree_component,
     involute,
     monomial_key,
     multiply,
     path_element,
 )
 from leavitt_lab.matricial import acyclic_decompose
+from leavitt_lab.pnorm import spatial_rep_acyclic
 from leavitt_lab.spi import incomparable_closed_path
 
 
@@ -571,3 +573,27 @@ def oracle_dense_norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10):
         return float(np.linalg.norm(M, 2)), False, True
     value, converged = oracle_power_iteration(M, p, 8, seed, tol, 200)
     return value, False, converged
+
+
+def oracle_quadrature_error(g: Graph, x: Element, n: int) -> float:
+    """The quadrature check on the dense sink blocks: the circle average of
+    the gauge rotations of x's spatial image, entry by entry over every k²
+    entries of each block, against the image of ``degree_component(x, n)``,
+    with the node count and the array operations of production."""
+    rep = spatial_rep_acyclic(g, x)
+    sym = spatial_rep_acyclic(g, degree_component(x, n))
+    maxdeg = max((abs(d) for d in x.degrees()), default=0)
+    K = 2 * (2 * max(maxdeg, abs(n)) + 1)
+    thetas = 2.0 * np.pi * np.arange(K) / K
+
+    worst = 0.0
+    for v, M in rep.blocks.items():
+        rows = np.array([p_.length for p_ in rep.paths[v]])
+        degs = rows[:, None] - rows[None, :]
+        acc = np.zeros_like(M)
+        for theta in thetas:
+            phases = np.exp(1j * theta * degs)
+            acc += np.exp(-1j * n * theta) * (phases * M)
+        acc /= K
+        worst = max(worst, float(np.abs(acc - sym.blocks[v]).max()))
+    return worst

@@ -304,6 +304,13 @@ def test_classify_frontier_modes():
     assert c.verdict is Verdict.SIMPLE_PURELY_INFINITE
 
 
+def test_classify_refuses_an_unknown_frontier_mode_on_every_graph():
+    # checked before the graph is looked at, so also with no frontier vertex
+    for g in (desingularize(zoo.omega_spi(), 2), zoo.rose(2), zoo.a2(), Graph((), ())):
+        with pytest.raises(ValueError, match="frontier must be 'refuse' or 'sink'"):
+            classify_graph(g, frontier="bogus")
+
+
 def test_standard_zoo_verdicts():
     expected = {
         "r1": Verdict.NOT_SIMPLE,

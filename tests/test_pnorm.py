@@ -44,6 +44,7 @@ from oracles import (
     oracle_column_sum_norm,
     oracle_dense_norm_estimate,
     oracle_power_iteration,
+    oracle_quadrature_error,
     oracle_spatial_rep_acyclic,
 )
 
@@ -849,16 +850,29 @@ def test_element_norm_matches_the_dense_route(case, p, seed):
         assert dense * (1 - 1e-10) <= est.value <= high * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_element_norm_builds_no_dense_block(p):
+def assert_builds_no_dense_block(route):
+    """Runs route(g, x) on three elements, with spies on the dense builders."""
     spies = [
         mock.patch.object(pnorm, name, wraps=getattr(pnorm, name))
         for name in ("spatial_rep_acyclic", "paths_into_by_sink")
     ]
     with spies[0] as dense, spies[1] as paths:
         for g, x in (lex_is_not_block_order(), star_of_sources(), row_and_column_element()):
-            element_norm_estimate(g, x, p)
+            route(g, x)
     assert (dense.call_count, paths.call_count) == (0, 0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_element_norm_builds_no_dense_block(p):
+    assert_builds_no_dense_block(lambda g, x: element_norm_estimate(g, x, p))
+
+
+def test_quadrature_builds_no_dense_block():
+    assert_builds_no_dense_block(
+        lambda g, x: [degree_component_quadrature_error(g, x, n) for n in range(-3, 4)]
+    )
+    # nor a degree component: the expansion's degree-n terms are its image
+    assert not hasattr(pnorm, "degree_component")
 
 
 def test_acyclic_blocks_hold_their_sink():
@@ -979,6 +993,63 @@ def test_quadrature_random_all_degrees():
             maxdeg = max((abs(d) for d in x.degrees()), default=0)
             for n in range(-maxdeg - 1, maxdeg + 2):
                 assert degree_component_quadrature_error(g, x, n) <= 1e-9
+
+
+@st.composite
+def doubled_line_elements(draw):
+    """A random element over the doubled line on 6 vertices: 63 paths into
+    its sink, degrees up to ±5."""
+    g = doubled_line(6)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return g, random_element(g, rng, max_terms=draw(st.integers(1, 6)), max_len=5, nonzero=False)
+
+
+EMPTY = Graph((), ())
+
+
+@given(st.one_of(acyclic_graphs_and_elements(), doubled_line_elements()))
+@example((EMPTY, zero(EMPTY)))
+@example((zoo.a3(), zero(zoo.a3())))
+@settings(deadline=None, max_examples=200)
+def test_quadrature_on_the_expanded_terms_matches_the_dense_blocks(case):
+    # one entry per expanded term against every entry of the dense sink
+    # blocks, bit for bit: the same per-entry operations, and the zeros of
+    # the blocks add nothing to the maximum
+    g, x = case
+    maxdeg = max((abs(d) for d in x.degrees()), default=0)
+    for n in range(-maxdeg - 1, maxdeg + 2):
+        assert repr(degree_component_quadrature_error(g, x, n)) == repr(
+            oracle_quadrature_error(g, x, n)
+        )
+
+
+def test_quadrature_answers_past_the_block_budget():
+    # the edge a0 expands into 2^10 terms; the 4095 paths into the sink make
+    # a dense block of 4095^2 entries, over BLOCK_BUDGET, which the dense
+    # check refuses
+    g = doubled_line(12)
+    x = path_element(g, ("a0",))
+    with pytest.raises(BudgetExceeded, match="sink blocks"):
+        oracle_quadrature_error(g, x, 1)
+    for n in range(-2, 3):
+        assert degree_component_quadrature_error(g, x, n) <= 1e-12
+
+
+def test_quadrature_refuses_too_many_nodes_before_building(a2, monkeypatch):
+    e = path_element(a2, ("e",))
+    # 4·10^9 + 2 nodes: np.arange of them alone would take 32 GB, so the
+    # expansion, which comes first of all that is built, must not be reached
+    unreached = AssertionError("expanded before the node count was checked")
+    with mock.patch.object(pnorm, "acyclic_expansion", side_effect=unreached):
+        with pytest.raises(BudgetExceeded, match="4000000002 nodes, over the budget of 65536"):
+            degree_component_quadrature_error(a2, e, 10**9)
+    # the budget is inclusive: n = ±2 takes 10 nodes, n = ±3 takes 14
+    monkeypatch.setattr(pnorm, "QUADRATURE_NODES", 10)
+    for n in (-2, 2):
+        assert degree_component_quadrature_error(a2, e, n) <= 1e-12
+    for n in (-3, 3):
+        with pytest.raises(BudgetExceeded, match="14 nodes"):
+            degree_component_quadrature_error(a2, e, n)
 
 
 BLAS_PROBE = """
