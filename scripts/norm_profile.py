@@ -11,10 +11,10 @@ Usage:
 
 import argparse
 import random
+from collections import defaultdict
 
-import numpy as np
-
-from leavitt_lab.pnorm import element_norm_estimate, spatial_rep_acyclic
+from leavitt_lab.matricial import acyclic_expansion
+from leavitt_lab.pnorm import element_norm_estimate
 from leavitt_lab.sample import random_element
 from leavitt_lab.zoo import line
 
@@ -30,9 +30,13 @@ def main() -> None:
     x = random_element(g, random.Random(args.seed), max_terms=args.terms, max_len=3)
     print(f"element over a {args.edges}-edge line, {len(x)} normal-form terms")
 
-    rep = spatial_rep_acyclic(g, x)
-    colsum = max(float(np.abs(M).sum(axis=0).max()) for M in rep.blocks.values())
-    rowsum = max(float(np.abs(M).sum(axis=1).max()) for M in rep.blocks.values())
+    # each expanded term a·b* is the entry (a, b) of its sink block
+    cols, rows = defaultdict(float), defaultdict(float)
+    for m, c in acyclic_expansion(g, x).items():
+        cols[m.beta] += abs(complex(c))
+        rows[m.alpha] += abs(complex(c))
+    colsum = max(cols.values(), default=0.0)
+    rowsum = max(rows.values(), default=0.0)
     print(f"interpolation envelope: max(colsum={colsum:.6f}, rowsum={rowsum:.6f})")
 
     for p in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0):

@@ -14,7 +14,8 @@ densely and runs numpy: its largest singular value at p = 2, otherwise a
 certified lower bound from a nonlinear power iteration whose restarts run
 as one stacked iteration.  A matrix with an infinite or NaN entry has no
 norm here: every kernel refuses it with FloatRange.  The quadrature check
-runs on the same expanded terms, bounded by the expansion budget.  The dense
+runs on the same expanded terms, bounded by the expansion budget, by 2^16
+nodes and by 2^28 node × term updates (``QUADRATURE_UPDATES``).  The dense
 images and a whole matrix's norm stay as the reference route, which no
 production route calls.
 """
@@ -38,6 +39,8 @@ P_MIN, P_MAX = 1.0, 8.0
 RESTARTS, MAX_ITER = 8, 200
 # nodes of the quadrature check, 2(2·max(maxdeg, |n|) + 1): |n| up to 16383
 QUADRATURE_NODES = 2**16
+# nodes × expanded terms of the quadrature check, one complex update each
+QUADRATURE_UPDATES = 2**28
 
 
 def _lazy_numpy():
@@ -408,21 +411,30 @@ def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
     degree-n component, over the expanded terms a·b*, whose degree-n ones
     are the component's: the gauge action rotates a·b*'s entry by
     z^(|a| - |b|), so the rectangle rule on twice the minimum 2·maxdeg+1
-    nodes, more when |n| exceeds maxdeg, integrates it exactly.  Raises
+    nodes, more when |n| exceeds maxdeg, integrates it exactly.  At each node
+    the rotation is exponentiated once per distinct degree.  Raises
     BudgetExceeded, before anything is built, above ``QUADRATURE_NODES``
-    nodes or ``matricial.EXPANSION_BUDGET`` terms.  Overflow gives inf or NaN.
+    nodes or ``matricial.EXPANSION_BUDGET`` terms, and before the node loop
+    above ``QUADRATURE_UPDATES`` nodes × terms.  Overflow gives inf or NaN.
     """
     maxdeg = max((abs(d) for d in x.degrees()), default=0)
     K = 2 * (2 * max(maxdeg, abs(n)) + 1)
     if K > QUADRATURE_NODES:
         raise BudgetExceeded(f"the quadrature would take {K} nodes, over the budget of {QUADRATURE_NODES}")
-    terms = _float_terms(acyclic_expansion(g, x))
+    expansion = acyclic_expansion(g, x)
+    if K * len(expansion) > QUADRATURE_UPDATES:
+        raise BudgetExceeded(
+            f"the quadrature would take {K} nodes × {len(expansion)} terms = "
+            f"{K * len(expansion)} updates, over the budget of {QUADRATURE_UPDATES}"
+        )
+    terms = _float_terms(expansion)
     degs = np.array([a.length - b.length for a, b, _ in terms], dtype=int)
     vals = np.array([z for _, _, z in terms], dtype=np.complex128)
     sym = np.where(degs == n, vals, 0)
+    distinct, which = np.unique(degs, return_inverse=True)
     thetas = 2.0 * np.pi * np.arange(K) / K
     acc = np.zeros_like(vals)
     for theta in thetas:
-        acc += np.exp(-1j * n * theta) * (np.exp(1j * theta * degs) * vals)
+        acc += np.exp(-1j * n * theta) * (np.exp(1j * theta * distinct)[which] * vals)
     acc /= K
     return float(np.abs(acc - sym).max(initial=0.0))

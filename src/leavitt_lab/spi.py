@@ -60,27 +60,26 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     """
     if length == 0:
         return [Path(v)]
-    return list(_closed_paths(g, v, length, omega_copies, _steps_to(g, v, omega_copies)))
+    return list(_closed_paths(g, v, length, omega_copies, _steps_to(g, {v})))
 
 
-def _steps_to(g: Graph, v: str, omega_copies: int) -> dict[str, int]:
-    """Steps from each vertex back to v, by BFS over predecessors."""
-    steps_to_v = {v: 0}
-    level = [v]
+def _steps_to(g: Graph, targets: Iterable[str]) -> dict[str, int]:
+    """Steps from each vertex to the nearest of ``targets``, by BFS over
+    predecessors; a vertex that reaches none is missing.  Omega pairs count
+    as edges: for a walk whose alphabet has none, that is a lower bound."""
+    steps_to = dict.fromkeys(targets, 0)
+    level = list(steps_to)
     steps = 0
     while level:
         steps += 1
         nxt = []
         for w in level:
-            preds = [e.src for e in g.in_edges[w]]
-            if omega_copies:
-                preds.extend(g.omega_by_dst[w])
-            for u in preds:
-                if u not in steps_to_v:
-                    steps_to_v[u] = steps
+            for u in [e.src for e in g.in_edges[w]] + list(g.omega_by_dst[w]):
+                if u not in steps_to:
+                    steps_to[u] = steps
                     nxt.append(u)
         level = nxt
-    return steps_to_v
+    return steps_to
 
 
 def _closed_paths(
@@ -114,7 +113,7 @@ def _closed_paths(
 def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
     """Shortest-lex closed path at v incomparable with alpha in the path order."""
     cap = 2 * alpha.length + len(g.vertices) + 2
-    steps_to_v = _steps_to(g, v, 2)
+    steps_to_v = _steps_to(g, {v})
     for length in range(1, cap + 1):
         for sigma in _closed_paths(g, v, length, 2, steps_to_v):
             if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha)):
@@ -125,26 +124,20 @@ def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
 
 
 def path_to_cycle_base(g: Graph, v: str) -> Path:
-    """Shortest-lex path from v to a vertex lying on a cycle (trivial if v does)."""
+    """Shortest-lex path from v to a vertex lying on a cycle (trivial if v
+    does): at each step the least edge whose range is one step nearer one."""
     bases = g.analysis.cycle_bases
     if v in bases:
         return Path(v)
+    steps = _steps_to(g, bases)
+    if v not in steps:
+        raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
     alphabet = g.out_alphabet()
-    frontier: list[Path] = [Path(v)]
-    seen = {v}
-    while frontier:
-        nxt: list[Path] = []
-        for p in frontier:  # built in lexicographic order
-            at = g.range_of(p)
-            for eid, dst in alphabet[at]:
-                q = Path(v, p.edges + (eid,))
-                if dst in bases:
-                    return q
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(q)
-        frontier = nxt
-    raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
+    edges, at = [], v
+    for left in range(steps[v] - 1, -1, -1):
+        eid, at = next((eid, dst) for eid, dst in alphabet[at] if steps.get(dst) == left)
+        edges.append(eid)
+    return Path(v, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,13 @@ def _verify_embedding(emb: EmbeddingData) -> None:
             want = vs[u] if u == w else zero(g)
             if prod != want:
                 raise InternalError(f"vertex images of {u!r}, {w!r} are not orthogonal idempotents")
+    ghosts = {e.id: involute(es[e.id]) for e in dom.edges}
     for e in dom.edges:
         img = es[e.id]
         if multiply(vs[e.src], img) != img or multiply(img, vs[e.dst]) != img:
             raise InternalError(f"edge image of {e.id!r} is not compatible with its endpoints")
         for f in dom.edges:
-            prod = multiply(involute(img), es[f.id])
+            prod = multiply(ghosts[e.id], es[f.id])
             want = vs[e.dst] if f.id == e.id else zero(g)
             if prod != want:
                 raise InternalError(f"ghost relation fails at {e.id!r}, {f.id!r}")
@@ -167,7 +168,7 @@ def _verify_embedding(emb: EmbeddingData) -> None:
             continue
         acc = zero(g)
         for e in dom.out_edges[v]:
-            acc = acc + multiply(es[e.id], involute(es[e.id]))
+            acc = acc + multiply(es[e.id], ghosts[e.id])
         if acc != vs[v]:
             raise InternalError(f"range relation fails at regular vertex {v!r}")
 
@@ -177,9 +178,10 @@ def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:
 
     A vertex v of F is incomplete when it emits in F strictly fewer edges than
     in g (infinite emitters of g included); such vertices receive a primed twin
-    v' and each F-edge into them a primed twin e'.  The twin images are the
-    complementary idempotents v - m_v and the edge corrections e·(v - m_v),
-    where m_v sums e·e* over the F-edges out of v.
+    v' and each F-edge into them a primed twin e'.  Such a v maps to m_v, the
+    sum of e·e* over the F-edges out of v, built once, and v' to the
+    complementary idempotent v - m_v; an F-edge e into v maps to e·m_v and
+    its twin e' to e·(v - m_v), each the edge times its range's image.
     """
     if F.omega_pairs:
         raise NotASubgraph("a subgraph is given by explicit vertices and edges only")
@@ -218,27 +220,21 @@ def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:
             dom_edges.append(Edge(primed_edge[e.id], e.src, primed_vertex[e.dst]))
     domain = Graph(dom_vertices, tuple(dom_edges))
 
-    def m_of(v: str) -> Element:
-        acc = zero(g)
+    vertex_images = {v: vertex_element(g, v) for v in F.vertices}
+    for v in incomplete:
+        m_v = zero(g)
         for e in F.out_edges[v]:
             ee = path_element(g, (e.id,))
-            acc = acc + multiply(ee, involute(ee))
-        return acc
-
-    vertex_images: dict[str, Element] = {}
-    for v in F.vertices:
-        vertex_images[v] = m_of(v) if v in incomplete_set else vertex_element(g, v)
-    for v in incomplete:
-        vertex_images[primed_vertex[v]] = vertex_element(g, v) - m_of(v)
+            m_v = m_v + multiply(ee, involute(ee))
+        vertex_images[primed_vertex[v]] = vertex_images[v] - m_v
+        vertex_images[v] = m_v
 
     edge_images: dict[str, Element] = {}
     for e in F.edges:
         base = path_element(g, (e.id,))
         if e.dst in incomplete_set:
-            edge_images[e.id] = multiply(base, m_of(e.dst))
-            edge_images[primed_edge[e.id]] = multiply(
-                base, vertex_element(g, e.dst) - m_of(e.dst)
-            )
+            edge_images[e.id] = multiply(base, vertex_images[e.dst])
+            edge_images[primed_edge[e.id]] = multiply(base, vertex_images[primed_vertex[e.dst]])
         else:
             edge_images[e.id] = base
 

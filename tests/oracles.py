@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from leavitt_lab.errors import BecameEmpty, FormatError
+from leavitt_lab.errors import BecameEmpty, FormatError, InternalError
 from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at
 from leavitt_lab.lpa import (
     Element,
@@ -156,6 +156,30 @@ def oracle_closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2)
 
     walk(v, [])
     return sorted(found, key=lambda p: p.edges)
+
+
+def oracle_path_to_cycle_base(g: Graph, v: str) -> Path:
+    """Shortest-lex path from v to a vertex lying on a cycle, by a forward
+    BFS that builds a path for each vertex it visits, in lexicographic order."""
+    bases = g.analysis.cycle_bases
+    if v in bases:
+        return Path(v)
+    alphabet = g.out_alphabet()
+    frontier: list[Path] = [Path(v)]
+    seen = {v}
+    while frontier:
+        nxt: list[Path] = []
+        for p in frontier:  # built in lexicographic order
+            at = g.range_of(p)
+            for eid, dst in alphabet[at]:
+                q = Path(v, p.edges + (eid,))
+                if dst in bases:
+                    return q
+                if dst not in seen:
+                    seen.add(dst)
+                    nxt.append(q)
+        frontier = nxt
+    raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
 
 
 def oracle_word_candidates(alpha: Path, beta: Path, max_blocks: int) -> list[Path]:

@@ -66,14 +66,22 @@ def test_unused_imports_are_caught():
     assert unused_imports(source) == ["json (line 1)", "path (line 3)"]
 
 
+def read_sources(directory: str, skip: str = "") -> list[tuple[str, str]]:
+    """(file name, source) of each Python file in the directory, by name."""
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py") and name != skip:
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                out.append((name, fh.read()))
+    return out
+
+
 def findings(check) -> dict[str, list[str]]:
     found = {}
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                hits = check(fh.read())
-            if hits:
-                found[name] = hits
+    for name, source in read_sources(SRC):
+        hits = check(source)
+        if hits:
+            found[name] = hits
     return found
 
 
@@ -129,3 +137,59 @@ def test_self_calls_are_caught():
 
 def test_package_has_no_self_calls():
     assert findings(self_calls) == {}
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def names_in(source: str) -> set[str]:
+    """Every name the module mentions as code: a name, an attribute or an
+    imported name, in any context.  Strings and comments do not count."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+    return named
+
+
+def orphaned_public_names(package: dict[str, str], users: list[str]) -> list[str]:
+    """Public top-level functions and classes of the package modules that no
+    package module and no user source names: code that only its own
+    definition and re-exports keep alive."""
+    named = set().union(*map(names_in, [*package.values(), *users]))
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named
+    ]
+
+
+def test_orphaned_public_names_are_caught():
+    package = {
+        "kernel.py": "def used():\n    pass\ndef helper():\n    pass\nclass Old:\n    pass\n"
+        "def _private():\n    pass\ndef imported():\n    pass\ndef orphan():\n    '''orphan'''\n",
+        "cli.py": "from .kernel import imported\nimport kernel\nkernel.helper()\n",
+    }
+    users = ["from kernel import used\nprint('Old')  # orphan\n"]
+    assert orphaned_public_names(package, users) == [
+        "kernel.py: Old (line 5)",
+        "kernel.py: orphan (line 11)",
+    ]
+
+
+def test_package_has_no_orphaned_public_names():
+    # __init__ only re-exports: a name it alone mentions is still orphaned
+    package = dict(read_sources(SRC, skip="__init__.py"))
+    users = [
+        source
+        for directory in ("tests", "scripts")
+        for _, source in read_sources(os.path.join(ROOT, directory))
+    ]
+    assert orphaned_public_names(package, users) == []

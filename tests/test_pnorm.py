@@ -1052,6 +1052,22 @@ def test_quadrature_refuses_too_many_nodes_before_building(a2, monkeypatch):
             degree_component_quadrature_error(a2, e, n)
 
 
+
+def test_quadrature_refuses_too_many_updates_before_the_node_loop(monkeypatch):
+    # the edge a0 of the doubled line on 4 vertices expands into 4 terms;
+    # the budget is inclusive: n = ±1 takes 6 nodes × 4 terms, n = ±2 takes 10
+    g = doubled_line(4)
+    x = path_element(g, ("a0",))
+    monkeypatch.setattr(pnorm, "QUADRATURE_UPDATES", 24)
+    for n in (-1, 1):
+        assert degree_component_quadrature_error(g, x, n) <= 1e-12
+    unreached = AssertionError("terms rounded before the update count was checked")
+    refusal = "10 nodes × 4 terms = 40 updates, over the budget of 24"
+    with mock.patch.object(pnorm, "_float_terms", side_effect=unreached):
+        for n in (-2, 2):
+            with pytest.raises(BudgetExceeded, match=refusal):
+                degree_component_quadrature_error(g, x, n)
+
 BLAS_PROBE = """
 from leavitt_lab.pnorm import norm_estimate
 import numpy as np

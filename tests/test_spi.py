@@ -44,7 +44,12 @@ from leavitt_lab.spi import (
     witness_from_json_obj,
 )
 
-from oracles import oracle_closed_paths_at, oracle_cohn_pair, oracle_word_candidates
+from oracles import (
+    oracle_closed_paths_at,
+    oracle_cohn_pair,
+    oracle_path_to_cycle_base,
+    oracle_word_candidates,
+)
 from test_graph import random_graphs
 
 
@@ -75,7 +80,22 @@ def test_path_to_cycle_base():
     assert path_to_cycle_base(g, "v") == Path("v")
 
 
-@given(random_graphs(max_vertices=5), st.integers(0, 6), st.sampled_from([1, 2]))
+@given(random_graphs(max_vertices=7, max_omega=3))
+@settings(deadline=None, max_examples=300)
+def test_path_to_cycle_base_matches_forward_bfs_oracle(g):
+    # the witness workloads start every route on a cycle, so this is the
+    # walk's only check
+    for v in g.vertices:
+        try:
+            expected = oracle_path_to_cycle_base(g, v)
+        except InternalError:
+            with pytest.raises(InternalError):
+                path_to_cycle_base(g, v)
+        else:
+            assert path_to_cycle_base(g, v) == expected
+
+
+@given(random_graphs(max_vertices=5), st.integers(0, 6), st.sampled_from([0, 1, 2]))
 @settings(deadline=None, max_examples=150)
 def test_closed_paths_match_recursive_oracle(g, length, omega_copies):
     for v in g.vertices:
