@@ -19,7 +19,6 @@ from .errors import (
     FloatRange,
     FormatError,
     FrontierPresent,
-    HasSources,
     InternalError,
     LeavittError,
     NoInfiniteEmitters,
@@ -62,7 +61,6 @@ EXIT_CODES = {
     ValueError: 2,
     EmptyGraph: 3,
     NotSPI: 4,
-    HasSources: 4,
     FrontierPresent: 4,
     ZeroElement: 5,
     BecameEmpty: 6,
@@ -80,7 +78,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -276,8 +274,6 @@ def main(argv=None) -> int:
     except (LeavittError, ValueError) as exc:
         internal = "internal error: " if isinstance(exc, InternalError) else ""
         print(f"error: {internal}{exc}", file=sys.stderr)
-        if isinstance(exc, HasSources):
-            print("hint: run 'leavitt-lab transform remove-sources' first", file=sys.stderr)
         if isinstance(exc, OmegaUnsupported) and args.command == "witness":
             print("hint: run 'leavitt-lab transform desingularize' first", file=sys.stderr)
             return 4

@@ -72,10 +72,6 @@ class NotSPI(LeavittError):
     """The graph does not classify as simple purely infinite."""
 
 
-class HasSources(LeavittError):
-    """The graph has sources; remove them first."""
-
-
 class NotCycleBase(LeavittError):
     """The vertex is not the base of any cycle."""
 

@@ -1,8 +1,8 @@
 """Constructive pure-infiniteness machinery.
 
-For a finite row-finite graph without sources whose classifier verdict is
-simple purely infinite, every nonzero element a admits x, y and a vertex v
-with x·a·y = v, exactly.  The witness is produced in stages: shift a nonzero
+For a finite row-finite graph whose classifier verdict is simple purely
+infinite, every nonzero element a admits x, y and a vertex v with x·a·y = v,
+exactly.  The witness is produced in stages: shift a nonzero
 homogeneous component to degree zero, extract a matrix entry there, route to a
 cycle base, and kill the off-degree remainder with an annihilating closed
 path.  Because the arithmetic is exact, no invertible correction factor is
@@ -16,7 +16,6 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
-    HasSources,
     InternalError,
     NotDegreeFree,
     NotSPI,
@@ -341,36 +340,19 @@ def make_witness(a: Element, x: Element, y: Element, v: str, trace) -> Witness:
     return Witness(x, y, v, tuple(trace))
 
 
-def _least_path_into(g: Graph, n: int, w: str) -> Path:
-    """``enumerate_paths(g, n, end=w)[0]`` for n >= 1 without the enumeration.
-    reach[r] holds the vertices with a path of exactly r edges into w; the
-    least path starts with the least edge into reach[n - 1], then at each step
-    takes the least edge whose range can still finish."""
-    reach = [{w}]
-    for _ in range(n - 1):
-        reach.append({e.src for u in reach[-1] for e in g.in_edges[u]})
-    first = min(e.id for e in g.edges if e.dst in reach[-1])
-    source, at = g.edge_endpoints(first)
-    edges = [first]
-    alphabet = g.out_alphabet()
-    for r in range(n - 2, -1, -1):
-        eid, at = next((eid, dst) for eid, dst in alphabet[at] if dst in reach[r])
-        edges.append(eid)
-    return Path(source, tuple(edges))
-
-
 def spi_witness(a: Element) -> Witness:
     """Produce x, y, v with x·a·y = v for a nonzero element over an SPI graph.
 
-    Requires a finite row-finite graph without sources: a graph with sources
-    is refused with HasSources and one with infinite emitters with
-    OmegaUnsupported.  No transform carries the element across (remove_sources
-    deletes the sources, which the element may use).  The stages:
+    Requires a finite row-finite graph: one with infinite emitters is refused
+    with OmegaUnsupported.  Sources are allowed.  The stages:
 
     * Step 4: if the degree-zero part vanishes, shift the least nonzero
-      homogeneous component to degree zero by composing with a path of
-      matching length (ghost side for positive degree, path side for
-      negative degree).
+      homogeneous component a_n to degree zero by a prefix gamma of its least
+      term: the first n edges of that term's alpha, taken as gamma* on the
+      left, when n > 0; the first |n| edges of its beta, taken as gamma on
+      the right, when n < 0.  gamma·gamma*·a_n (or a_n·gamma·gamma*) is the
+      part of a_n whose terms start with gamma, which holds the least term,
+      so the shifted degree-zero part is nonzero.
     * Step 3: extract a matrix entry of the degree-zero part, giving
       homogeneous x0, y0 with x0·a·y0 = u for a vertex u.
     * Step 2: route u to a cycle base along a path and kill the off-degree
@@ -381,34 +363,32 @@ def spi_witness(a: Element) -> Witness:
     g = a.graph
     if g.omega_pairs:
         raise OmegaUnsupported("the witness construction needs a row-finite graph; desingularize first")
-    if any(g.is_source(v) for v in g.vertices):
-        raise HasSources("the graph has sources; apply source removal first")
     _require_spi(g)
     if a.is_zero:
         raise ZeroElement("no witness for 0")
 
     trace: list[dict] = [{"step": "Normalize", "a": element_to_json_obj(a)}]
     work = a
-    left = right = None  # Step 4's shift: alpha on the left or alpha* on the right
+    left = right = None  # Step 4's shift: gamma* on the left or gamma on the right
 
     if degree_component(work, 0).is_zero:
         n = min(work.degrees(), key=lambda d: (abs(d), d < 0))
-        ends = {(m.beta if n > 0 else m.alpha).source for m, _ in degree_component(work, n).terms()}
-        w = next(v for v in g.vertices if v in ends)
-        alpha = _least_path_into(g, abs(n), w)
+        least = degree_component(work, n).terms()[0][0]
         if n > 0:
-            right = involute(path_element(g, alpha))
-            work = multiply(work, right)
-        else:
-            left = path_element(g, alpha)
+            gamma = Path(least.alpha.source, least.alpha.edges[:n])
+            left = involute(path_element(g, gamma))
             work = multiply(left, work)
+        else:
+            gamma = Path(least.beta.source, least.beta.edges[:-n])
+            right = path_element(g, gamma)
+            work = multiply(work, right)
         trace.append(
             {
                 "step": "Step4",
                 "n": n,
-                "alpha": list(alpha.edges),
-                "alpha_src": alpha.source,
-                "vertex": w,
+                "alpha": list(gamma.edges),
+                "alpha_src": gamma.source,
+                "vertex": g.range_of(gamma),
             }
         )
 

@@ -12,7 +12,15 @@ from conftest import source_tail_into_rose
 from leavitt_lab import errors, transforms, zoo
 from leavitt_lab.cli import COMMANDS, build_parser, main
 from leavitt_lab.graph import Graph, graph_from_json, graph_to_json
-from leavitt_lab.lpa import element_from_json, element_to_json, path_element, vertex_element, zero
+from leavitt_lab.lpa import (
+    element_from_json,
+    element_to_json,
+    involute,
+    multiply,
+    path_element,
+    vertex_element,
+    zero,
+)
 
 
 @pytest.fixture
@@ -172,6 +180,23 @@ def test_classify_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("option", ["--graph", "--element", "--subgraph"])
+def test_undecodable_input_file_exits_2_naming_it(capsys, tmp_path, r2_file, option):
+    bad = str(tmp_path / "latin1.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"vertices": ["\xe9"], "edges": []}')
+    elem = write_element(tmp_path, zoo.r2(), vertex_element(zoo.r2(), "v"))
+    argv = {
+        "--graph": ["witness", "--graph", bad, "--element", elem],
+        "--element": ["witness", "--graph", r2_file, "--element", bad],
+        "--subgraph": ["transform", "complete", "--graph", r2_file, "--subgraph", bad],
+    }[option]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_classify_frontier_flag(capsys, tmp_path):
     from leavitt_lab.transforms import desingularize
 
@@ -202,8 +227,6 @@ def test_witness_verified(capsys, tmp_path, r2_file):
     assert obj["v"] == "v"
     x = element_from_json(g, json.dumps(obj["x"]))
     y = element_from_json(g, json.dumps(obj["y"]))
-    from leavitt_lab.lpa import multiply
-
     assert multiply(multiply(x, path_element(g, ("e",))), y) == vertex_element(g, "v")
 
 
@@ -247,14 +270,17 @@ def test_witness_exit_5_on_zero(capsys, tmp_path, r2_file):
     assert code == 5
 
 
-def test_witness_exit_4_with_hint_on_sources(capsys, tmp_path):
+@pytest.mark.parametrize("element", ["u", "v", "gg*"])
+def test_witness_verified_over_sources(capsys, tmp_path, element):
     g = zoo.source_into_rose()
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(g))
-    elem = write_element(tmp_path, g, vertex_element(g, "v"))
+    gg = path_element(g, ("g",))
+    x = multiply(gg, involute(gg)) if element == "gg*" else vertex_element(g, element)
+    elem = write_element(tmp_path, g, x)
     code, out, err = run(capsys, ["witness", "--graph", str(gp), "--element", elem])
-    assert code == 4
-    assert "remove-sources" in err
+    assert code == 0
+    assert json.loads(out)["verified"] is True
 
 
 def test_witness_exit_4_with_hint_on_omega(capsys, tmp_path):
@@ -816,7 +842,6 @@ EXIT_CODE = {
     ValueError: 2,
     errors.EmptyGraph: 3,
     errors.NotSPI: 4,
-    errors.HasSources: 4,
     errors.FrontierPresent: 4,
     errors.ZeroElement: 5,
     errors.BecameEmpty: 6,
@@ -829,7 +854,6 @@ ERROR_CLASSES = [ValueError] + [
     for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.LeavittError)
 ]
-SOURCES_HINT = "hint: run 'leavitt-lab transform remove-sources' first"
 OMEGA_HINT = "hint: run 'leavitt-lab transform desingularize' first"
 
 
@@ -846,7 +870,6 @@ def test_error_exit_codes(capsys, monkeypatch, cls, command):
     assert out == ""
     internal = "internal error: " if cls is errors.InternalError else ""
     assert err.splitlines()[0] == f"error: {internal}boom"
-    assert (SOURCES_HINT in err) == (cls is errors.HasSources)
     assert (OMEGA_HINT in err) == omega_on_witness
 
 

@@ -193,3 +193,50 @@ def test_package_has_no_orphaned_public_names():
         for _, source in read_sources(os.path.join(ROOT, directory))
     ]
     assert orphaned_public_names(package, users) == []
+
+
+def unraised_errors(errors_source: str, package: list[str]) -> list[str]:
+    """Exception classes of the errors module, the ``LeavittError`` base
+    aside, that no ``raise`` statement of a package module names: an error
+    kept alive only by the code that reports it."""
+    raised = {
+        name
+        for source in package
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in names_in(ast.unparse(node.exc))
+    }
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+        and node.name != "LeavittError"
+        and node.name not in raised
+    ]
+
+
+def test_unraised_errors_are_caught():
+    errors_source = (
+        "class LeavittError(Exception):\n    pass\n"
+        "class Raised(LeavittError):\n    pass\n"
+        "class Bare(LeavittError):\n    pass\n"
+        "class Mapped(LeavittError):\n    pass\n"
+        "class Caught(LeavittError):\n    pass\n"
+    )
+    package = [
+        "from .errors import Bare, Caught, Mapped, Raised\n"
+        "CODES = {Mapped: 4}\n"
+        "def f():\n    raise Raised('boom')\n"
+        "def g():\n    try:\n        f()\n    except Caught:\n        raise\n"
+        "def h():\n    raise errors.Bare from None\n"
+    ]
+    assert unraised_errors(errors_source, package) == [
+        "Mapped (line 7)",
+        "Caught (line 9)",
+    ]
+
+
+def test_package_raises_every_error():
+    package = dict(read_sources(SRC))
+    errors_source = package.pop("errors.py")
+    assert unraised_errors(errors_source, list(package.values())) == []

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import source_tail_into_rose
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
-    HasSources,
     InternalError,
     NotCycleBase,
     NotDegreeFree,
@@ -24,6 +23,7 @@ from leavitt_lab.lpa import (
     degree_component,
     gauss,
     involute,
+    monomial_element,
     multiply,
     path_element,
     vertex_element,
@@ -31,7 +31,6 @@ from leavitt_lab.lpa import (
 )
 from leavitt_lab.sample import random_element
 from leavitt_lab.spi import (
-    _least_path_into,
     _word_candidates,
     annihilating_closed_path,
     closed_paths_at,
@@ -127,40 +126,6 @@ def test_incomparable_closed_path_matches_per_length_search(g, alpha_length):
             assert incomparable_closed_path(g, v, alpha) == expected
 
 
-@st.composite
-def source_free_graphs(draw):
-    """Row-finite random graphs with one more edge into each source."""
-    g = draw(random_graphs(max_vertices=5, max_omega=0))
-    extra = tuple(
-        (f"s{i}", draw(st.sampled_from(g.vertices)), v)
-        for i, v in enumerate(g.vertices)
-        if g.is_source(v)
-    )
-    return Graph(g.vertices, g.edges + extra)
-
-
-def assert_least_paths_into(g):
-    for w in g.vertices:
-        for n in range(1, 7):
-            paths = enumerate_paths(g, n, end=w)
-            if paths:
-                assert _least_path_into(g, n, w) == paths[0]
-
-
-@given(source_free_graphs())
-@settings(deadline=None, max_examples=100)
-def test_least_path_into_is_the_first_enumerated(g):
-    assert not any(g.is_source(v) for v in g.vertices)
-    assert_least_paths_into(g)
-
-
-def test_least_path_into_on_the_zoo():
-    graphs = [*zoo.standard_graphs().values(), zoo.spi4(), zoo.line(3)]
-    for g in graphs:
-        if not g.omega_pairs:
-            assert_least_paths_into(g)
-
-
 edge_words = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple)
 
 
@@ -201,7 +166,18 @@ def test_witness_of_long_path_over_rose_within_budget(r2):
     w = spi_witness(a)
     elapsed = time.perf_counter() - start
     check_witness(r2, a, w)
-    assert w.trace[1]["alpha"] == ["e"] * 40
+    assert w.trace[1]["alpha"] == ["f"] * 40
+    assert elapsed < 1.0
+
+
+def test_witness_of_long_loop_power_within_budget(r2):
+    # the degree shift gamma*·e^n = v leaves Step 3 a vertex; before it did,
+    # Step 3 expanded 2^n monomials: 0.46 s at n = 16
+    a = path_element(r2, ("e",) * 40)
+    start = time.perf_counter()
+    w = spi_witness(a)
+    elapsed = time.perf_counter() - start
+    check_witness(r2, a, w)
     assert elapsed < 1.0
 
 
@@ -451,6 +427,25 @@ def test_annihilator_random(spi3, r3):
             assert multiply(multiply(involute(s), b), s).is_zero
 
 
+def test_annihilator_falls_back_to_aperiodic_prefix(r2):
+    # w·w·f*·(w·w)* survives conjugation by w, so no word of at most 6 blocks
+    # in {e, f} annihilates the sum; the prefix e·f·e²·f·e³·f does
+    def annihilates(sigma):
+        s = path_element(r2, sigma)
+        return multiply(multiply(involute(s), b), s).is_zero
+
+    words = list(_word_candidates(Path("v", ("e",)), Path("v", ("f",)), 6))
+    assert len(words) == 126
+    b = zero(r2)
+    for w in words:
+        ww = path_element(r2, w.edges * 2)
+        b = b + multiply(ww, involute(path_element(r2, w.edges * 2 + ("f",))))
+    assert not any(annihilates(w) for w in words)
+    sigma = annihilating_closed_path(b, "v")
+    assert sigma == Path("v", ("e", "f", "e", "e", "f", "e", "e", "e", "f"))
+    assert annihilates(sigma)
+
+
 # ---------------------------------------------------------------------------
 # the witness
 # ---------------------------------------------------------------------------
@@ -521,13 +516,23 @@ def test_witness_errors(r1, r2, a2, omega_spi):
         spi_witness(zero(r2))
     with pytest.raises(NotSPI):
         spi_witness(vertex_element(r1, "v"))
-    with pytest.raises(HasSources):
-        spi_witness(vertex_element(zoo.source_into_rose(), "v"))
     with pytest.raises(OmegaUnsupported):
         spi_witness(vertex_element(omega_spi, "v"))
-    # acyclic graphs are caught by the sources check or the classifier
-    with pytest.raises((HasSources, NotSPI)):
+    with pytest.raises(NotSPI):
         spi_witness(vertex_element(a2, "u"))
+
+
+def test_witness_over_graph_with_sources():
+    g = zoo.source_into_rose()
+    gg = path_element(g, ("g",))
+    for a in (
+        vertex_element(g, "u"),
+        vertex_element(g, "v"),
+        multiply(gg, involute(gg)),
+        path_element(g, ("g", "e")),
+        involute(path_element(g, ("g", "f"))),
+    ):
+        check_witness(g, a, spi_witness(a))
 
 
 def test_witness_soundness_random_sample():
@@ -553,11 +558,11 @@ def test_witness_corner_locality():
 
 
 def test_step4_shift_identity():
-    # shifting a by a ghost path moves the degree-n component to degree 0
+    # shifting a by a ghost path moves the degree-n component to degree 0;
+    # Step 4's ghost prefix gamma of the least term keeps the terms of a_n
+    # that start with gamma, so the shifted degree-zero part is nonzero
     rng = random.Random(99)
     g = zoo.spi3()
-    from leavitt_lab.graph import enumerate_paths
-
     for _ in range(20):
         a = random_element(g, rng, max_terms=4, max_len=3)
         degs = [d for d in a.degrees() if d > 0]
@@ -573,16 +578,24 @@ def test_step4_shift_identity():
         assert lhs == rhs
         assert not rhs.is_zero
 
+        least = comp.terms()[0][0]
+        gamma = path_element(g, Path(least.alpha.source, least.alpha.edges[:n]))
+        shifted = multiply(gamma, degree_component(multiply(involute(gamma), a), 0))
+        prefixed = zero(g)
+        for m, c in comp.terms():
+            if m.alpha.edges[:n] == least.alpha.edges[:n]:
+                prefixed = prefixed + monomial_element(g, m.alpha, m.beta, c)
+        assert shifted == prefixed
+        assert not shifted.is_zero
+
 
 def test_witness_fuzz_random_spi_graphs():
-    # sample small random multigraphs, keep the source-free SPI ones, and
-    # check the witness identity on random elements over each
-    from leavitt_lab.graph import Verdict, classify_graph
-
+    # sample small random multigraphs, keep the SPI ones, sources allowed,
+    # and check the witness identity on random elements over each and over
+    # a copy fed by one more source
     rng = random.Random(160693)
-    found = 0
-    attempts = 0
-    while found < 12 and attempts < 4000:
+    found = sampled_with_sources = attempts = 0
+    while found < 24 and attempts < 4000:
         attempts += 1
         nv = rng.randint(1, 4)
         verts = tuple(f"v{i}" for i in range(nv))
@@ -591,16 +604,20 @@ def test_witness_fuzz_random_spi_graphs():
             (f"e{j}", rng.choice(verts), rng.choice(verts)) for j in range(ne)
         )
         g = Graph(verts, edges)
-        if any(g.is_source(v) for v in g.vertices):
-            continue
         if classify_graph(g).verdict is not Verdict.SIMPLE_PURELY_INFINITE:
             continue
-        found += 1
-        for _ in range(5):
-            a = random_element(g, rng, max_terms=4, max_len=3)
-            w = spi_witness(a)
-            check_witness(g, a, w)
-    assert found >= 8, f"sampler only found {found} SPI graphs"
+        sampled_with_sources += any(g.is_source(v) for v in g.vertices)
+        feeds = tuple((f"s{j}", "s", rng.choice(verts)) for j in range(rng.randint(1, 2)))
+        fed = Graph(("s",) + verts, edges + feeds)
+        for h in (g, fed):
+            assert classify_graph(h).verdict is Verdict.SIMPLE_PURELY_INFINITE
+            found += 1
+            for _ in range(5):
+                a = random_element(h, rng, max_terms=4, max_len=3)
+                w = spi_witness(a)
+                check_witness(h, a, w)
+    assert found >= 16, f"sampler only found {found} SPI graphs"
+    assert sampled_with_sources >= 2, "no sampled SPI graph has a source"
 
 
 def test_witness_deterministic(r2):
