@@ -32,7 +32,7 @@ def main() -> None:
 
     # each expanded term a·b* is the entry (a, b) of its sink block
     cols, rows = defaultdict(float), defaultdict(float)
-    for m, c in acyclic_expansion(g, x).items():
+    for m, c in acyclic_expansion(x).items():
         cols[m.beta] += abs(complex(c))
         rows[m.alpha] += abs(complex(c))
     colsum = max(cols.values(), default=0.0)
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"interpolation envelope: max(colsum={colsum:.6f}, rowsum={rowsum:.6f})")
 
     for p in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0):
-        est = element_norm_estimate(g, x, p, seed=args.seed)
+        est = element_norm_estimate(x, p, seed=args.seed)
         kind = "exact" if est.exact else ("svd" if p == 2.0 else "lower bound")
         flag = "" if est.converged in (None, True) else "  [not converged]"
         print(f"  p={p:<4}  {est.value:.9f}  ({kind}){flag}")

@@ -18,7 +18,6 @@ from .graph import (
     Verdict,
     classify_graph,
     enumerate_paths,
-    find_cycles,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -52,12 +51,9 @@ from .matricial import (
 )
 from .pnorm import (
     NormEstimate,
-    SpatialMatrix,
     degree_component_quadrature_error,
     element_norm_estimate,
-    norm_estimate,
     power_iteration_lower_bound,
-    spatial_rep_acyclic,
 )
 from .spi import (
     CohnQuadruple,
@@ -94,7 +90,6 @@ __all__ = [
     "Monomial",
     "NormEstimate",
     "Path",
-    "SpatialMatrix",
     "Verdict",
     "Witness",
     "acyclic_decompose",
@@ -114,7 +109,6 @@ __all__ = [
     "enumerate_paths",
     "equal_length_closed_paths",
     "filtration_decompose",
-    "find_cycles",
     "gauss",
     "graph_from_json",
     "graph_to_dot",
@@ -123,14 +117,12 @@ __all__ = [
     "involute",
     "monomial_element",
     "multiply",
-    "norm_estimate",
     "normalize_terms",
     "path_conjugate_sum",
     "path_element",
     "power_iteration_lower_bound",
     "reachable_subgraph",
     "remove_sources",
-    "spatial_rep_acyclic",
     "spi_witness",
     "vertex_element",
     "vertex_sum",

@@ -166,7 +166,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def cmd_norm(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     a = _load_element(args, g)
-    est = element_norm_estimate(g, a, args.p, seed=args.seed, tol=args.tol)
+    est = element_norm_estimate(a, args.p, seed=args.seed, tol=args.tol)
     if est.exact or args.p == 2.0:
         _emit({"p": args.p, "norm": est.value, "exact": est.exact})
     else:

@@ -727,6 +727,10 @@ def _json_typed(value, kind: type, what: str):
     return value
 
 
+def _unknown_fields(what: str, objs: list, allowed: tuple[str, ...]) -> FormatError:
+    return FormatError(f"unknown {what} JSON fields: {sorted(set().union(*objs) - set(allowed))}")
+
+
 def graph_from_json_obj(obj) -> Graph:
     if not isinstance(obj, dict):
         raise FormatError("graph JSON must be an object")
@@ -740,6 +744,8 @@ def graph_from_json_obj(obj) -> Graph:
                 vertices.append(_json_typed(entry["id"], str, "vertex id"))
                 if _json_typed(entry.get("frontier", False), bool, "vertex frontier"):
                     frontier.append(entry["id"])
+                if len(entry) > 1 + ("frontier" in entry):
+                    raise _unknown_fields("vertex", [entry], ("id", "frontier"))
         edges = [
             Edge(
                 _json_typed(e["id"], str, "edge id"),
@@ -754,9 +760,15 @@ def graph_from_json_obj(obj) -> Graph:
         ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad graph JSON: {exc}") from exc
-    unknown = set(obj) - {"vertices", "edges", "omega"}
-    if unknown:
-        raise FormatError(f"unknown graph JSON fields: {sorted(unknown)}")
+    # every object holds its required keys by now, so an unknown key shows in
+    # the key count: one len per edge or omega pair, the keys walked on failure
+    if len(obj) > 1 + ("edges" in obj) + ("omega" in obj):
+        raise _unknown_fields("graph", [obj], ("vertices", "edges", "omega"))
+    edge_objs, omega_objs = obj.get("edges", []), obj.get("omega", [])
+    if sum(map(len, edge_objs)) > 3 * len(edge_objs):
+        raise _unknown_fields("edge", edge_objs, ("id", "src", "dst"))
+    if sum(map(len, omega_objs)) > 2 * len(omega_objs):
+        raise _unknown_fields("omega", omega_objs, ("src", "dst"))
     try:
         return Graph(tuple(vertices), tuple(edges), tuple(omega), frozenset(frontier))
     except ValueError as exc:

@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
-    GraphMismatch,
     NotAcyclic,
     NotInFiltration,
     OmegaUnsupported,
@@ -210,24 +209,23 @@ def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     return {v: tuple(ps) for v, ps in by_sink.items()}
 
 
-def _require_acyclic(g: Graph, x: Element) -> None:
-    if x.graph != g:
-        raise GraphMismatch("element is not over the given graph")
+def _require_acyclic(g: Graph) -> None:
     _require_row_finite_finite(g)
     if g.analysis.cycle_bases:
         raise NotAcyclic("the graph has a cycle")
 
 
-def acyclic_expansion(g: Graph, x: Element) -> dict[Monomial, GaussianRational]:
+def acyclic_expansion(x: Element) -> dict[Monomial, GaussianRational]:
     """x expanded into monomials a·b* with a and b ending at the same sink:
     the nonzero entries of the acyclic block decomposition, whose rows and
-    columns are ``paths_into_by_sink(g)``.
+    columns are ``paths_into_by_sink(x.graph)``.
 
     Raises BudgetExceeded, before any path is built, when the expansion
     would make more than ``EXPANSION_BUDGET`` terms: a term a·b* makes one
     per path from r(a) to a sink.
     """
-    _require_acyclic(g, x)
+    g = x.graph
+    _require_acyclic(g)
     tails, terms = tail_counts(g), x.terms()
     made = sum(tails[g.range_of(m.alpha)] for m, _ in terms)
     if made > EXPANSION_BUDGET:
@@ -238,13 +236,14 @@ def acyclic_expansion(g: Graph, x: Element) -> dict[Monomial, GaussianRational]:
     return _expand(g, terms, len(g.vertices))
 
 
-def check_sink_blocks(g: Graph, x: Element) -> None:
-    """Raises as ``acyclic_expansion(g, x)`` does on a graph or element it
+def check_sink_blocks(x: Element) -> None:
+    """Raises as ``acyclic_expansion(x)`` does on a graph or element it
     refuses, and BudgetExceeded when x's dense sink blocks would hold more
     than ``BLOCK_BUDGET`` entries in all: an O(V + E) count, for the two
     builders of the dense blocks to make before they expand x or list the
     paths into the sinks."""
-    _require_acyclic(g, x)
+    g = x.graph
+    _require_acyclic(g)
     counts = path_counts(g)
     entries = sum(counts[v] ** 2 for v in g.vertices if g.is_sink(v))
     if entries > BLOCK_BUDGET:
@@ -253,7 +252,7 @@ def check_sink_blocks(g: Graph, x: Element) -> None:
         )
 
 
-def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
+def acyclic_decompose(x: Element) -> BlockDecomposition:
     """Isomorphism of the algebra of a finite acyclic graph onto a sum of matrix blocks.
 
     One block per sink v, indexed by all paths into v; the monomial a·b* with
@@ -261,10 +260,10 @@ def acyclic_decompose(g: Graph, x: Element) -> BlockDecomposition:
     is first expanded into such monomials via the identity u = sum of d·d*
     over paths d from u to the sinks.
     """
-    check_sink_blocks(g, x)
-    expansion = acyclic_expansion(g, x)
-    paths = {BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(g).items()}
-    return _assemble(g, paths, expansion)
+    check_sink_blocks(x)
+    expansion = acyclic_expansion(x)
+    paths = {BlockKey("sink", v, None): plist for v, plist in paths_into_by_sink(x.graph).items()}
+    return _assemble(x.graph, paths, expansion)
 
 
 # ---------------------------------------------------------------------------

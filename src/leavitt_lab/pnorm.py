@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from . import matricial
 from .errors import BudgetExceeded, EmptyMatrix, FloatRange
-from .graph import Graph, Path
+from .graph import Path
 from .lpa import Element, GaussianRational, Monomial
 from .matricial import acyclic_expansion, check_sink_blocks, paths_into_by_sink
 
@@ -85,7 +85,7 @@ class SpatialMatrix(NamedTuple):
     paths: dict[str, tuple[Path, ...]]
 
 
-def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
+def spatial_rep_acyclic(x: Element) -> SpatialMatrix:
     """Float image of the acyclic block decomposition: each expanded monomial
     a·b* puts its coefficient, as a complex double, at (a, b) of the block of
     the sink both paths end at; every other entry is zero.  The reference
@@ -94,9 +94,9 @@ def spatial_rep_acyclic(g: Graph, x: Element) -> SpatialMatrix:
     budgets in ``matricial``, and FloatRange when a coefficient is too large
     for a double.
     """
-    check_sink_blocks(g, x)
-    terms = _float_terms(acyclic_expansion(g, x))
-    paths = paths_into_by_sink(g)
+    check_sink_blocks(x)
+    terms = _float_terms(acyclic_expansion(x))
+    paths = paths_into_by_sink(x.graph)
     blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
     where = {p: (blocks[v], i) for v, plist in paths.items() for i, p in enumerate(plist)}
     for a, b, z in terms:
@@ -368,9 +368,7 @@ def norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimat
     return _max_norm(norms, p)
 
 
-def element_norm_estimate(
-    g: Graph, x: Element, p: float, seed: int = 0, tol: float = 1e-10
-) -> NormEstimate:
+def element_norm_estimate(x: Element, p: float, seed: int = 0, tol: float = 1e-10) -> NormEstimate:
     """Norm of an element of a finite acyclic algebra: the maximum over the
     sink blocks of its spatial image.
 
@@ -386,12 +384,12 @@ def element_norm_estimate(
     and the value would be a false bound.
     """
     p = _check_args(p, seed, tol)
-    components = _components(_float_terms(acyclic_expansion(g, x)), _block_order)
+    components = _components(_float_terms(acyclic_expansion(x)), _block_order)
     size, budget = max((m * n for m, n, _ in components), default=0), matricial.BLOCK_BUDGET
     if size > budget:
         raise BudgetExceeded(f"a component would hold {size} entries, over the budget of {budget}")
     est = _max_norm((_component_norm(*C, p, seed, tol) for C in components), p)
-    if not g.vertices:
+    if not x.graph.vertices:
         # only the empty graph has no sink block
         return NormEstimate(0.0, exact=True)
     if not math.isfinite(est.value):
@@ -406,7 +404,7 @@ def element_norm_estimate(
 # ---------------------------------------------------------------------------
 
 
-def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
+def degree_component_quadrature_error(x: Element, n: int) -> float:
     """Deviation between circle-averaged gauge rotations and the symbolic
     degree-n component, over the expanded terms a·b*, whose degree-n ones
     are the component's: the gauge action rotates a·b*'s entry by
@@ -421,7 +419,7 @@ def degree_component_quadrature_error(g: Graph, x: Element, n: int) -> float:
     K = 2 * (2 * max(maxdeg, abs(n)) + 1)
     if K > QUADRATURE_NODES:
         raise BudgetExceeded(f"the quadrature would take {K} nodes, over the budget of {QUADRATURE_NODES}")
-    expansion = acyclic_expansion(g, x)
+    expansion = acyclic_expansion(x)
     if K * len(expansion) > QUADRATURE_UPDATES:
         raise BudgetExceeded(
             f"the quadrature would take {K} nodes × {len(expansion)} terms = "

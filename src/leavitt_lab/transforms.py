@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BecameEmpty, BudgetExceeded, InternalError, NoInfiniteEmitters, NotASubgraph
+from .errors import (
+    BecameEmpty,
+    BudgetExceeded,
+    GraphMismatch,
+    InternalError,
+    NoInfiniteEmitters,
+    NotASubgraph,
+)
 from .graph import Edge, Graph, canonical_json, graph_to_json_obj, omega_edge_id, reachable_from
 from .lpa import (
     Element,
@@ -244,7 +251,9 @@ def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:
 
 
 def embed_element(emb: EmbeddingData, x: Element) -> Element:
-    """Push an element over the completed graph through the embedding."""
+    """Push an element over the completed graph, ``emb.domain``, through the embedding."""
+    if x.graph != emb.domain:
+        raise GraphMismatch("element is not over the embedding's domain")
     g = emb.codomain
     out = zero(g)
     for m, c in x.terms():

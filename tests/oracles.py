@@ -504,10 +504,10 @@ def oracle_column_sum_norm(matrix: list[list[Fraction]]) -> Fraction:
     )
 
 
-def oracle_spatial_rep_acyclic(g: Graph, x: Element):
+def oracle_spatial_rep_acyclic(x: Element):
     """(paths, blocks) of the float image by the exact route: the dense table
     of ``acyclic_decompose`` converted entry by entry to complex doubles."""
-    decomp = acyclic_decompose(g, x)
+    decomp = acyclic_decompose(x)
     paths, blocks = {}, {}
     for key, matrix in decomp.blocks.items():
         paths[key.vertex] = decomp.paths[key]
@@ -599,13 +599,13 @@ def oracle_dense_norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10):
     return value, False, converged
 
 
-def oracle_quadrature_error(g: Graph, x: Element, n: int) -> float:
+def oracle_quadrature_error(x: Element, n: int) -> float:
     """The quadrature check on the dense sink blocks: the circle average of
     the gauge rotations of x's spatial image, entry by entry over every k²
     entries of each block, against the image of ``degree_component(x, n)``,
     with the node count and the array operations of production."""
-    rep = spatial_rep_acyclic(g, x)
-    sym = spatial_rep_acyclic(g, degree_component(x, n))
+    rep = spatial_rep_acyclic(x)
+    sym = spatial_rep_acyclic(degree_component(x, n))
     maxdeg = max((abs(d) for d in x.degrees()), default=0)
     K = 2 * (2 * max(maxdeg, abs(n)) + 1)
     thetas = 2.0 * np.pi * np.arange(K) / K

@@ -175,7 +175,7 @@ def test_acceptance_6_norm_formula():
                     g, rng, max_terms=4, max_len=3, nonzero=False, dyadic_real=True
                 )
                 # exact rational oracle: column sums of entry magnitudes
-                decomp = acyclic_decompose(g, x)
+                decomp = acyclic_decompose(x)
                 best = Fraction(0)
                 for matrix in decomp.blocks.values():
                     entries = [
@@ -183,9 +183,9 @@ def test_acceptance_6_norm_formula():
                     ]
                     if entries and entries[0]:
                         best = max(best, oracle_column_sum_norm(entries))
-                assert element_norm_estimate(g, x, 1.0).value == float(best)
+                assert element_norm_estimate(x, 1.0).value == float(best)
                 # p = 2: power iteration within 1e-6 relative of singular values
-                rep = spatial_rep_acyclic(g, x)
+                rep = spatial_rep_acyclic(x)
                 for M in rep.blocks.values():
                     if not M.size:
                         continue
@@ -208,7 +208,7 @@ def test_acceptance_7_quadrature():
                 x = random_element(g, rng, max_terms=5, max_len=3, nonzero=False)
                 maxdeg = max((abs(d) for d in x.degrees()), default=0)
                 for n in range(-(maxdeg + 1), maxdeg + 2):
-                    assert degree_component_quadrature_error(g, x, n) <= 1e-9
+                    assert degree_component_quadrature_error(x, n) <= 1e-9
 
 
 # 8 -------------------------------------------------------------------------

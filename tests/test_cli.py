@@ -168,6 +168,29 @@ def test_classify_exit_2_on_wrong_json_types(capsys, tmp_path, text):
     assert "must be a" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"vertices":[{"id":"v","fronteir":true}]}', "unknown vertex JSON fields: ['fronteir']"),
+        (
+            '{"vertices":["u","v"],"edges":[{"id":"e","src":"u","dst":"v","weight":2}]}',
+            "unknown edge JSON fields: ['weight']",
+        ),
+        (
+            '{"vertices":["u","v"],"omega":[{"src":"u","dst":"v","count":3}]}',
+            "unknown omega JSON fields: ['count']",
+        ),
+    ],
+    ids=["vertex", "edge", "omega"],
+)
+def test_classify_exit_2_on_unknown_nested_fields(capsys, tmp_path, text, message):
+    # a misspelt "frontier" made an ordinary vertex and exited 0
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--graph", str(path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_classify_exit_3_on_empty(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices":[],"edges":[]}')

@@ -275,7 +275,7 @@ def test_classify_a2_acyclic_cross_checked(a2):
 
     sinks = paths_into_by_sink(a2)
     assert set(sinks) == {"v"} and len(sinks["v"]) == 2
-    unit = acyclic_decompose(a2, vertex_element(a2, "u") + vertex_element(a2, "v"))
+    unit = acyclic_decompose(vertex_element(a2, "u") + vertex_element(a2, "v"))
     matrix = unit.blocks[list(unit.blocks)[0]]
     assert [[str(c) for c in row] for row in matrix] == [["1", "0"], ["0", "1"]]
 

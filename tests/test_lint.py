@@ -240,3 +240,40 @@ def test_package_raises_every_error():
     package = dict(read_sources(SRC))
     errors_source = package.pop("errors.py")
     assert unraised_errors(errors_source, list(package.values())) == []
+
+
+def graph_and_element_parameters(source: str) -> list[str]:
+    """Public top-level functions with both a ``Graph``-annotated and an
+    ``Element``-annotated parameter: an element knows its graph, so a route
+    over an element reads ``x.graph`` instead of taking it again."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        annotated = set()
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            note = arg.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                annotated |= names_in(note.value)
+            elif note is not None:
+                annotated |= names_in(ast.unparse(note))
+        if {"Graph", "Element"} <= annotated:
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_graph_and_element_parameters_are_caught():
+    source = (
+        "def norm(g: Graph, x: Element, p: float):\n    pass\n"
+        "def maybe(g: Optional[Graph], *, x: 'Element'):\n    pass\n"
+        "def _private(g: Graph, x: Element):\n    pass\n"
+        "def read(x: Element, n: int):\n    return x.graph\n"
+        "def build(g: Graph, obj: dict) -> Element:\n    pass\n"
+        "class Box:\n    def method(self, g: Graph, x: Element):\n        pass\n"
+    )
+    assert graph_and_element_parameters(source) == ["norm (line 1)", "maybe (line 3)"]
+
+
+def test_package_takes_no_graph_beside_an_element():
+    assert findings(graph_and_element_parameters) == {}

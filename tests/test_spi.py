@@ -21,6 +21,7 @@ from leavitt_lab.errors import (
 from leavitt_lab.graph import Graph, Path, Verdict, classify_graph, enumerate_paths
 from leavitt_lab.lpa import (
     degree_component,
+    element_from_json_obj,
     gauss,
     involute,
     monomial_element,
@@ -486,7 +487,12 @@ def test_witness_mixed_terms(r2):
     assert steps == ["Normalize", "Step3", "Step2"]
     step2 = [t for t in w.trace if t["step"] == "Step2"][0]
     assert step2["z"] == "omitted (exact)"
-    assert not [c for c in step2["b"]] == [] or True  # b may or may not vanish
+    # the annihilation stage's remainder b has no degree-zero part, and its
+    # closed path sigma kills it: sigma*·b·sigma = 0 exactly
+    b = element_from_json_obj(r2, step2["b"])
+    sigma = path_element(r2, Path(step2["sigma_src"], tuple(step2["sigma"])))
+    assert degree_component(b, 0).is_zero
+    assert multiply(multiply(involute(sigma), b), sigma).is_zero
 
 
 def test_witness_with_nontrivial_every_stage(r2):

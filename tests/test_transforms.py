@@ -10,6 +10,7 @@ from leavitt_lab import transforms, zoo
 from leavitt_lab.errors import (
     BecameEmpty,
     BudgetExceeded,
+    GraphMismatch,
     NoInfiniteEmitters,
     NotASubgraph,
     UnknownVertex,
@@ -467,6 +468,19 @@ def test_embed_element_is_multiplicative():
             )
             assert embed_element(emb, involute(x)) == involute(embed_element(emb, x))
             assert embed_element(emb, x + y) == embed_element(emb, x) + embed_element(emb, y)
+
+
+def test_embed_element_refuses_an_element_over_another_graph():
+    # complete_and_embed adds nothing to F here, so F is the domain; other
+    # reuses its vertex and edge ids, and a return value would mean e1 over spi3
+    F = Graph(("a", "b"), (("e1", "a", "b"),))
+    emb = complete_and_embed(zoo.spi3(), F)
+    assert emb.domain == F
+    assert embed_element(emb, path_element(F, ("e1",))) == path_element(emb.codomain, ("e1",))
+    other = Graph(("a", "b"), (("e1", "a", "b"), ("e2", "b", "a")))
+    with pytest.raises(GraphMismatch, match="not over the embedding's domain"):
+        embed_element(emb, path_element(other, ("e1",)))
+    assert not issubclass(GraphMismatch, ValueError)
 
 
 def test_embedding_json_shape(r2):
