@@ -12,6 +12,8 @@ import argparse
 import functools
 import sys
 
+# lazy modules (see __init__): each executes on its command's first call into it
+from . import pnorm, spi, transforms
 from .errors import (
     BecameEmpty,
     BudgetExceeded,
@@ -42,9 +44,6 @@ from .graph import (
 # cli.multiply is unused here but kept: perfbench/test_perfbench.py expects
 # the tracer to find a binding of lpa.multiply in this module.
 from .lpa import Element, element_from_json, element_to_json_obj, multiply  # noqa: F401
-from .pnorm import element_norm_estimate
-from .spi import spi_witness
-from .transforms import complete_and_embed, desingularize, reachable_subgraph, remove_sources
 
 LABELS = {
     Verdict.SIMPLE_PURELY_INFINITE: "simple purely infinite",
@@ -143,7 +142,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     a = _load_element(args, g)
     # spi_witness re-checks x·a·y = v by exact multiplication (make_witness)
     # and raises when it fails, so a returned witness is verified.
-    w = spi_witness(a)
+    w = spi.spi_witness(a)
     obj = w.to_json_obj()
     obj["verified"] = True
     if args.fmt == "text":
@@ -166,7 +165,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def cmd_norm(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     a = _load_element(args, g)
-    est = element_norm_estimate(a, args.p, seed=args.seed, tol=args.tol)
+    est = pnorm.element_norm_estimate(a, args.p, seed=args.seed, tol=args.tol)
     if est.exact or args.p == 2.0:
         _emit({"p": args.p, "norm": est.value, "exact": est.exact})
     else:
@@ -184,14 +183,14 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.op == "remove-sources":
-        out = remove_sources(g)
+        out = transforms.remove_sources(g)
     elif args.op == "desingularize":
-        out = desingularize(g, args.depth)
+        out = transforms.desingularize(g, args.depth)
     elif args.op == "reachable":
-        out = reachable_subgraph(g, args.from_vertex)
+        out = transforms.reachable_subgraph(g, args.from_vertex)
     else:  # "complete"; argparse admits no other op
         F = graph_from_json(_read(args.subgraph))
-        emb = complete_and_embed(g, F)
+        emb = transforms.complete_and_embed(g, F)
         out = emb.domain
         if args.emit_embedding:
             _write(args.emit_embedding, emb.to_json() + "\n")
@@ -275,7 +274,11 @@ def main(argv=None) -> int:
         internal = "internal error: " if isinstance(exc, InternalError) else ""
         print(f"error: {internal}{exc}", file=sys.stderr)
         if isinstance(exc, OmegaUnsupported) and args.command == "witness":
-            print("hint: run 'leavitt-lab transform desingularize' first", file=sys.stderr)
+            print(
+                "hint: witness has no route over omega pairs: the CLI cannot carry an element"
+                " through 'transform desingularize', and witness refuses the truncation it prints",
+                file=sys.stderr,
+            )
             return 4
         return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 

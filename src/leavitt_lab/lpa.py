@@ -492,6 +492,9 @@ def _rational(entry: dict, key: str) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+_TERM_KEYS = frozenset(("alpha", "alpha_src", "beta", "beta_src", "re", "im"))
+
+
 def element_from_json_obj(g: Graph, obj) -> Element:
     """Parse a list of terms; paths must be lists of edge ids, coefficients strings."""
     if not isinstance(obj, list):
@@ -506,6 +509,9 @@ def element_from_json_obj(g: Graph, obj) -> Element:
             coeff = _reduced(a * db, b * da, da * db)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, UnknownVertex) as exc:
             raise FormatError(f"bad element term: {exc}") from exc
+        # the six keys read above are all required, so a seventh is unknown
+        if len(entry) != len(_TERM_KEYS):
+            raise FormatError(f"unknown element term JSON fields: {sorted(set(entry) - _TERM_KEYS)}")
         if g.range_of(alpha) != g.range_of(beta):
             raise FormatError("monomial paths must share their range")
         add_term(raw, Monomial(alpha, beta), coeff)

@@ -22,13 +22,12 @@ production route calls.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
 import sys
 from typing import NamedTuple, Optional
 
-from . import matricial
+from . import _lazy_module, matricial
 from .errors import BudgetExceeded, EmptyMatrix, FloatRange
 from .graph import Path
 from .lpa import Element, GaussianRational, Monomial
@@ -49,16 +48,10 @@ def _lazy_numpy():
     component of two rows and two columns at p != 1 use it.  BLAS is held to
     one thread, so that a norm does not depend on the machine's core count;
     the variables stay set until numpy executes."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    spec = importlib.util.find_spec("numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+    if "numpy" not in sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+    return _lazy_module("numpy")
 
 
 np = _lazy_numpy()

@@ -16,6 +16,7 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
+    FrontierPresent,
     InternalError,
     NotDegreeFree,
     NotSPI,
@@ -343,8 +344,10 @@ def make_witness(a: Element, x: Element, y: Element, v: str, trace) -> Witness:
 def spi_witness(a: Element) -> Witness:
     """Produce x, y, v with x·a·y = v for a nonzero element over an SPI graph.
 
-    Requires a finite row-finite graph: one with infinite emitters is refused
-    with OmegaUnsupported.  Sources are allowed.  The stages:
+    Requires a whole finite row-finite graph: one with infinite emitters is
+    refused with OmegaUnsupported, and a truncation (a graph with frontier
+    vertices, as ``desingularize`` makes) with FrontierPresent.  Sources are
+    allowed.  The stages:
 
     * Step 4: if the degree-zero part vanishes, shift the least nonzero
       homogeneous component a_n to degree zero by a prefix gamma of its least
@@ -362,7 +365,11 @@ def spi_witness(a: Element) -> Witness:
     """
     g = a.graph
     if g.omega_pairs:
-        raise OmegaUnsupported("the witness construction needs a row-finite graph; desingularize first")
+        raise OmegaUnsupported("the witness construction needs a row-finite graph")
+    if g.frontier:
+        raise FrontierPresent(
+            "graph has truncation-frontier vertices; the witness construction needs a whole graph"
+        )
     _require_spi(g)
     if a.is_zero:
         raise ZeroElement("no witness for 0")

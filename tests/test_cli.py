@@ -312,8 +312,19 @@ def test_witness_exit_4_with_hint_on_omega(capsys, tmp_path):
     gp.write_text(graph_to_json(g))
     elem = write_element(tmp_path, g, vertex_element(g, "v"))
     code, out, err = run(capsys, ["witness", "--graph", str(gp), "--element", elem])
-    assert code == 4
-    assert "desingularize" in err
+    assert (code, out) == (4, "")
+    assert err == f"error: the witness construction needs a row-finite graph\n{OMEGA_HINT}\n"
+    # the step the hint names does not lead to a witness: the truncation it
+    # prints is refused too, with a message that names no Python keyword
+    trunc = tmp_path / "trunc.json"
+    argv = ["transform", "desingularize", "--graph", str(gp), "--depth", "2", "-o", str(trunc)]
+    assert run(capsys, argv) == (0, "", "")
+    code, out, err = run(capsys, ["witness", "--graph", str(trunc), "--element", elem])
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: graph has truncation-frontier vertices; the witness construction needs"
+        " a whole graph\n"
+    )
 
 
 def test_witness_pipeline_after_remove_sources(capsys, tmp_path):
@@ -441,6 +452,17 @@ def test_normalize_exit_2_on_loose_element_json(capsys, tmp_path, r2_file, term)
     assert code == 2
     assert out == ""
     assert "must be" in err
+
+
+@pytest.mark.parametrize("command", ["normalize", "witness", "norm"])
+def test_element_exit_2_on_unknown_term_fields(capsys, tmp_path, r2_file, command):
+    # a "scale" key was ignored: e printed with coefficient 1 and exit 0
+    elem = tmp_path / "scaled.json"
+    elem.write_text(
+        '[{"alpha":["e"],"alpha_src":"v","beta":[],"beta_src":"v","re":"1","im":"0","scale":"5"}]'
+    )
+    code, out, err = run(capsys, [command, "--graph", r2_file, "--element", str(elem)])
+    assert (code, out, err) == (2, "", "error: unknown element term JSON fields: ['scale']\n")
 
 
 def test_norm_p1_exact(capsys, tmp_path, a2_file):
@@ -877,7 +899,10 @@ ERROR_CLASSES = [ValueError] + [
     for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.LeavittError)
 ]
-OMEGA_HINT = "hint: run 'leavitt-lab transform desingularize' first"
+OMEGA_HINT = (
+    "hint: witness has no route over omega pairs: the CLI cannot carry an element"
+    " through 'transform desingularize', and witness refuses the truncation it prints"
+)
 
 
 @pytest.mark.parametrize("command", ["witness", "norm"])

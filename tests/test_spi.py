@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import source_tail_into_rose
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
+    FrontierPresent,
     InternalError,
     NotCycleBase,
     NotDegreeFree,
@@ -43,6 +44,7 @@ from leavitt_lab.spi import (
     spi_witness,
     witness_from_json_obj,
 )
+from leavitt_lab.transforms import desingularize
 
 from oracles import (
     oracle_closed_paths_at,
@@ -524,6 +526,11 @@ def test_witness_errors(r1, r2, a2, omega_spi):
         spi_witness(vertex_element(r1, "v"))
     with pytest.raises(OmegaUnsupported):
         spi_witness(vertex_element(omega_spi, "v"))
+    # a truncation is refused before classification, whose own refusal
+    # names its keyword argument
+    truncated = desingularize(omega_spi, 2)
+    with pytest.raises(FrontierPresent, match="needs a whole graph"):
+        spi_witness(vertex_element(truncated, "v"))
     with pytest.raises(NotSPI):
         spi_witness(vertex_element(a2, "u"))
 
