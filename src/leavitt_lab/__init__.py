@@ -13,8 +13,10 @@ The submodules that export the public names below (``errors``, ``graph``,
 sit in ``sys.modules`` and on the package from its import on, and each is
 compiled and executed on the first read of one of its attributes, so a CLI
 call runs only the modules it uses.  A public name is looked up in its
-submodule on every read and never stored here.  ``sample`` and ``zoo`` are
-plain submodules, imported by name.
+submodule on every read and never stored here.  ``__all__`` is read off
+the table ``_EXPORTS``: building it reads no submodule attribute, so it
+executes no submodule.  ``sample`` and ``zoo`` are plain submodules,
+imported by name.
 """
 
 import importlib.util
@@ -85,56 +87,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDecomposition",
-    "BlockKey",
-    "Classification",
-    "CohnQuadruple",
-    "Edge",
-    "Element",
-    "EmbeddingData",
-    "EqualLengthFamily",
-    "GaussianRational",
-    "Graph",
-    "LeavittError",
-    "Monomial",
-    "NormEstimate",
-    "Path",
-    "Verdict",
-    "Witness",
-    "acyclic_decompose",
-    "annihilating_closed_path",
-    "blockwise_product",
-    "classify_graph",
-    "cohn_embedding",
-    "complete_and_embed",
-    "degree_component",
-    "degree_component_quadrature_error",
-    "degree_zero_witness",
-    "desingularize",
-    "element_from_json",
-    "element_norm_estimate",
-    "element_to_json",
-    "embed_element",
-    "enumerate_paths",
-    "equal_length_closed_paths",
-    "filtration_decompose",
-    "gauss",
-    "graph_from_json",
-    "graph_to_dot",
-    "graph_to_json",
-    "hereditary_saturated_closure",
-    "involute",
-    "monomial_element",
-    "multiply",
-    "normalize_terms",
-    "path_conjugate_sum",
-    "path_element",
-    "power_iteration_lower_bound",
-    "reachable_subgraph",
-    "remove_sources",
-    "spi_witness",
-    "vertex_element",
-    "vertex_sum",
-    "zero",
-]
+__all__ = sorted(_HOME)

@@ -69,6 +69,8 @@ EXIT_CODES = {
 }
 
 
+# Every output goes to stdout in one write, so an output that fails to encode
+# (a lone surrogate in an id) leaves stdout empty.
 def _emit(obj) -> None:
     sys.stdout.write(canonical_json(obj) + "\n")
 
@@ -119,21 +121,24 @@ def _classification_obj(c: Classification) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    c = classify_graph(g, frontier=args.frontier)
-    if args.fmt == "text":
-        obj = _classification_obj(c)
-        print(f"E: {obj['labels']['graph']}")
-        print(f"L(E): {obj['labels']['leavitt_path_algebra']} as a ring")
-        print(f"O^p(E): {obj['labels']['lp_operator_algebra']} as a Banach algebra")
-        w = obj["witness"]
-        if w["kind"] == "cycle":
-            print(f"witness: cycle {' '.join(w['edges'])}")
-        elif w["kind"] == "hereditary_saturated":
-            print(f"witness: hereditary saturated set {{{', '.join(w['vertices'])}}}")
-        else:
-            print("witness: acyclic")
-    else:
+    try:
+        c = classify_graph(g, frontier=args.frontier)
+    except FrontierPresent:  # its message names the keyword argument, not the option
+        raise FrontierPresent(
+            "graph has truncation-frontier vertices; classify with --frontier sink to treat them as stubs"
+        ) from None
+    if args.fmt == "json":
         _emit(_classification_obj(c))
+        return 0
+    label, w = LABELS[c.verdict], _witness_json(c.witness)
+    witness = (
+        f"cycle {' '.join(w['edges'])}" if "edges" in w
+        else f"hereditary saturated set {{{', '.join(w['vertices'])}}}" if "vertices" in w
+        else "acyclic"
+    )
+    sys.stdout.write(
+        f"E: {label}\nL(E): {label} as a ring\nO^p(E): {label} as a Banach algebra\nwitness: {witness}\n"
+    )
     return 0
 
 
@@ -146,10 +151,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
     obj = w.to_json_obj()
     obj["verified"] = True
     if args.fmt == "text":
-        print(f"v: {w.v}")
-        print(f"x: {canonical_json(obj['x'])}")
-        print(f"y: {canonical_json(obj['y'])}")
-        print("verified: true")
+        sys.stdout.write(
+            f"v: {w.v}\nx: {canonical_json(obj['x'])}\ny: {canonical_json(obj['y'])}\nverified: true\n"
+        )
     else:
         _emit(obj)
     return 0

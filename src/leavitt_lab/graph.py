@@ -456,43 +456,31 @@ def hereditary_saturated_closure(g: Graph, seed: Iterable[str]) -> frozenset[str
 
     Hereditary: ranges of outgoing edges (omega pairs included) stay inside.
     Saturated: a regular vertex all of whose edge ranges lie inside is pulled in.
-    One worklist pass, O(V + E): each vertex entering the closure pushes its
-    ranges and counts down, for each regular vertex with an edge into it, the
-    edges of that vertex whose range is still outside.
+    Reachability, then saturation: ``reachable_from`` is the least hereditary
+    superset, and a vertex saturation pulls in has all its ranges inside, so
+    the set stays hereditary.  O(V + E): each vertex inside counts down, for
+    each regular vertex with an edge into it, the edges still leaving the set.
     """
-    closure: set[str] = set()
-    todo: list[str] = []
-
-    def enter(v: str) -> None:
-        if v not in closure:
-            closure.add(v)
-            todo.append(v)
-
-    for v in seed:
-        g.require_vertex(v)
-        enter(v)
+    closure = set(reachable_from(g, seed))
+    todo = list(closure)
     outside: dict[str, int] = {}
     while todo:
-        w = todo.pop()
-        for e in g.out_edges[w]:
-            enter(e.dst)
-        for dst in g.omega_by_src[w]:
-            enter(dst)
-        for e in g.in_edges[w]:
+        for e in g.in_edges[todo.pop()]:
             u = e.src
             if u not in closure and g.is_regular(u):
                 outside[u] = outside.get(u, len(g.out_edges[u])) - 1
                 if outside[u] == 0:
-                    enter(u)
+                    closure.add(u)
+                    todo.append(u)
     return frozenset(closure)
 
 
 def reachable_from(g: Graph, starts: Iterable[str]) -> frozenset[str]:
     """Vertices reachable from any of ``starts`` by paths (omega pairs traversed)."""
-    seen = set(starts)
-    for v in seen:
+    stack = list(starts)
+    for v in stack:
         g.require_vertex(v)
-    stack = list(seen)
+    seen = set(stack)
     while stack:
         v = stack.pop()
         for e in g.out_edges[v]:
@@ -775,12 +763,17 @@ def graph_from_json_obj(obj) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
-def graph_from_json(text: str) -> Graph:
+def parse_json(text: str):
+    """The one JSON reader of every input.  Each parse failure is a FormatError:
+    bad syntax, nesting past the recursion limit, an integer too long to convert."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_obj(obj)
+
+
+def graph_from_json(text: str) -> Graph:
+    return graph_from_json_obj(parse_json(text))
 
 
 # one pass, so the quoting is injective; a newline becomes the two

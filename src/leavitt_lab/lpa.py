@@ -9,12 +9,11 @@ deterministic function of the graph alone.
 
 from __future__ import annotations
 
-import json
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
-from .graph import Graph, Path, canonical_json, enumerate_paths
+from .graph import Graph, Path, canonical_json, enumerate_paths, parse_json
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +518,4 @@ def element_from_json_obj(g: Graph, obj) -> Element:
 
 
 def element_from_json(g: Graph, text: str) -> Element:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return element_from_json_obj(g, obj)
+    return element_from_json_obj(g, parse_json(text))

@@ -11,10 +11,11 @@ import leavitt_lab
 from conftest import source_tail_into_rose
 from leavitt_lab import errors, transforms, zoo
 from leavitt_lab.cli import COMMANDS, build_parser, main
-from leavitt_lab.graph import Graph, graph_from_json, graph_to_json
+from leavitt_lab.graph import Graph, graph_from_json, graph_to_json, graph_to_json_obj
 from leavitt_lab.lpa import (
     element_from_json,
     element_to_json,
+    element_to_json_obj,
     involute,
     multiply,
     path_element,
@@ -109,6 +110,27 @@ def test_classify_exit_2_on_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, ["classify", "--graph", str(bad)])
     assert code == 2
     assert "error:" in err
+
+
+HOSTILE_JSON = {
+    "nested-past-the-limit": "[" * 200_000 + "]" * 200_000,
+    "5001-digits": "9" * 5001,
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE_JSON.values(), ids=HOSTILE_JSON)
+@pytest.mark.parametrize("option", ["--graph", "--element", "--subgraph"])
+def test_hostile_json_exits_2_as_invalid_json(capsys, tmp_path, r2_file, option, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {
+        "--graph": ["classify", "--graph", str(bad)],
+        "--element": ["normalize", "--graph", r2_file, "--element", str(bad)],
+        "--subgraph": ["transform", "complete", "--graph", r2_file, "--subgraph", str(bad)],
+    }[option]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_classify_exit_2_on_colliding_omega_ids(capsys, tmp_path):
@@ -228,6 +250,10 @@ def test_classify_frontier_flag(capsys, tmp_path):
     path.write_text(graph_to_json(truncated))
     code, out, err = run(capsys, ["classify", "--graph", str(path)])
     assert code == 4
+    assert err == (
+        "error: graph has truncation-frontier vertices;"
+        " classify with --frontier sink to treat them as stubs\n"
+    )
     code, out, err = run(
         capsys, ["classify", "--graph", str(path), "--frontier", "sink"]
     )
@@ -284,6 +310,25 @@ def test_witness_text_keeps_non_ascii_ids(capsys, tmp_path):
         "y: " + json.dumps(obj["y"], separators=(",", ":"), ensure_ascii=False),
         "verified: true",
     ]
+
+
+@pytest.mark.parametrize("command", ["classify", "witness"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_that_cannot_be_encoded_leaves_stdout_empty(tmp_path, command, fmt):
+    # The lone surrogate parses from JSON but has no UTF-8 encoding.  capsys
+    # never encodes, so only a child process shows a partly written output.
+    g = Graph(("v",), (("\ud800", "v", "v"), ("\ue000", "v", "v")))
+    gp, elem = tmp_path / "g.json", tmp_path / "a.json"
+    gp.write_text(json.dumps(graph_to_json_obj(g)))
+    elem.write_text(json.dumps(element_to_json_obj(path_element(g, ("\ud800",)))))
+    argv = [command, "--graph", str(gp), "--format", fmt]
+    if command == "witness":
+        argv += ["--element", str(elem)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "leavitt_lab", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
 
 
 def test_witness_exit_5_on_zero(capsys, tmp_path, r2_file):

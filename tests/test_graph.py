@@ -508,6 +508,18 @@ def test_graph_json_rejects_unknown_fields():
 
 
 @pytest.mark.parametrize(
+    "text", ["[" * 200_000 + "]" * 200_000, "9" * 5001], ids=["nested-past-the-limit", "5001-digits"]
+)
+def test_json_readers_raise_format_error_on_hostile_json(r2, text):
+    from leavitt_lab.lpa import element_from_json
+
+    with pytest.raises(FormatError, match="^invalid JSON: "):
+        graph_from_json(text)
+    with pytest.raises(FormatError, match="^invalid JSON: "):
+        element_from_json(r2, text)
+
+
+@pytest.mark.parametrize(
     "obj",
     [
         {"vertices": ["v", "w"], "edges": [{"id": 5, "src": "v", "dst": "v"}], "omega": [{"src": "v", "dst": "w"}]},

@@ -27,15 +27,18 @@ def unused_imports(source: str) -> list[str]:
 
 
 def names_read(tree: ast.Module) -> set[str]:
-    """Every name loaded anywhere in the module, plus the strings in ``__all__``."""
+    """Every name loaded anywhere in the module, plus the strings in a literal
+    ``__all__`` list or tuple (a computed ``__all__`` names nothing here)."""
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
             read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return read
@@ -64,6 +67,11 @@ def unread_private_names(source: str) -> list[str]:
 def test_unused_imports_are_caught():
     source = "import json\nimport sys  # noqa: F401\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == ["json (line 1)", "path (line 3)"]
+
+
+def test_a_computed_all_reads_no_import():
+    source = "from os import path, sep\n__all__ = ['sep']\n__all__ = sorted(['path'])\n"
+    assert unused_imports(source) == ["path (line 1)"]
 
 
 def read_sources(directory: str, skip: str = "") -> list[tuple[str, str]]:
@@ -277,3 +285,26 @@ def test_graph_and_element_parameters_are_caught():
 
 def test_package_takes_no_graph_beside_an_element():
     assert findings(graph_and_element_parameters) == {}
+
+
+def json_loads_calls(source: str) -> int:
+    """The calls of ``json.loads`` in the module."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "loads"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_json_loads_calls_are_counted():
+    source = "import json\njson.loads(a)\nx = [json.loads(b)]\njson.dumps(c)\nloads(d)\n"
+    assert json_loads_calls(source) == 2
+
+
+def test_package_reads_json_in_one_place():
+    # one reader, so every input meets the same parse errors (graph.parse_json)
+    calls = {name: n for name, source in read_sources(SRC) if (n := json_loads_calls(source))}
+    assert list(calls.values()) == [1], calls
