@@ -333,6 +333,16 @@ def path_levels(g: Graph, n: int) -> list[list[Path]]:
     return levels
 
 
+def paths_by_range(g: Graph, n: int) -> dict[str, tuple[Path, ...]]:
+    """The paths of length 0..n grouped by range, every vertex in input order,
+    each group in (length, lex) order: ``path_levels`` read level by level."""
+    groups: dict[str, list[Path]] = {v: [] for v in g.vertices}
+    for level in path_levels(g, n):
+        for p in level:
+            groups[g.range_of(p)].append(p)
+    return {v: tuple(ps) for v, ps in groups.items()}
+
+
 def path_counts(g: Graph) -> dict[str, int]:
     """The number of paths ending at each vertex of an acyclic graph, its
     length-0 path included: count[v] = 1 + the sum of count[src e] over the
@@ -439,11 +449,8 @@ def find_cycles(g: Graph) -> list[tuple[Path, tuple[str, ...]]]:
 
 
 def least_cycle_at(g: Graph, v: str) -> Path:
-    """The lexicographically least cycle through v, rotated to start at v."""
-    cycle = g.analysis.least_cycle_at(v)
-    if cycle is None:
-        raise NotCycleBase(f"vertex {v!r} is not the base of a cycle")
-    return cycle
+    """The least cycle through v, rotated to start at v, as ``g.analysis`` keeps it."""
+    return g.analysis.least_cycle_at(v)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +578,13 @@ class GraphAnalysis:
             preds[dst].append(src)
         return preds
 
-    def least_cycle_at(self, v: str) -> Optional[Path]:
-        """The lexicographically least cycle through v, rotated to start at v,
-        or None when v lies on no cycle."""
-        if v not in self.cycle_bases:
-            return None
+    def least_cycle_at(self, v: str) -> Path:
+        """The lexicographically least cycle through v, rotated to start at v and
+        kept; raises UnknownVertex off the graph and NotCycleBase off the cycles."""
         if v not in self._least:
+            if v not in self.cycle_bases:
+                self.graph.require_vertex(v)
+                raise NotCycleBase(f"vertex {v!r} is not the base of a cycle")
             self._least[v] = self._greedy_cycle(v)
         return self._least[v]
 

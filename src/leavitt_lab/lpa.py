@@ -9,10 +9,11 @@ deterministic function of the graph alone.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
+from .errors import BudgetExceeded, FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
 from .graph import Graph, Path, canonical_json, enumerate_paths, parse_json
 
 
@@ -29,9 +30,12 @@ if TYPE_CHECKING:
 
 
 def _ratio_str(n: int, d: int) -> str:
-    """``p/q`` for the rational n/d in lowest terms (d > 0)."""
+    """``p/q`` for n/d in lowest terms (d > 0), each at most 4300 digits long."""
     g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+    try:
+        return f"{n // g}/{d // g}"
+    except ValueError:
+        raise BudgetExceeded("a coefficient has over 4300 digits, the most that Python writes") from None
 
 
 class GaussianRational:
@@ -475,7 +479,8 @@ def _edge_list(entry: dict, key: str) -> list:
 def _rational(entry: dict, key: str) -> tuple[int, int]:
     """(numerator, denominator > 0) of a coefficient string, as ``Fraction`` reads it:
     ASCII ``[-]digits[/digits]`` with a nonzero denominator is split here, and
-    any other string goes to ``Fraction``, for its grammar and error messages."""
+    any other string goes to ``Fraction``, for its grammar and error messages,
+    unless |exponent|, which Fraction raises 10 to first, is 4300 or more."""
     value = entry[key]
     if not isinstance(value, str):
         raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
@@ -485,6 +490,10 @@ def _rational(entry: dict, key: str) -> tuple[int, int]:
         n, d = int(num), int(den or 1)
         if d:
             return (-n if negative else n), d
+    _, e, exponent = value.lower().rpartition("e")
+    with suppress(ValueError):  # an exponent that is no integer is Fraction's to refuse
+        if e and abs(int(exponent)) >= 4300:
+            raise FormatError(f"bad element term: {key!r} has an exponent of absolute value 4300 or more")
     from fractions import Fraction
 
     f = Fraction(value)

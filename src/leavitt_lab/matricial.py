@@ -19,7 +19,7 @@ from .errors import (
     OmegaUnsupported,
     ZeroElement,
 )
-from .graph import Graph, Path, path_counts, path_levels, tail_counts
+from .graph import Graph, Path, path_counts, path_levels, paths_by_range, tail_counts
 from .lpa import (
     Element,
     GaussianRational,
@@ -32,10 +32,9 @@ from .lpa import (
 )
 
 # entries of the dense blocks that are filled (64 MiB as complex128 floats):
-# all the acyclic sink blocks together, for the two builders of the dense
-# blocks, the exact table and the spatial image, and each connected
-# component of a norm on its own.  The doubled line (two parallel edges
-# between neighbours) on 11 vertices, 2047 paths into its sink, just fits.
+# the acyclic sink blocks together (the exact table, which the spatial image
+# rounds) and each norm component alone.  The doubled line (two parallel
+# edges between neighbours) on 11 vertices, 2047 paths into its sink, fits.
 BLOCK_BUDGET = 2**22
 # terms of an acyclic expansion, what the norm builds at every p (about
 # 1 KB each, with its norm components): the doubled line's vertex v0 makes
@@ -200,13 +199,7 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
 
 def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     """For each sink v, every path ending at v, ordered by (length, lex)."""
-    by_sink: dict[str, list[Path]] = {v: [] for v in g.vertices if g.is_sink(v)}
-    for level in path_levels(g, len(g.vertices) - 1):
-        for p in level:
-            v = g.range_of(p)
-            if v in by_sink:
-                by_sink[v].append(p)
-    return {v: tuple(ps) for v, ps in by_sink.items()}
+    return {v: ps for v, ps in paths_by_range(g, len(g.vertices) - 1).items() if g.is_sink(v)}
 
 
 def _require_acyclic(g: Graph) -> None:
@@ -239,9 +232,9 @@ def acyclic_expansion(x: Element) -> dict[Monomial, GaussianRational]:
 def check_sink_blocks(x: Element) -> None:
     """Raises as ``acyclic_expansion(x)`` does on a graph or element it
     refuses, and BudgetExceeded when x's dense sink blocks would hold more
-    than ``BLOCK_BUDGET`` entries in all: an O(V + E) count, for the two
-    builders of the dense blocks to make before they expand x or list the
-    paths into the sinks."""
+    than ``BLOCK_BUDGET`` entries in all: an O(V + E) count, for
+    ``acyclic_decompose`` to make before it expands x or lists the paths
+    into the sinks."""
     g = x.graph
     _require_acyclic(g)
     counts = path_counts(g)

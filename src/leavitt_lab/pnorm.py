@@ -16,8 +16,8 @@ as one stacked iteration.  A matrix with an infinite or NaN entry has no
 norm here: every kernel refuses it with FloatRange.  The quadrature check
 runs on the same expanded terms, bounded by the expansion budget, by 2^16
 nodes and by 2^28 node × term updates (``QUADRATURE_UPDATES``).  The dense
-images and a whole matrix's norm stay as the reference route, which no
-production route calls.
+image, ``acyclic_decompose``'s exact table rounded, and a whole matrix's norm
+stay as the reference route, which no production route calls.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import _lazy_module, matricial
 from .errors import BudgetExceeded, EmptyMatrix, FloatRange
 from .graph import Path
 from .lpa import Element, GaussianRational, Monomial
-from .matricial import acyclic_expansion, check_sink_blocks, paths_into_by_sink
+from .matricial import acyclic_decompose, acyclic_expansion
 
 P_MIN, P_MAX = 1.0, 8.0
 # seeded random starts of the power iteration, and its steps per start
@@ -79,23 +79,18 @@ class SpatialMatrix(NamedTuple):
 
 
 def spatial_rep_acyclic(x: Element) -> SpatialMatrix:
-    """Float image of the acyclic block decomposition: each expanded monomial
-    a·b* puts its coefficient, as a complex double, at (a, b) of the block of
-    the sink both paths end at; every other entry is zero.  The reference
-    route: no production route calls it.  Raises BudgetExceeded, before
-    anything is built, when the blocks or the expansion would exceed their
-    budgets in ``matricial``, and FloatRange when a coefficient is too large
-    for a double.
-    """
-    check_sink_blocks(x)
-    terms = _float_terms(acyclic_expansion(x))
-    paths = paths_into_by_sink(x.graph)
-    blocks = {v: np.zeros((len(ps), len(ps)), dtype=np.complex128) for v, ps in paths.items()}
-    where = {p: (blocks[v], i) for v, plist in paths.items() for i, p in enumerate(plist)}
-    for a, b, z in terms:
-        block, i = where[a]
-        block[i, where[b][1]] = z
-    return SpatialMatrix(blocks, paths)
+    """Float image of ``acyclic_decompose(x)``: each exact sink block, keyed
+    by its sink, with every entry rounded once to a complex double.  The
+    reference route: no production route calls it.  Raises as
+    ``acyclic_decompose`` does (BudgetExceeded, before anything is built,
+    when the blocks or the expansion would exceed their budgets), and
+    FloatRange when a coefficient is too large for a double."""
+    exact = acyclic_decompose(x)
+    try:
+        blocks = {k.vertex: np.array(m, dtype=np.complex128) for k, m in exact.blocks.items()}
+    except OverflowError:
+        raise FloatRange("a coefficient of the element is too large for a double") from None
+    return SpatialMatrix(blocks, {k.vertex: ps for k, ps in exact.paths.items()})
 
 
 def _float_terms(expansion: dict[Monomial, GaussianRational]) -> list[tuple[Path, Path, complex]]:

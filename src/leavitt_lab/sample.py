@@ -6,17 +6,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .graph import Graph, Path, path_levels
+from .graph import Graph, paths_by_range
 from .lpa import Element, GaussianRational, Monomial, add_term, gauss, normalize_terms
-
-
-def _path_pool(g: Graph, max_len: int) -> dict[str, list[Path]]:
-    """Paths up to max_len grouped by range vertex."""
-    pool: dict[str, list[Path]] = {v: [] for v in g.vertices}
-    for level in path_levels(g, max_len):
-        for p in level:
-            pool[g.range_of(p)].append(p)
-    return pool
 
 
 def random_coefficient(rng: random.Random, component: Optional[str] = None) -> GaussianRational:
@@ -64,7 +55,7 @@ def random_element(
     if stage is not None:
         degree_zero = True
         max_len = stage
-    pool = _path_pool(g, max_len)
+    pool = paths_by_range(g, max_len)
     flat = [p for ps in pool.values() for p in ps]
     for _ in range(200):
         component = rng.choice(["re", "im"]) if dyadic_real else None

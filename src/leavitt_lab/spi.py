@@ -58,6 +58,7 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
     paths wherever they exist.  The walk uses an explicit stack and never
     takes an edge whose range is further from v than the steps left.
     """
+    g.require_vertex(v)
     if length == 0:
         return [Path(v)]
     return list(_closed_paths(g, v, length, omega_copies, _steps_to(g, {v})))
@@ -112,6 +113,7 @@ def _closed_paths(
 
 def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
     """Shortest-lex closed path at v incomparable with alpha in the path order."""
+    g.require_vertex(v)
     cap = 2 * alpha.length + len(g.vertices) + 2
     steps_to_v = _steps_to(g, {v})
     for length in range(1, cap + 1):
@@ -126,6 +128,7 @@ def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
 def path_to_cycle_base(g: Graph, v: str) -> Path:
     """Shortest-lex path from v to a vertex lying on a cycle (trivial if v
     does): at each step the least edge whose range is one step nearer one."""
+    g.require_vertex(v)
     bases = g.analysis.cycle_bases
     if v in bases:
         return Path(v)
@@ -166,7 +169,9 @@ def equal_length_closed_paths(g: Graph, V: Iterable[str], m: int) -> EqualLength
     if m < 1:
         raise ValueError("m must be >= 1")
     _require_spi(g)
-    wanted = set(V)
+    wanted = dict.fromkeys(V)
+    for v in wanted:
+        g.require_vertex(v)
     V = [v for v in g.vertices if v in wanted]
     base: dict[str, tuple[Path, ...]] = {}
     lengths: dict[str, int] = {}

@@ -196,9 +196,8 @@ def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:
     for v in F.vertices:
         if v not in gset:
             raise NotASubgraph(f"vertex {v!r} is not in the ambient graph")
-    ambient = {e.id: e for e in g.edges}
     for e in F.edges:
-        if ambient.get(e.id) != e:
+        if g.edge_by_id.get(e.id) != e:
             raise NotASubgraph(f"edge {e.id!r} is not an edge of the ambient graph")
 
     incomplete = []

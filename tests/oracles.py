@@ -8,6 +8,7 @@ modules is meaningful.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -430,12 +431,22 @@ def oracle_multiply(g: Graph, x: dict, y: dict, rng: random.Random) -> Element:
 
 def oracle_coefficient(entry: dict) -> GaussianRational:
     """The coefficient of an element JSON term, one ``Fraction`` per part;
-    raises what the element parser wraps into its ``FormatError``."""
+    raises what the element parser wraps into its ``FormatError``.  A part
+    whose text after its last e or E reads as an integer of absolute value
+    4300 or more is refused before ``Fraction`` sees it, as 10 to that power
+    would take ``Fraction`` minutes and has more digits than Python writes."""
     parts = []
     for key in ("re", "im"):
         value = entry[key]
         if not isinstance(value, str):
             raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
+        *head, exponent = re.split("[eE]", value)
+        try:
+            huge = bool(head) and abs(int(exponent)) >= 4300
+        except ValueError:
+            huge = False
+        if huge:
+            raise FormatError(f"bad element term: {key!r} has an exponent of absolute value 4300 or more")
         parts.append(Fraction(value))
     return GaussianRational(*parts)
 

@@ -213,6 +213,40 @@ def test_classify_exit_2_on_unknown_nested_fields(capsys, tmp_path, text, messag
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "graph, element, message",
+    [
+        ("[]", None, "graph JSON must be an object"),
+        ('{"vertices":[{}]}', None, "bad graph JSON: 'id'"),
+        (
+            '{"vertices":["u"],"edges":[{"id":"e","src":"u","dst":"w"}]}',
+            None,
+            "edge 'e' has an endpoint outside the vertex list",
+        ),
+        (
+            '{"vertices":["a"],"omega":[{"src":"a","dst":"b"}]}',
+            None,
+            "omega pair ('a', 'b') has an endpoint outside the vertex list",
+        ),
+        (
+            graph_to_json(zoo.a2()),
+            '[{"alpha":["e"],"alpha_src":"u","beta":[],"beta_src":"u","re":"1","im":"0"}]',
+            "monomial paths must share their range",
+        ),
+    ],
+    ids=["array-graph", "vertex-without-id", "edge-endpoint", "omega-endpoint", "ranges-differ"],
+)
+def test_malformed_input_exits_2_with_its_message(capsys, tmp_path, graph, element, message):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph)
+    argv = ["classify", "--graph", str(gp)]
+    if element is not None:
+        ep = tmp_path / "x.json"
+        ep.write_text(element)
+        argv = ["normalize", "--graph", str(gp), "--element", str(ep)]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_classify_exit_3_on_empty(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices":[],"edges":[]}')
@@ -411,6 +445,22 @@ def test_witness_exit_4_on_not_spi(capsys, tmp_path):
     assert code == 4
 
 
+def test_witness_exit_2_on_a_coefficient_it_cannot_write(capsys, tmp_path, r2_file):
+    # normalize prints v·(1/N) + e·M, N and M of 3,000 digits each; Step 2's
+    # coefficient N·M has 6,000, and the witness exited 2 naming a Python setting
+    elem = tmp_path / "long.json"
+    elem.write_text(
+        f'[{{"alpha":[],"alpha_src":"v","beta":[],"beta_src":"v","re":"1/{"7" * 3000}","im":"0"}},'
+        f'{{"alpha":["e"],"alpha_src":"v","beta":[],"beta_src":"v","re":"{"1" * 3000}","im":"0"}}]'
+    )
+    assert run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])[0] == 0
+    assert run(capsys, ["witness", "--graph", r2_file, "--element", str(elem)]) == (
+        2,
+        "",
+        "error: a coefficient has over 4300 digits, the most that Python writes\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # normalize and norm
 # ---------------------------------------------------------------------------
@@ -479,6 +529,27 @@ def test_normalize_exit_2_on_malformed_rational(capsys, tmp_path, r2_file, re, m
     elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":["f"],"beta_src":"v","re":"{re}","im":"0/1"}}]')
     code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
     assert (code, out, err) == (2, "", f"error: bad element term: {message}\n")
+
+
+@pytest.mark.parametrize("re", ["1e100000000", "0e100000000", "1e10000000", "-1E-4300", "0e5000"])
+def test_normalize_refuses_an_exponent_of_4300_or_more_at_once(capsys, tmp_path, r2_file, re):
+    # Fraction computes 10**|exponent| first: the first two ran for minutes,
+    # the third for 5 s before Python's digit limit, and "0e5000" printed []
+    elem = tmp_path / "exp.json"
+    elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":[],"beta_src":"v","re":"{re}","im":"0"}}]')
+    start = time.perf_counter()
+    result = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
+    assert time.perf_counter() - start < 1.0
+    message = "bad element term: 're' has an exponent of absolute value 4300 or more"
+    assert result == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("re, printed", [("1e4299", "1" + "0" * 4299 + "/1"), ("-1e-4299", "-1/1" + "0" * 4299)])
+def test_normalize_reads_and_prints_an_exponent_of_4299(capsys, tmp_path, r2_file, re, printed):
+    elem = tmp_path / "exp.json"
+    elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":[],"beta_src":"v","re":"{re}","im":"0"}}]')
+    code, out, err = run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)])
+    assert (code, json.loads(out)[0]["re"], err) == (0, printed, "")
 
 
 @pytest.mark.parametrize(

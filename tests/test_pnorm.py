@@ -853,8 +853,8 @@ def test_element_norm_matches_the_dense_route(case, p, seed):
 def assert_builds_no_dense_block(route):
     """Runs route(x) on three elements, with spies on the dense builders."""
     spies = [
-        mock.patch.object(pnorm, name, wraps=getattr(pnorm, name))
-        for name in ("spatial_rep_acyclic", "paths_into_by_sink")
+        mock.patch.object(module, name, wraps=getattr(module, name))
+        for module, name in ((pnorm, "spatial_rep_acyclic"), (matricial, "paths_into_by_sink"))
     ]
     with spies[0] as dense, spies[1] as paths:
         for _, x in (lex_is_not_block_order(), star_of_sources(), row_and_column_element()):

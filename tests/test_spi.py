@@ -17,6 +17,7 @@ from leavitt_lab.errors import (
     NotDegreeFree,
     NotSPI,
     OmegaUnsupported,
+    UnknownVertex,
     ZeroElement,
 )
 from leavitt_lab.graph import Graph, Path, Verdict, classify_graph, enumerate_paths
@@ -71,9 +72,32 @@ def test_least_cycle_rotates_to_base(spi3):
     assert least_cycle_at(spi3, "a") == Path("a", ("e1", "e2", "e3"))
     assert least_cycle_at(spi3, "b") == Path("b", ("e2", "e3", "e1"))
     with pytest.raises(NotCycleBase):
-        least_cycle_at(zoo.rand4a(), "zz") if False else least_cycle_at(
-            Graph(("u", "v"), (("g", "u", "v"), ("e", "v", "v"), ("f", "v", "v"))), "u"
-        )
+        least_cycle_at(Graph(("u", "v"), (("g", "u", "v"), ("e", "v", "v"), ("f", "v", "v"))), "u")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: closed_paths_at(g, "zz", 2),
+        lambda g: closed_paths_at(g, "zz", 0),
+        lambda g: incomparable_closed_path(g, "zz", Path("v", ("e",))),
+        lambda g: path_to_cycle_base(g, "zz"),
+        lambda g: equal_length_closed_paths(g, ["zz"], 2),
+        lambda g: equal_length_closed_paths(g, ["v", "zz"], 2),
+        lambda g: least_cycle_at(g, "zz"),
+        lambda g: g.analysis.least_cycle_at("zz"),
+        lambda g: annihilating_closed_path(zero(g), "zz"),
+    ],
+    ids=[
+        "closed_paths_at", "closed_paths_at-0", "incomparable_closed_path", "path_to_cycle_base",
+        "equal_length_closed_paths", "equal_length_closed_paths-mixed", "least_cycle_at",
+        "GraphAnalysis.least_cycle_at", "annihilating_closed_path",
+    ],
+)
+def test_search_helpers_refuse_unknown_vertex(r2, call):
+    # a bare KeyError, an empty family, [<zz>], InternalError or NotCycleBase before
+    with pytest.raises(UnknownVertex, match="vertex 'zz' is not in the graph"):
+        call(r2)
 
 
 def test_path_to_cycle_base():
