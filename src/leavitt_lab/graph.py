@@ -256,6 +256,10 @@ class Graph:
 
     def path(self, source: str, edges: Iterable[str] = ()) -> Path:
         """Validated path constructor; raises ValueError on a non-composable sequence."""
+        return self._walk(source, edges)[0]
+
+    def _walk(self, source: str, edges: Iterable[str]) -> tuple[Path, str]:
+        """The validated path and its range, from one walk along its edges."""
         self.require_vertex(source)
         at = source
         edges = tuple(edges)
@@ -270,7 +274,7 @@ class Graph:
             if e.src != at:
                 raise ValueError(f"edge {eid!r} does not depart {at!r}")
             at = e.dst
-        return Path(source, edges)
+        return tuple.__new__(Path, (source, edges)), at
 
     def range_of(self, p: Path) -> str:
         if not p.edges:

@@ -139,6 +139,8 @@ def _raw(a: int, b: int, d: int) -> GaussianRational:
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
     """(a + b·i)/d for any d > 0, brought to reduced form."""
+    if not (a or b):
+        return GR_ZERO
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
@@ -181,8 +183,11 @@ class Monomial(NamedTuple):
         return f"{a}({'·'.join(self.beta.edges)})*"
 
 
-def monomial_key(m: Monomial) -> tuple:
-    return (m.degree, m.alpha.edges, m.alpha.source, m.beta.edges, m.beta.source)
+def _term_key(term: tuple[Monomial, GaussianRational]) -> tuple:
+    """Sort key of a (monomial, coefficient) pair: the degree, then α's edges
+    and source, then β's, read straight off the tuple fields."""
+    (alpha_src, alpha), (beta_src, beta) = term[0]
+    return (len(alpha) - len(beta), alpha, alpha_src, beta, beta_src)
 
 
 def add_term(terms: dict[Monomial, GaussianRational], m: Monomial, c: GaussianRational) -> None:
@@ -197,13 +202,6 @@ def add_term(terms: dict[Monomial, GaussianRational], m: Monomial, c: GaussianRa
         terms[m] = acc
     else:
         del terms[m]
-
-
-def _is_excluded(g: Graph, m: Monomial) -> bool:
-    if not m.alpha.edges or not m.beta.edges:
-        return False
-    last = m.alpha.edges[-1]
-    return last == m.beta.edges[-1] and last in g.designated_ids
 
 
 class Element:
@@ -223,7 +221,7 @@ class Element:
     # -- inspection -----------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
-        return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
+        return sorted(self._terms.items(), key=_term_key)
 
     @property
     def is_zero(self) -> bool:
@@ -336,37 +334,53 @@ def normalize_terms(g: Graph, raw: Mapping[Monomial, GaussianRational]) -> Eleme
     once, with its final coefficient.  The rewrite is confluent, so the
     normal form does not depend on this order.
     """
+    edge_by_id, out_edges = g.edge_by_id, g.out_edges
+    new = tuple.__new__  # Path and Monomial without their Python-level constructors
     work: dict[Monomial, GaussianRational] = {}
-    for m, c in raw.items():
-        add_term(work, m, c if isinstance(c, GaussianRational) else gauss(c))
+    for m, c in raw.items():  # raw's keys are distinct, so each term is added once
+        if not isinstance(c, GaussianRational):
+            c = gauss(c)
+        if c:
+            work[m] = c
     pending: dict[int, list[Monomial]] = {}  # redexes by |a| + |b|
     for m in work:
-        if _is_excluded(g, m):
-            pending.setdefault(len(m.alpha.edges) + len(m.beta.edges), []).append(m)
+        (_, alpha), (_, beta) = m
+        # g.designated_ids is read only for a shared last edge, as it costs a
+        # pass over the vertices on a graph that has not yet computed it
+        if alpha and beta and alpha[-1] == beta[-1] and alpha[-1] in g.designated_ids:
+            pending.setdefault(len(alpha) + len(beta), []).append(m)
     while pending:
         size = max(pending)
         for m in pending.pop(size):
             c = work.pop(m, None)
             if c is None:  # cancelled to zero, or queued twice and already rewritten
                 continue
-            eid = m.alpha.edges[-1]
-            alpha_stub = Path(m.alpha.source, m.alpha.edges[:-1])
-            beta_stub = Path(m.beta.source, m.beta.edges[:-1])
-            stub = Monomial(alpha_stub, beta_stub)
-            if stub not in work and _is_excluded(g, stub):
-                pending.setdefault(size - 2, []).append(stub)
-            add_term(work, stub, c)
+            (alpha_src, alpha), (beta_src, beta) = m
+            eid = alpha[-1]
+            alpha, beta = alpha[:-1], beta[:-1]
+            stub = new(Monomial, (new(Path, (alpha_src, alpha)), new(Path, (beta_src, beta))))
+            old = work.get(stub)
+            if old is None:
+                work[stub] = c
+                if alpha and beta and alpha[-1] == beta[-1] and alpha[-1] in g.designated_ids:
+                    pending.setdefault(size - 2, []).append(stub)
+            elif acc := old + c:
+                work[stub] = acc
+            else:
+                del work[stub]
             neg = -c
-            for sibling in g.out_edges[g.edge_by_id[eid].src]:
-                if sibling.id != eid:
-                    add_term(
-                        work,
-                        Monomial(
-                            Path(alpha_stub.source, alpha_stub.edges + (sibling.id,)),
-                            Path(beta_stub.source, beta_stub.edges + (sibling.id,)),
-                        ),
-                        neg,
-                    )
+            for sibling in out_edges[edge_by_id[eid].src]:
+                sid = sibling.id
+                if sid != eid:
+                    sm = new(Monomial, (new(Path, (alpha_src, alpha + (sid,))),
+                                        new(Path, (beta_src, beta + (sid,)))))
+                    old = work.get(sm)
+                    if old is None:
+                        work[sm] = neg
+                    elif acc := old + neg:
+                        work[sm] = acc
+                    else:
+                        del work[sm]
     return Element(g, work)
 
 
@@ -450,19 +464,17 @@ def vertex_sum(g: Graph, F: Iterable[str]) -> Element:
 
 
 def element_to_json_obj(x: Element) -> list:
-    out = []
-    for m, c in x.terms():
-        out.append(
-            {
-                "alpha": list(m.alpha.edges),
-                "alpha_src": m.alpha.source,
-                "beta": list(m.beta.edges),
-                "beta_src": m.beta.source,
-                "re": _ratio_str(c.a, c.d),
-                "im": _ratio_str(c.b, c.d),
-            }
-        )
-    return out
+    return [
+        {
+            "alpha": list(alpha),
+            "alpha_src": alpha_src,
+            "beta": list(beta),
+            "beta_src": beta_src,
+            "re": _ratio_str(c.a, c.d),
+            "im": _ratio_str(c.b, c.d),
+        }
+        for ((alpha_src, alpha), (beta_src, beta)), c in x.terms()
+    ]
 
 
 def element_to_json(x: Element) -> str:
@@ -479,11 +491,18 @@ def _edge_list(entry: dict, key: str) -> list:
 def _rational(entry: dict, key: str) -> tuple[int, int]:
     """(numerator, denominator > 0) of a coefficient string, as ``Fraction`` reads it:
     ASCII ``[-]digits[/digits]`` with a nonzero denominator is split here, and
-    any other string goes to ``Fraction``, for its grammar and error messages,
-    unless |exponent|, which Fraction raises 10 to first, is 4300 or more."""
+    any other string goes to ``Fraction``, for its grammar and error messages.
+    Refused first: a run of over 4300 digits (``_``-joined digits count as one
+    run), which Python will not convert, and an |exponent| of 4300 or more,
+    which Fraction would raise 10 to before anything else."""
     value = entry[key]
     if not isinstance(value, str):
         raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
+    if len(value) > 4300:
+        import re
+
+        if any(len(run) - run.count("_") > 4300 for run in re.findall(r"\d+(?:_\d+)*", value)):
+            raise FormatError(f"bad element term: {key!r} has a run of over 4300 digits, the most that Python reads")
     negative = value[:1] == "-"
     num, slash, den = value[negative:].partition("/")
     if value.isascii() and num.isdigit() and (den.isdigit() or not slash):
@@ -504,25 +523,38 @@ _TERM_KEYS = frozenset(("alpha", "alpha_src", "beta", "beta_src", "re", "im"))
 
 
 def element_from_json_obj(g: Graph, obj) -> Element:
-    """Parse a list of terms; paths must be lists of edge ids, coefficients strings."""
+    """Parse a list of terms; paths must be lists of edge ids, coefficients strings.
+
+    One walk along each path both checks it and finds its range, and each
+    distinct pair of ``re``, ``im`` strings is converted once per call.
+    """
     if not isinstance(obj, list):
         raise FormatError("element JSON must be a list of terms")
+    walk, new = g._walk, tuple.__new__
     raw: dict[Monomial, GaussianRational] = {}
+    coeffs: dict[tuple[str, str], GaussianRational] = {}  # (re, im) strings already converted
     for entry in obj:
         try:
-            alpha = g.path(entry["alpha_src"], _edge_list(entry, "alpha"))
-            beta = g.path(entry["beta_src"], _edge_list(entry, "beta"))
-            a, da = _rational(entry, "re")
-            b, db = _rational(entry, "im")
-            coeff = _reduced(a * db, b * da, da * db)
+            alpha, alpha_range = walk(entry["alpha_src"], _edge_list(entry, "alpha"))
+            beta, beta_range = walk(entry["beta_src"], _edge_list(entry, "beta"))
+            # a missing "im" is _rational's to report, after "re" has been read
+            re_im = (entry["re"], entry.get("im"))
+            strings = type(re_im[0]) is str and type(re_im[1]) is str
+            coeff = coeffs.get(re_im) if strings else None
+            if coeff is None:
+                a, da = _rational(entry, "re")
+                b, db = _rational(entry, "im")
+                coeff = _reduced(a * db, b * da, da * db)
+                if strings:
+                    coeffs[re_im] = coeff
         except (KeyError, TypeError, ValueError, ZeroDivisionError, UnknownVertex) as exc:
             raise FormatError(f"bad element term: {exc}") from exc
         # the six keys read above are all required, so a seventh is unknown
         if len(entry) != len(_TERM_KEYS):
             raise FormatError(f"unknown element term JSON fields: {sorted(set(entry) - _TERM_KEYS)}")
-        if g.range_of(alpha) != g.range_of(beta):
+        if alpha_range != beta_range:
             raise FormatError("monomial paths must share their range")
-        add_term(raw, Monomial(alpha, beta), coeff)
+        add_term(raw, new(Monomial, (alpha, beta)), coeff)
     return normalize_terms(g, raw)
 
 

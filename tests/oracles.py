@@ -15,16 +15,17 @@ from itertools import product
 
 import numpy as np
 
-from leavitt_lab.errors import BecameEmpty, FormatError, InternalError
+from leavitt_lab.errors import BecameEmpty, FormatError, InternalError, UnknownVertex
 from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at
 from leavitt_lab.lpa import (
     Element,
     GaussianRational,
     Monomial,
     degree_component,
+    add_term,
     involute,
-    monomial_key,
     multiply,
+    normalize_terms,
     path_element,
 )
 from leavitt_lab.matricial import acyclic_decompose
@@ -335,15 +336,27 @@ def oracle_paths(g: Graph, n: int) -> list[tuple[str, tuple[str, ...]]]:
     return sorted(found, key=lambda t: t[1])
 
 
-def oracle_redexes(g: Graph, terms) -> list[Monomial]:
-    """The excluded monomials (a·e)(b·e)* of a term map, e designated, in canonical order.
+def oracle_monomial_key(m: Monomial) -> tuple:
+    """The canonical term order: degree, then α's edges and source, then β's."""
+    return (m.degree, m.alpha.edges, m.alpha.source, m.beta.edges, m.beta.source)
 
-    The designated edge of each regular vertex (one that emits edges and no
-    omega pair) is its least outgoing edge id, read off the raw edge list.
-    """
+
+def oracle_designated(g: Graph) -> set[str]:
+    """The designated edge of each regular vertex (one that emits edges and no
+    omega pair): its least outgoing edge id, read off the raw edge list."""
     out = _raw_out(g)
     om = _raw_omega_src(g)
-    designated = {min(eid for eid, _ in out[v]) for v in g.vertices if out[v] and not om[v]}
+    return {min(eid for eid, _ in out[v]) for v in g.vertices if out[v] and not om[v]}
+
+
+def oracle_is_excluded(g: Graph, m: Monomial) -> bool:
+    """Whether a·b* is (a·e)(b·e)* with e designated: a term no normal form holds."""
+    return oracle_redexes(g, [m]) == [m]
+
+
+def oracle_redexes(g: Graph, terms) -> list[Monomial]:
+    """The excluded monomials (a·e)(b·e)* of a term map, e designated, in canonical order."""
+    designated = oracle_designated(g)
     return sorted(
         (
             m
@@ -353,7 +366,7 @@ def oracle_redexes(g: Graph, terms) -> list[Monomial]:
             and m.alpha.edges[-1] == m.beta.edges[-1]
             and m.alpha.edges[-1] in designated
         ),
-        key=monomial_key,
+        key=oracle_monomial_key,
     )
 
 
@@ -391,6 +404,46 @@ def oracle_normalize(
             if h != e:
                 add(Monomial(Path(a.source, a.edges + (h,)), Path(b.source, b.edges + (h,))), -c)
     return Element(g, work)
+
+
+def oracle_counted_normalize(g: Graph, raw: dict[Monomial, GaussianRational]) -> tuple[Element, int]:
+    """The longest-first worklist of ``normalize_terms``, written with the
+    NamedTuple constructors and ``add_term``; returns the normal form and
+    the number of redexes it rewrote."""
+    out = _raw_out(g)
+    src_of = {e.id: e.src for e in g.edges}
+    designated = oracle_designated(g)
+
+    def excluded(m: Monomial) -> bool:
+        a, b = m.alpha.edges, m.beta.edges
+        return bool(a and b) and a[-1] == b[-1] and a[-1] in designated
+
+    work: dict[Monomial, GaussianRational] = {}
+    for m, c in raw.items():
+        add_term(work, m, c)
+    pending: dict[int, list[Monomial]] = {}
+    for m in work:
+        if excluded(m):
+            pending.setdefault(len(m.alpha.edges) + len(m.beta.edges), []).append(m)
+    steps = 0
+    while pending:
+        size = max(pending)
+        for m in pending.pop(size):
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            steps += 1
+            e = m.alpha.edges[-1]
+            a = Path(m.alpha.source, m.alpha.edges[:-1])
+            b = Path(m.beta.source, m.beta.edges[:-1])
+            stub = Monomial(a, b)
+            if stub not in work and excluded(stub):
+                pending.setdefault(size - 2, []).append(stub)
+            add_term(work, stub, c)
+            for h, _ in out[src_of[e]]:
+                if h != e:
+                    add_term(work, Monomial(Path(a.source, a.edges + (h,)), Path(b.source, b.edges + (h,))), -c)
+    return Element(g, work), steps
 
 
 def oracle_monomial_product(
@@ -431,15 +484,21 @@ def oracle_multiply(g: Graph, x: dict, y: dict, rng: random.Random) -> Element:
 
 def oracle_coefficient(entry: dict) -> GaussianRational:
     """The coefficient of an element JSON term, one ``Fraction`` per part;
-    raises what the element parser wraps into its ``FormatError``.  A part
-    whose text after its last e or E reads as an integer of absolute value
-    4300 or more is refused before ``Fraction`` sees it, as 10 to that power
-    would take ``Fraction`` minutes and has more digits than Python writes."""
+    raises what the element parser wraps into its ``FormatError``.  Two
+    kinds of part are refused before ``Fraction`` sees them.  One holds
+    over 4300 digits in a run, counting digits joined by single underscores
+    as one run, since ``int`` refuses to read that many.  The other's text
+    after its last e or E reads as an integer of absolute value 4300 or
+    more, as 10 to that power would take ``Fraction`` minutes and has more
+    digits than Python writes."""
     parts = []
     for key in ("re", "im"):
         value = entry[key]
         if not isinstance(value, str):
             raise FormatError(f'bad element term: {key!r} must be an exact rational string such as "1/2"')
+        for stretch in re.findall(r"[\d_]+", value):
+            if any(len(run.replace("_", "")) > 4300 for run in stretch.split("__")):
+                raise FormatError(f"bad element term: {key!r} has a run of over 4300 digits, the most that Python reads")
         *head, exponent = re.split("[eE]", value)
         try:
             huge = bool(head) and abs(int(exponent)) >= 4300
@@ -449,6 +508,41 @@ def oracle_coefficient(entry: dict) -> GaussianRational:
             raise FormatError(f"bad element term: {key!r} has an exponent of absolute value 4300 or more")
         parts.append(Fraction(value))
     return GaussianRational(*parts)
+
+
+_ORACLE_TERM_KEYS = ("alpha", "alpha_src", "beta", "beta_src", "re", "im")
+
+
+def oracle_element_terms(g: Graph, obj) -> dict[Monomial, GaussianRational]:
+    """The raw term map of an element JSON list, parsed one term at a time:
+    ``g.path`` for each path, ``range_of`` for each range and
+    ``oracle_coefficient`` for the coefficient.  Raises the ``FormatError``
+    that ``element_from_json_obj`` raises, with the same text."""
+    if not isinstance(obj, list):
+        raise FormatError("element JSON must be a list of terms")
+    raw: dict[Monomial, GaussianRational] = {}
+    for entry in obj:
+        try:
+            paths = []
+            for side in ("alpha", "beta"):
+                source = entry[f"{side}_src"]
+                if not isinstance(entry[side], list):
+                    raise FormatError(f"bad element term: {side!r} must be a list of edge ids")
+                paths.append(g.path(source, entry[side]))
+            coeff = oracle_coefficient(entry)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, UnknownVertex) as exc:
+            raise FormatError(f"bad element term: {exc}") from exc
+        if set(entry) != set(_ORACLE_TERM_KEYS):
+            raise FormatError(f"unknown element term JSON fields: {sorted(set(entry) - set(_ORACLE_TERM_KEYS))}")
+        alpha, beta = paths
+        if g.range_of(alpha) != g.range_of(beta):
+            raise FormatError("monomial paths must share their range")
+        add_term(raw, Monomial(alpha, beta), coeff)
+    return raw
+
+
+def oracle_element_from_json(g: Graph, obj) -> Element:
+    return normalize_terms(g, oracle_element_terms(g, obj))
 
 
 def oracle_frac_str(f: Fraction) -> str:

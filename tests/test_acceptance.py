@@ -34,7 +34,7 @@ from leavitt_lab.sample import random_element
 from leavitt_lab.spi import cohn_embedding, equal_length_closed_paths, spi_witness
 from leavitt_lab.transforms import reachable_subgraph
 
-from oracles import oracle_column_sum_norm, oracle_cycles, oracle_is_simple, oracle_normalize
+from oracles import oracle_column_sum_norm, oracle_cycles, oracle_is_excluded, oracle_is_simple, oracle_normalize
 
 
 @contextmanager
@@ -215,15 +215,13 @@ def test_acceptance_7_quadrature():
 
 
 def _corner_monomials(g: Graph, w: str, max_len: int) -> set:
-    from leavitt_lab.lpa import _is_excluded
-
     outgoing = []
     for r in range(max_len + 1):
         outgoing.extend(p for p in enumerate_paths(g, r) if p.source == w)
     pairs = set()
     for a in outgoing:
         for b in outgoing:
-            if g.range_of(a) == g.range_of(b) and not _is_excluded(g, Monomial(a, b)):
+            if g.range_of(a) == g.range_of(b) and not oracle_is_excluded(g, Monomial(a, b)):
                 pairs.add((a.edges, b.edges))
     return pairs
 

@@ -544,6 +544,23 @@ def test_normalize_refuses_an_exponent_of_4300_or_more_at_once(capsys, tmp_path,
     assert result == (2, "", f"error: {message}\n")
 
 
+DIGIT_RUNS = {
+    "integer": "1" * 5000,
+    "denominator": "1/" + "3" * 5000,
+    "decimal": "0." + "1" * 5000,
+    "underscored": "1_" * 4400 + "1",
+}
+
+
+@pytest.mark.parametrize("re", DIGIT_RUNS.values(), ids=DIGIT_RUNS)
+def test_normalize_refuses_a_run_of_over_4300_digits(capsys, tmp_path, r2_file, re):
+    # Python's int refuses to read them, and the message advised a Python setting
+    elem = tmp_path / "digits.json"
+    elem.write_text(f'[{{"alpha":["e"],"alpha_src":"v","beta":[],"beta_src":"v","re":"{re}","im":"0"}}]')
+    message = "bad element term: 're' has a run of over 4300 digits, the most that Python reads"
+    assert run(capsys, ["normalize", "--graph", r2_file, "--element", str(elem)]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("re, printed", [("1e4299", "1" + "0" * 4299 + "/1"), ("-1e-4299", "-1/1" + "0" * 4299)])
 def test_normalize_reads_and_prints_an_exponent_of_4299(capsys, tmp_path, r2_file, re, printed):
     elem = tmp_path / "exp.json"

@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import os
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
-from leavitt_lab.graph import Graph, Path, enumerate_paths
+from leavitt_lab.graph import Graph, Path, enumerate_paths, graph_from_json
 from leavitt_lab.lpa import (
     Element,
     GR_ONE,
@@ -37,6 +41,9 @@ from leavitt_lab.sample import random_element
 from oracles import (
     OracleGaussianRational,
     oracle_coefficient,
+    oracle_counted_normalize,
+    oracle_element_from_json,
+    oracle_element_terms,
     oracle_frac_str,
     oracle_monomial_product,
     oracle_multiply,
@@ -675,3 +682,124 @@ def test_coefficient_parsing_matches_fraction_oracle(re, im):
     with pytest.raises(FormatError) as info:
         element_from_json_obj(r2, [term])
     assert str(info.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# the element parser against a per-term oracle
+# ---------------------------------------------------------------------------
+
+# u is regular (e designated), v emits g, h and the omega pair v -> u, w is a sink
+PARSE_GRAPH = Graph(
+    ("u", "v", "w"),
+    (("e", "u", "u"), ("f", "u", "v"), ("g", "v", "u"), ("h", "v", "w")),
+    (("v", "u"),),
+)
+PARSE_OUT = PARSE_GRAPH.out_alphabet(3)  # explicit edges and the omega ids v~u^1 .. v~u^3
+PARSE_IN = {v: [(eid, src) for src in PARSE_GRAPH.vertices for eid, dst in PARSE_OUT[src] if dst == v]
+            for v in PARSE_GRAPH.vertices}
+PARSE_COEFFICIENTS = ["1", "-1", "0", "1/2", "-2/4", "3", "0.5", "-1e1", " 2 "]
+
+
+def negated(text: str) -> str:
+    text = text.strip()
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def random_parse_term(rng: random.Random) -> dict:
+    src = at = rng.choice(PARSE_GRAPH.vertices)
+    alpha = []
+    for _ in range(rng.randint(0, 4)):
+        if not PARSE_OUT[at]:
+            break
+        eid, at = rng.choice(PARSE_OUT[at])
+        alpha.append(eid)
+    beta_src, beta = at, []
+    for _ in range(rng.randint(0, 4)):
+        eid, beta_src = rng.choice(PARSE_IN[beta_src])
+        beta.insert(0, eid)
+    return {"alpha": alpha, "alpha_src": src, "beta": beta, "beta_src": beta_src,
+            "re": rng.choice(PARSE_COEFFICIENTS), "im": rng.choice(PARSE_COEFFICIENTS)}
+
+
+# each makes one term malformed
+BAD_TERMS = {
+    "unknown-edge": lambda t: {**t, "alpha": [*t["alpha"], "zz"]},
+    "non-composable-edge": lambda t: {**t, "alpha_src": "w", "alpha": ["e"]},
+    "unknown-omega-id": lambda t: {**t, "beta_src": "v", "beta": ["v~u^0"]},
+    "unhashable-edge-id": lambda t: {**t, "alpha": [["e"]]},
+    "unhashable-source": lambda t: {**t, "beta_src": ["u"]},
+    "unknown-vertex": lambda t: {**t, "alpha_src": "zz", "alpha": []},
+    "edges-not-a-list": lambda t: {**t, "beta": "e"},
+    "non-string-re": lambda t: {**t, "re": 1},
+    "non-string-im": lambda t: {**t, "im": None},
+    "unhashable-im": lambda t: {**t, "im": ["1"]},
+    "bad-rational": lambda t: {**t, "re": "1/0"},
+    "missing-im": lambda t: {k: v for k, v in t.items() if k != "im"},
+    "seventh-key": lambda t: {**t, "gamma": []},
+    "ranges-differ": lambda t: {**t, "alpha_src": "u", "alpha": ["f"], "beta_src": "u", "beta": []},
+}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, *BAD_TERMS]))
+@settings(deadline=None, max_examples=300)
+def test_element_parser_matches_per_term_oracle(seed, bad):
+    rng = random.Random(seed)
+    terms = [random_parse_term(rng) for _ in range(rng.randint(0, 12))]
+    # repeats of a term, with the same coefficient or its negation, so that
+    # coefficient strings repeat and monomials cancel
+    for t in rng.sample(terms, rng.randint(0, len(terms))):
+        terms.append(dict(t) if rng.random() < 0.3 else {**t, "re": negated(t["re"]), "im": negated(t["im"])})
+    rng.shuffle(terms)
+    if bad is not None:
+        terms.insert(rng.randint(0, len(terms)), BAD_TERMS[bad](random_parse_term(rng)))
+    try:
+        expected = oracle_element_from_json(PARSE_GRAPH, terms)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            element_from_json_obj(PARSE_GRAPH, terms)
+        assert str(info.value) == str(exc)
+    else:
+        assert element_from_json_obj(PARSE_GRAPH, terms) == expected
+
+
+# ---------------------------------------------------------------------------
+# normalize_terms: its argument, and its rewrite count on the benchmark
+# ---------------------------------------------------------------------------
+
+
+@given(raw_sums())
+@settings(deadline=None, max_examples=60)
+def test_normalize_terms_leaves_its_argument_untouched(sample):
+    # callers read the map afterwards: the benchmark's tracer counts len(raw)
+    # as terms in, and multiply passes a map of its own
+    g, raw = sample
+    raw[Monomial(Path(g.vertices[0]), Path(g.vertices[0]))] = 0  # a zero that is not a GaussianRational
+    before = list(raw.items())
+    normalize_terms(g, raw)
+    after = list(raw.items())
+    assert after == before
+    assert all(m1 is m2 and c1 is c2 for (m1, c1), (m2, c2) in zip(after, before))
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_normalize_rewrites_of_a_seed_1_benchmark_batch(monkeypatch):
+    # one seed-1 batch of the benchmark's normalize workload takes 13,127
+    # rewrites in the longest-first worklist (its NamedTuple form, counted)
+    monkeypatch.syspath_prepend(PERFBENCH)  # workloads.py imports refgraph.py beside it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    w = workloads.build("normalize", 1)
+    assert len(w.calls) == 105
+    steps = 0
+    for call in w.calls:
+        graph_file, element_file = call.argv[2], call.argv[4]
+        g = graph_from_json(w.files[graph_file])
+        raw = oracle_element_terms(g, json.loads(w.files[element_file]))
+        x, n = oracle_counted_normalize(g, raw)
+        assert normalize_terms(g, raw) == x
+        steps += n
+    assert steps == 13127

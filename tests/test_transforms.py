@@ -31,7 +31,7 @@ from leavitt_lab.transforms import (
     reachable_subgraph,
     remove_sources,
 )
-from oracles import oracle_remove_sources
+from oracles import oracle_is_excluded, oracle_remove_sources
 from test_graph import random_graphs
 
 
@@ -279,8 +279,6 @@ def test_reachable_traverses_omega(omega_spi):
 
 def corner_monomials(g: Graph, w: str, max_len: int) -> set:
     """Normal-form monomial pairs (alpha, beta) with both sources w, lengths <= max_len."""
-    from leavitt_lab.lpa import _is_excluded
-
     outgoing = []
     for r in range(max_len + 1):
         outgoing.extend(p for p in enumerate_paths(g, r) if p.source == w)
@@ -289,7 +287,7 @@ def corner_monomials(g: Graph, w: str, max_len: int) -> set:
         for b in outgoing:
             if g.range_of(a) != g.range_of(b):
                 continue
-            if _is_excluded(g, Monomial(a, b)):
+            if oracle_is_excluded(g, Monomial(a, b)):
                 continue
             pairs.add((a.edges, b.edges))
     return pairs
@@ -387,8 +385,6 @@ def test_embed_random_subgraphs_relations_hold():
 
 
 def _monomial_basis(g, max_len):
-    from leavitt_lab.lpa import _is_excluded
-
     pool = []
     for r in range(max_len + 1):
         pool.extend(enumerate_paths(g, r))
@@ -398,7 +394,7 @@ def _monomial_basis(g, max_len):
             if g.range_of(a) != g.range_of(b):
                 continue
             m = Monomial(a, b)
-            if not _is_excluded(g, m):
+            if not oracle_is_excluded(g, m):
                 basis.append(m)
     return basis
 
