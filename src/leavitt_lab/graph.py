@@ -18,6 +18,7 @@ from .errors import (
     EmptyGraph,
     FormatError,
     FrontierPresent,
+    NotAcyclic,
     NotCycleBase,
     OmegaUnsupported,
     UnknownVertex,
@@ -351,7 +352,8 @@ def path_counts(g: Graph) -> dict[str, int]:
     """The number of paths ending at each vertex of an acyclic graph, its
     length-0 path included: count[v] = 1 + the sum of count[src e] over the
     edges e into v.  One pass in topological order, O(V + E), building no
-    path; on a graph with cycles the counts behind a cycle are incomplete."""
+    path.  Raises NotAcyclic when the pass cannot reach every vertex, which
+    happens exactly when the graph has a cycle (omega pairs are not read)."""
     waiting = {v: len(g.in_edges[v]) for v in g.vertices}
     count = dict.fromkeys(g.vertices, 1)
     ready = [v for v in g.vertices if not waiting[v]]
@@ -361,6 +363,7 @@ def path_counts(g: Graph) -> dict[str, int]:
             waiting[e.dst] -= 1
             if not waiting[e.dst]:
                 ready.append(e.dst)
+    _require_all_ordered(g, ready)
     return count
 
 
@@ -368,7 +371,7 @@ def tail_counts(g: Graph) -> dict[str, int]:
     """The number of paths from each vertex of a finite acyclic graph to a
     sink: tails[u] = 1 at a sink, else the sum of tails[r(e)] over the edges
     e out of u.  The twin of ``path_counts``, one pass in reverse topological
-    order, O(V + E), building no path."""
+    order, O(V + E), building no path, and the same NotAcyclic on a cycle."""
     waiting = {v: len(g.out_edges[v]) for v in g.vertices}
     tails = {v: int(not waiting[v]) for v in g.vertices}
     ready = [v for v in g.vertices if not waiting[v]]
@@ -378,7 +381,14 @@ def tail_counts(g: Graph) -> dict[str, int]:
             waiting[e.src] -= 1
             if not waiting[e.src]:
                 ready.append(e.src)
+    _require_all_ordered(g, ready)
     return tails
+
+
+def _require_all_ordered(g: Graph, ordered: list[str]) -> None:
+    # a topological pass stops short of every vertex on or behind a cycle
+    if len(ordered) < len(g.vertices):
+        raise NotAcyclic("the graph has a cycle")
 
 
 def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:

@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
-    NotAcyclic,
     NotInFiltration,
     OmegaUnsupported,
     ZeroElement,
@@ -112,23 +111,27 @@ def _require_row_finite_finite(g: Graph) -> None:
 
 def _expand(g: Graph, terms, n: int) -> dict[Monomial, GaussianRational]:
     """Push each a·b* through u = sum of e·e* over the edges e leaving its
-    range, on both sides, until the range is a sink or the paths reach length n."""
+    range, on both sides, until the range is a sink or the paths reach length n.
+
+    One depth-first walk per term, each node carrying its paths' edges and
+    their range, read off ``g.out_edges``: a vertex with no edge there is a
+    sink, since the callers refuse omega pairs.  The terms land in walk
+    order, through ``add_term``."""
+    succ = g.out_edges
+    new = tuple.__new__  # Path and Monomial without their Python-level constructors
     out: dict[Monomial, GaussianRational] = {}
     for m, c in terms:
-        stack = [(m.alpha, m.beta)]
+        (a_src, a_edges), (b_src, b_edges) = m
+        stack = [(a_edges, b_edges, g.range_of(m.alpha))]
         while stack:
-            alpha, beta = stack.pop()
-            at = g.range_of(alpha)
-            if len(alpha.edges) == n or g.is_sink(at):
-                add_term(out, Monomial(alpha, beta), c)
+            alpha, beta, at = stack.pop()
+            step = succ[at]
+            if not step or len(alpha) == n:
+                pair = (new(Path, (a_src, alpha)), new(Path, (b_src, beta)))
+                add_term(out, new(Monomial, pair), c)
                 continue
-            for e in g.out_edges[at]:
-                stack.append(
-                    (
-                        Path(alpha.source, alpha.edges + (e.id,)),
-                        Path(beta.source, beta.edges + (e.id,)),
-                    )
-                )
+            for eid, _, dst in step:
+                stack.append((alpha + (eid,), beta + (eid,), dst))
     return out
 
 
@@ -202,23 +205,19 @@ def paths_into_by_sink(g: Graph) -> dict[str, tuple[Path, ...]]:
     return {v: ps for v, ps in paths_by_range(g, len(g.vertices) - 1).items() if g.is_sink(v)}
 
 
-def _require_acyclic(g: Graph) -> None:
-    _require_row_finite_finite(g)
-    if g.analysis.cycle_bases:
-        raise NotAcyclic("the graph has a cycle")
-
-
 def acyclic_expansion(x: Element) -> dict[Monomial, GaussianRational]:
     """x expanded into monomials a·b* with a and b ending at the same sink:
     the nonzero entries of the acyclic block decomposition, whose rows and
     columns are ``paths_into_by_sink(x.graph)``.
 
-    Raises BudgetExceeded, before any path is built, when the expansion
-    would make more than ``EXPANSION_BUDGET`` terms: a term a·b* makes one
-    per path from r(a) to a sink.
+    Raises OmegaUnsupported on omega pairs, then NotAcyclic on a cycle (from
+    ``tail_counts``, so no graph analysis is built), then BudgetExceeded,
+    before any path is built, when the expansion would make more than
+    ``EXPANSION_BUDGET`` terms: a term a·b* makes one per path from r(a) to
+    a sink.
     """
     g = x.graph
-    _require_acyclic(g)
+    _require_row_finite_finite(g)
     tails, terms = tail_counts(g), x.terms()
     made = sum(tails[g.range_of(m.alpha)] for m, _ in terms)
     if made > EXPANSION_BUDGET:
@@ -230,13 +229,13 @@ def acyclic_expansion(x: Element) -> dict[Monomial, GaussianRational]:
 
 
 def check_sink_blocks(x: Element) -> None:
-    """Raises as ``acyclic_expansion(x)`` does on a graph or element it
-    refuses, and BudgetExceeded when x's dense sink blocks would hold more
-    than ``BLOCK_BUDGET`` entries in all: an O(V + E) count, for
-    ``acyclic_decompose`` to make before it expands x or lists the paths
+    """Raises OmegaUnsupported on omega pairs, then NotAcyclic on a cycle
+    (from ``path_counts``), then BudgetExceeded when x's dense sink blocks
+    would hold more than ``BLOCK_BUDGET`` entries in all: an O(V + E) count,
+    for ``acyclic_decompose`` to make before it expands x or lists the paths
     into the sinks."""
     g = x.graph
-    _require_acyclic(g)
+    _require_row_finite_finite(g)
     counts = path_counts(g)
     entries = sum(counts[v] ** 2 for v in g.vertices if g.is_sink(v))
     if entries > BLOCK_BUDGET:

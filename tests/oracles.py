@@ -446,6 +446,30 @@ def oracle_counted_normalize(g: Graph, raw: dict[Monomial, GaussianRational]) ->
     return Element(g, work), steps
 
 
+def oracle_expand(g: Graph, terms, n: int) -> dict[Monomial, GaussianRational]:
+    """The expansion by Path and Monomial objects: each a·b* pushed through
+    u = sum of e·e* over the edges leaving its range, on both sides, until
+    the range is a sink or the paths reach length n, reading the range and
+    the vertex kind off the graph at every node of a depth-first walk."""
+    out: dict[Monomial, GaussianRational] = {}
+    for m, c in terms:
+        stack = [(m.alpha, m.beta)]
+        while stack:
+            alpha, beta = stack.pop()
+            at = g.range_of(alpha)
+            if len(alpha.edges) == n or g.is_sink(at):
+                add_term(out, Monomial(alpha, beta), c)
+                continue
+            for e in g.out_edges[at]:
+                stack.append(
+                    (
+                        Path(alpha.source, alpha.edges + (e.id,)),
+                        Path(beta.source, beta.edges + (e.id,)),
+                    )
+                )
+    return out
+
+
 def oracle_monomial_product(
     g: Graph, m1: tuple[tuple[str, ...], tuple[str, ...]], m2
 ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:

@@ -1,11 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import leavitt_lab
 from conftest import source_tail_into_rose
@@ -21,6 +29,13 @@ from leavitt_lab.lpa import (
     path_element,
     vertex_element,
     zero,
+)
+
+from oracles import (
+    oracle_cycles,
+    oracle_dense_norm_estimate,
+    oracle_element_from_json,
+    oracle_spatial_rep_acyclic,
 )
 
 
@@ -893,11 +908,113 @@ def test_transform_rejects_bad_depth(capsys, tmp_path):
     assert code == 2
 
 
-def test_norm_rejects_cyclic_graph(capsys, tmp_path, r2_file):
-    g = zoo.r2()
-    elem = write_element(tmp_path, g, vertex_element(g, "v"))
-    code, out, err = run(capsys, ["norm", "--graph", r2_file, "--element", elem, "--p", "1"])
-    assert code == 1
+def test_norm_rejects_cyclic_graph(capsys, tmp_path):
+    # a cycle through, below, beside or above the element's support: exit 1, one line
+    graphs = (
+        zoo.r2(),
+        Graph(("a", "b"), (("e", "a", "b"), ("l", "b", "b"))),
+        Graph(("u", "v", "r"), (("e", "u", "v"), ("l", "r", "r"))),
+        Graph(("u", "w", "s"), (("e", "u", "w"), ("f", "w", "u"), ("g", "w", "s"))),
+    )
+    for g in graphs:
+        gp = tmp_path / "g.json"
+        gp.write_text(graph_to_json(g))
+        elem = write_element(tmp_path, g, vertex_element(g, g.vertices[-1]))
+        code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", elem, "--p", "1"])
+        assert (code, out, err) == (1, "", "error: the graph has a cycle\n")
+
+
+README_EXIT_CODES = frozenset(
+    int(code)
+    for code in re.findall(
+        r"^\| (\d+) \|", (Path(__file__).parents[1] / "README.md").read_text(), re.M
+    )
+)
+
+
+@st.composite
+def norm_cli_inputs(draw):
+    """Graph JSON, element JSON and p for ``norm``: a small random graph, half
+    of them acyclic, the rest with cycles allowed, sometimes with omega pairs
+    or frontier vertices, or the empty graph; an element of up to four terms
+    whose paths are walks of up to three edges, most terms with a β that
+    shares α's range, a few with an unknown vertex."""
+    size = draw(st.integers(0, 5))
+    verts = [f"v{i}" for i in range(size)]
+    ends = []
+    if verts:
+        dag = draw(st.booleans())
+        for s, d in draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=7)):
+            ends.append((min(s, d), max(s, d)) if dag else (s, d))
+        ends = [(s, d) for s, d in ends if not dag or s != d]
+    omega = [] if not verts or draw(st.integers(0, 3)) else [(verts[0], verts[-1])]
+    frontier = draw(st.sets(st.sampled_from(verts), max_size=2)) if verts else set()
+    g = Graph(verts, [(f"e{k}", s, d) for k, (s, d) in enumerate(ends)], omega, frontier)
+    out = g.out_alphabet(omega_copies=2)
+    walks = [(v, (), v) for v in verts]
+    for at_length in (1, 2, 3):
+        walks += [
+            (src, (*edges, eid), dst)
+            for src, edges, at in walks
+            if len(edges) == at_length - 1
+            for eid, dst in out[at]
+        ]
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4)) if verts else 0):
+        a_src, alpha, at = draw(st.sampled_from(walks))
+        same_range = [w for w in walks if w[2] == at]
+        b_src, beta, _ = draw(st.sampled_from(same_range if draw(st.integers(0, 3)) else walks))
+        if draw(st.integers(0, 9)) == 0:
+            a_src, alpha = "zz", ()
+        re_ = draw(st.sampled_from(["1", "-1", "2", "1/3", "-5/2", "0", "0.25", "1e300"]))
+        im = draw(st.sampled_from(["0", "0", "1", "-1/2"]))
+        terms.append(
+            {"alpha": alpha, "alpha_src": a_src, "beta": beta, "beta_src": b_src, "re": re_, "im": im}
+        )
+    p = draw(st.sampled_from(["1", "1.5", "2", "3"]))
+    return g, graph_to_json(g), json.dumps(terms), p
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(norm_cli_inputs())
+@settings(deadline=timedelta(seconds=3), max_examples=400)
+def test_norm_cli_fuzz(case):
+    g, graph_text, element_text, p = case
+    with tempfile.TemporaryDirectory() as tmp:
+        gp, ep = os.path.join(tmp, "g.json"), os.path.join(tmp, "x.json")
+        with open(gp, "w", encoding="utf-8") as f:
+            f.write(graph_text)
+        with open(ep, "w", encoding="utf-8") as f:
+            f.write(element_text)
+        code, out, err = _main_in_process(
+            ["norm", "--graph", gp, "--element", ep, "--p", p]
+        )
+    event(f"exit {code}")
+    assert code in README_EXIT_CODES
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        if code == 1 and not g.omega_pairs:
+            assert err == "error: the graph has a cycle\n" and oracle_cycles(g)
+        return
+    # it answered, so the graph is row-finite and acyclic and the element parsed
+    assert not g.omega_pairs and not oracle_cycles(g)
+    if p == "1":
+        x = oracle_element_from_json(g, json.loads(element_text))
+        _, blocks = oracle_spatial_rep_acyclic(x)
+        dense = max((oracle_dense_norm_estimate(M, 1.0)[0] for M in blocks.values()), default=0.0)
+        # equal reprs are equal bits
+        assert repr(json.loads(out)["norm"]) == repr(dense)
 
 
 # ---------------------------------------------------------------------------

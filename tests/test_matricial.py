@@ -2,12 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leavitt_lab import zoo
-from leavitt_lab.errors import NotAcyclic, NotInFiltration, OmegaUnsupported, ZeroElement
-from leavitt_lab.graph import Graph, Path
+from leavitt_lab import matricial, zoo
+from leavitt_lab.errors import (
+    BudgetExceeded,
+    NotAcyclic,
+    NotInFiltration,
+    OmegaUnsupported,
+    ZeroElement,
+)
+from leavitt_lab.graph import Graph, Path, path_counts, tail_counts
 from leavitt_lab.lpa import (
     GaussianRational,
+    Monomial,
     gauss,
     involute,
     monomial_element,
@@ -18,12 +27,18 @@ from leavitt_lab.lpa import (
 )
 from leavitt_lab.matricial import (
     BlockKey,
+    _expand,
     acyclic_decompose,
+    acyclic_expansion,
     blockwise_product,
+    check_sink_blocks,
     degree_zero_witness,
     filtration_decompose,
 )
+from leavitt_lab.pnorm import degree_component_quadrature_error, element_norm_estimate
 from leavitt_lab.sample import random_element
+
+from oracles import oracle_expand
 
 
 def mono(g, alpha_edges, beta_edges, coeff=1, src=None):
@@ -318,3 +333,126 @@ def test_filtration_block_shape(r2):
     assert d.paths[key] == (Path("v", ("e",)), Path("v", ("f",)))
     assert d.blocks[key][0][1] == gauss(1, Fraction(-1, 2))
     assert d.blocks[key][0][0] == gauss(0)
+
+
+# ---------------------------------------------------------------------------
+# the expansion loop against its object-by-object oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def expansion_inputs(draw):
+    """(graph, terms, n) for ``_expand``: a random row-finite graph, cycles
+    allowed, at a stage n of 0..6 no term's α passes; a random DAG at
+    n = |V|, which no path reaches; or c·v + d·e^n(e^n)* over rose(2) or
+    rose(3), which cancels at stage n when c + d = 0.  Some terms are
+    repeated with the opposite sign, so sums cancel inside the loop too."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cyclic", "dag", "rose"]))
+    if kind == "rose":
+        g, k = zoo.rose(draw(st.sampled_from([2, 3]))), draw(st.integers(0, 6))
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        en = Path("v", ("e",) * k)
+        terms = [(Monomial(Path("v"), Path("v")), gauss(c)), (Monomial(en, en), gauss(d))]
+        return g, [(m, z) for m, z in terms if z], k
+    size = draw(st.integers(1, 5))
+    verts = [f"v{i}" for i in range(size)]
+    edges = []
+    for i, v in enumerate(verts):
+        # out-degree at most 3 keeps a stage-6 walk within 3^6 paths per term
+        later = verts[i + 1:] if kind == "dag" else verts
+        for dst in draw(st.lists(st.sampled_from(later), max_size=3)) if later else ():
+            edges.append((f"e{len(edges)}", v, dst))
+    g = Graph(tuple(draw(st.permutations(verts))), tuple(edges))
+    n = draw(st.integers(0, 6)) if kind == "cyclic" else size
+    x = random_element(
+        g, rng, max_terms=draw(st.integers(1, 5)), max_len=min(n, 3),
+        degree_zero=draw(st.booleans()), nonzero=False,
+    )
+    terms = x.terms()
+    terms += [(m, -z) for m, z in terms if rng.random() < 0.3]
+    return g, terms, n
+
+
+@given(expansion_inputs())
+@settings(deadline=None, max_examples=400)
+def test_expansion_loop_matches_the_object_oracle(case):
+    g, terms, n = case
+    # the same terms and coefficients, inserted in the same order
+    assert list(_expand(g, terms, n).items()) == list(oracle_expand(g, terms, n).items())
+
+
+# ---------------------------------------------------------------------------
+# acyclicity from the counting passes
+# ---------------------------------------------------------------------------
+
+
+def loop_below_a_dag() -> Graph:
+    # a -> b -> c with a loop at c, the last vertex
+    return Graph(("a", "b", "c"), (("e", "a", "b"), ("f", "b", "c"), ("l", "c", "c")))
+
+
+def cycle_into_a_sink() -> Graph:
+    # u <-> w feeds the sink s
+    return Graph(("u", "w", "s"), (("e", "u", "w"), ("f", "w", "u"), ("g", "w", "s")))
+
+
+def cycle_apart() -> Graph:
+    # a2's u -> v beside a rose at r that no path from u or v reaches
+    return Graph(("u", "v", "r"), (("e", "u", "v"), ("l", "r", "r")))
+
+
+CYCLIC = {
+    "loop_below_a_dag": (loop_below_a_dag, "a"),
+    "cycle_into_a_sink": (cycle_into_a_sink, "s"),
+    "cycle_apart": (cycle_apart, "u"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+@pytest.mark.parametrize("count", [path_counts, tail_counts])
+def test_counts_raise_on_a_cycle(name, count):
+    with pytest.raises(NotAcyclic, match="the graph has a cycle"):
+        count(CYCLIC[name][0]())
+
+
+ACYCLIC_ROUTES = {
+    "acyclic_expansion": acyclic_expansion,
+    "check_sink_blocks": check_sink_blocks,
+    "acyclic_decompose": acyclic_decompose,
+    "element_norm_estimate": lambda x: element_norm_estimate(x, 1.5),
+    "degree_component_quadrature_error": lambda x: degree_component_quadrature_error(x, 0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ACYCLIC_ROUTES))
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+def test_acyclic_routes_refuse_any_cycle(route, name):
+    # the element's support avoids the cycle in two of the three graphs
+    make, v = CYCLIC[name]
+    with pytest.raises(NotAcyclic, match="the graph has a cycle"):
+        ACYCLIC_ROUTES[route](vertex_element(make(), v))
+
+
+@pytest.mark.parametrize("route", sorted(ACYCLIC_ROUTES))
+def test_acyclic_routes_refuse_omega_then_cycle_then_budget(monkeypatch, route):
+    # with both budgets at 0 every element over a sink is over them
+    monkeypatch.setattr(matricial, "EXPANSION_BUDGET", 0)
+    monkeypatch.setattr(matricial, "BLOCK_BUDGET", 0)
+    run = ACYCLIC_ROUTES[route]
+    omega_and_loop = Graph(("u", "v"), (("l", "u", "u"),), (("u", "v"),))
+    with pytest.raises(OmegaUnsupported):
+        run(vertex_element(omega_and_loop, "v"))
+    with pytest.raises(NotAcyclic):
+        run(vertex_element(cycle_into_a_sink(), "s"))
+    with pytest.raises(BudgetExceeded):
+        run(vertex_element(zoo.a2(), "u"))
+
+
+@pytest.mark.parametrize("route", sorted(ACYCLIC_ROUTES))
+def test_acyclic_routes_build_no_graph_analysis(route):
+    # acyclicity comes from the counting pass, so no SCC pass runs
+    for g in (zoo.a2(), zoo.a3(), zoo.line(4), zoo.two_isolated()):
+        x = vertex_element(g, g.vertices[0])
+        ACYCLIC_ROUTES[route](x)
+        assert "analysis" not in vars(g)
