@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -61,6 +62,15 @@ class Path(NamedTuple):
         if not self.edges:
             return f"<{self.source}>"
         return "<" + "·".join(self.edges) + ">"
+
+
+def _grouped(vertices: Iterable[str], items: Iterable, key, value=None) -> dict[str, tuple]:
+    """The one grouping by vertex: each item, or ``value(item)``, under the vertex
+    ``key(item)``; every vertex a key in order, each group a tuple in input order."""
+    groups: dict[str, list] = {v: [] for v in vertices}
+    for item in items:
+        groups[key(item)].append(item if value is None else value(item))
+    return {v: tuple(group) for v, group in groups.items()}
 
 
 class Graph:
@@ -151,31 +161,19 @@ class Graph:
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.src].append(e)
-        return {v: tuple(es) for v, es in out.items()}
+        return _grouped(self.vertices, self.edges, itemgetter(1))
 
     @cached_property
     def in_edges(self) -> dict[str, tuple[Edge, ...]]:
-        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.dst].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
+        return _grouped(self.vertices, self.edges, itemgetter(2))
 
     @cached_property
     def omega_by_src(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for src, dst in self.omega_pairs:
-            out[src].append(dst)
-        return {v: tuple(ds) for v, ds in out.items()}
+        return _grouped(self.vertices, self.omega_pairs, itemgetter(0), itemgetter(1))
 
     @cached_property
     def omega_by_dst(self) -> dict[str, tuple[str, ...]]:
-        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for src, dst in self.omega_pairs:
-            inc[dst].append(src)
-        return {v: tuple(ss) for v, ss in inc.items()}
+        return _grouped(self.vertices, self.omega_pairs, itemgetter(1), itemgetter(0))
 
     @cached_property
     def designated_ids(self) -> frozenset[str]:
@@ -195,13 +193,10 @@ class Graph:
         """
         table = self._alphabets.get(omega_copies)
         if table is None:
-            out: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-            for e in self.edges:
-                out[e.src].append((e.id, e.dst))
-            for src, dst in self.omega_pairs:
-                for k in range(1, omega_copies + 1):
-                    out[src].append((omega_edge_id(src, dst, k), dst))
-            table = {v: tuple(sorted(es)) for v, es in out.items()}
+            ks = range(1, omega_copies + 1)
+            copies = [(omega_edge_id(s, d, k), s, d) for s, d in self.omega_pairs for k in ks]
+            ordered = sorted([*self.edges, *copies])  # by id, which is unique: each group is sorted
+            table = _grouped(self.vertices, ordered, itemgetter(1), itemgetter(0, 2))
             self._alphabets[omega_copies] = table
         return table
 
@@ -210,19 +205,24 @@ class Graph:
         """Strongly connected components and the facts read off them, computed once."""
         return GraphAnalysis(self)
 
-    # -- vertex kinds ----------------------------------------------------------
+    # -- vertex kinds (each raises UnknownVertex off the graph) ---------------
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return bool(self.omega_by_src.get(v, ()))
+        try:  # free on a hit: is_regular runs once per in-edge of a closure
+            return bool(self.omega_by_src[v])
+        except KeyError:
+            self.require_vertex(v)  # v is off the graph, so this raises UnknownVertex
+            raise
 
     def is_sink(self, v: str) -> bool:
-        return not self.out_edges.get(v, ()) and not self.is_infinite_emitter(v)
+        return not self.is_infinite_emitter(v) and not self.out_edges[v]
 
     def is_regular(self, v: str) -> bool:
-        return bool(self.out_edges.get(v, ())) and not self.is_infinite_emitter(v)
+        return not self.is_infinite_emitter(v) and bool(self.out_edges[v])
 
     def is_source(self, v: str) -> bool:
-        return not self.in_edges.get(v, ()) and not self.omega_by_dst.get(v, ())
+        self.require_vertex(v)
+        return not self.in_edges[v] and not self.omega_by_dst[v]
 
     @property
     def is_row_finite(self) -> bool:
@@ -341,54 +341,39 @@ def path_levels(g: Graph, n: int) -> list[list[Path]]:
 def paths_by_range(g: Graph, n: int) -> dict[str, tuple[Path, ...]]:
     """The paths of length 0..n grouped by range, every vertex in input order,
     each group in (length, lex) order: ``path_levels`` read level by level."""
-    groups: dict[str, list[Path]] = {v: [] for v in g.vertices}
-    for level in path_levels(g, n):
-        for p in level:
-            groups[g.range_of(p)].append(p)
-    return {v: tuple(ps) for v, ps in groups.items()}
+    return _grouped(g.vertices, (p for level in path_levels(g, n) for p in level), g.range_of)
 
 
 def path_counts(g: Graph) -> dict[str, int]:
     """The number of paths ending at each vertex of an acyclic graph, its
     length-0 path included: count[v] = 1 + the sum of count[src e] over the
-    edges e into v.  One pass in topological order, O(V + E), building no
-    path.  Raises NotAcyclic when the pass cannot reach every vertex, which
-    happens exactly when the graph has a cycle (omega pairs are not read)."""
-    waiting = {v: len(g.in_edges[v]) for v in g.vertices}
-    count = dict.fromkeys(g.vertices, 1)
-    ready = [v for v in g.vertices if not waiting[v]]
-    for v in ready:
-        for e in g.out_edges[v]:
-            count[e.dst] += count[v]
-            waiting[e.dst] -= 1
-            if not waiting[e.dst]:
-                ready.append(e.dst)
-    _require_all_ordered(g, ready)
-    return count
+    edges e into v.  Read off ``_kahn_sums`` in topological order."""
+    return _kahn_sums(g.in_edges, g.out_edges, 2, dict.fromkeys(g.vertices, 1))
 
 
 def tail_counts(g: Graph) -> dict[str, int]:
     """The number of paths from each vertex of a finite acyclic graph to a
     sink: tails[u] = 1 at a sink, else the sum of tails[r(e)] over the edges
-    e out of u.  The twin of ``path_counts``, one pass in reverse topological
-    order, O(V + E), building no path, and the same NotAcyclic on a cycle."""
-    waiting = {v: len(g.out_edges[v]) for v in g.vertices}
-    tails = {v: int(not waiting[v]) for v in g.vertices}
-    ready = [v for v in g.vertices if not waiting[v]]
+    e out of u.  Read off ``_kahn_sums`` in reverse topological order."""
+    return _kahn_sums(g.out_edges, g.in_edges, 1, {v: int(not es) for v, es in g.out_edges.items()})
+
+
+def _kahn_sums(before: dict, after: dict, far: int, sums: dict[str, int]) -> dict[str, int]:
+    """The one Kahn pass, O(V + E), building no path: v, once every edge of
+    ``before[v]`` is passed, adds its sum at the end ``e[far]`` of each edge of
+    ``after[v]``.  NotAcyclic if it misses a vertex, i.e. on a cycle (omega unread)."""
+    waiting = {v: len(es) for v, es in before.items()}
+    ready = [v for v, n in waiting.items() if not n]
     for v in ready:
-        for e in g.in_edges[v]:
-            tails[e.src] += tails[v]
-            waiting[e.src] -= 1
-            if not waiting[e.src]:
-                ready.append(e.src)
-    _require_all_ordered(g, ready)
-    return tails
-
-
-def _require_all_ordered(g: Graph, ordered: list[str]) -> None:
-    # a topological pass stops short of every vertex on or behind a cycle
-    if len(ordered) < len(g.vertices):
+        for e in after[v]:
+            w = e[far]
+            sums[w] += sums[v]
+            waiting[w] -= 1
+            if not waiting[w]:
+                ready.append(w)
+    if len(ready) < len(before):
         raise NotAcyclic("the graph has a cycle")
+    return sums
 
 
 def enumerate_paths(g: Graph, n: int, end: Optional[str] = None) -> list[Path]:
@@ -497,18 +482,14 @@ def hereditary_saturated_closure(g: Graph, seed: Iterable[str]) -> frozenset[str
 
 
 def reachable_from(g: Graph, starts: Iterable[str]) -> frozenset[str]:
-    """Vertices reachable from any of ``starts`` by paths (omega pairs traversed)."""
+    """Vertices reachable from any of ``starts`` along ``g.out_alphabet()`` (omega pairs as edges)."""
+    alphabet = g.out_alphabet()
     stack = list(starts)
     for v in stack:
         g.require_vertex(v)
     seen = set(stack)
     while stack:
-        v = stack.pop()
-        for e in g.out_edges[v]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-        for dst in g.omega_by_src[v]:
+        for _, dst in alphabet[stack.pop()]:
             if dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
@@ -585,12 +566,9 @@ class GraphAnalysis:
         self._least: dict[str, Path] = {}
 
     @cached_property
-    def _inner_preds(self) -> dict[str, list[str]]:
+    def _inner_preds(self) -> dict[str, tuple[str, ...]]:
         """Sources of the cycle edges into each vertex."""
-        preds: dict[str, list[str]] = {v: [] for v in self.graph.vertices}
-        for _, src, dst in self.cycle_edges:
-            preds[dst].append(src)
-        return preds
+        return _grouped(self.graph.vertices, self.cycle_edges, itemgetter(2), itemgetter(1))
 
     def least_cycle_at(self, v: str) -> Path:
         """The lexicographically least cycle through v, rotated to start at v and

@@ -750,3 +750,79 @@ def oracle_quadrature_error(x: Element, n: int) -> float:
         acc /= K
         worst = max(worst, float(np.abs(acc - sym.blocks[v]).max()))
     return worst
+
+
+def oracle_vertex_tables(g: Graph) -> dict[str, dict[str, tuple]]:
+    """The per-vertex tables of ``Graph``, each read off its definition one
+    vertex at a time: every vertex a key in input order, items in input order."""
+    V, E, P = g.vertices, g.edges, g.omega_pairs
+    return {
+        "out_edges": {v: tuple(e for e in E if e.src == v) for v in V},
+        "in_edges": {v: tuple(e for e in E if e.dst == v) for v in V},
+        "omega_by_src": {v: tuple(d for s, d in P if s == v) for v in V},
+        "omega_by_dst": {v: tuple(s for s, d in P if d == v) for v in V},
+    }
+
+
+def oracle_out_alphabet(g: Graph, copies: int) -> dict[str, tuple[tuple[str, str], ...]]:
+    """(edge id, range) of each explicit edge and of the first ``copies``
+    generated edges of each omega pair leaving v, sorted, for every vertex v."""
+    return {
+        v: tuple(sorted(
+            [(e.id, e.dst) for e in g.edges if e.src == v]
+            + [(f"{s}~{d}^{k}", d) for s, d in g.omega_pairs if s == v for k in range(1, copies + 1)]
+        ))
+        for v in g.vertices
+    }
+
+
+def oracle_reachable(g: Graph, starts) -> frozenset[str]:
+    """Vertices reachable from ``starts``, by full passes over the edges and
+    omega pairs until nothing changes."""
+    arrows = [(e.src, e.dst) for e in g.edges] + list(g.omega_pairs)
+    seen = set(starts)
+    while more := {d for s, d in arrows if s in seen} - seen:
+        seen |= more
+    return frozenset(seen)
+
+
+def oracle_inner_preds(g: Graph) -> dict[str, tuple[str, ...]]:
+    """Sources of the cycle edges into each vertex, least edge id first.  An
+    edge of the one-copy alphabet lies on a cycle when its range reaches its
+    source."""
+    arrows = sorted([(e.id, e.src, e.dst) for e in g.edges] + [(f"{s}~{d}^1", s, d) for s, d in g.omega_pairs])
+    on_cycle = [(s, d) for _, s, d in arrows if s in oracle_reachable(g, [d])]
+    return {v: tuple(s for s, d in on_cycle if d == v) for v in g.vertices}
+
+
+def oracle_paths_by_range(g: Graph, n: int) -> dict[str, tuple[Path, ...]]:
+    """The paths of length 0..n ending at each vertex, shortest first and
+    lexicographic by edge ids within one length, from ``oracle_paths``."""
+    dst = {e.id: e.dst for e in g.edges}
+    paths = [(s, seq) for m in range(n + 1) for s, seq in oracle_paths(g, m)]
+    return {v: tuple(Path(s, seq) for s, seq in paths if (dst[seq[-1]] if seq else s) == v) for v in g.vertices}
+
+
+def _oracle_explicit_paths(g: Graph) -> list[tuple[str, str]]:
+    """(source, range) of every path over the explicit edges of an acyclic
+    graph, its length-0 paths included, by walking every path."""
+    found = []
+    todo = [(v, v) for v in g.vertices]
+    while todo:
+        source, at = todo.pop()
+        found.append((source, at))
+        todo += [(source, e.dst) for e in g.edges if e.src == at]
+    return found
+
+
+def oracle_path_counts(g: Graph) -> dict[str, int]:
+    """The number of paths ending at each vertex of an acyclic graph, omega pairs unread."""
+    ends = [at for _, at in _oracle_explicit_paths(g)]
+    return {v: ends.count(v) for v in g.vertices}
+
+
+def oracle_tail_counts(g: Graph) -> dict[str, int]:
+    """The number of paths from each vertex to a vertex with no edge out, omega pairs unread."""
+    sinks = {v for v in g.vertices if all(e.src != v for e in g.edges)}
+    starts = [s for s, at in _oracle_explicit_paths(g) if at in sinks]
+    return {v: starts.count(v) for v in g.vertices}

@@ -13,6 +13,7 @@ from leavitt_lab.errors import (
     EmptyGraph,
     FormatError,
     FrontierPresent,
+    NotAcyclic,
     NotCycleBase,
     OmegaUnsupported,
     UnknownVertex,
@@ -32,7 +33,11 @@ from leavitt_lab.graph import (
     least_cycle_at,
     omega_edge_id,
     omega_exit_marker,
+    path_counts,
     path_levels,
+    paths_by_range,
+    reachable_from,
+    tail_counts,
 )
 from leavitt_lab.transforms import desingularize
 
@@ -42,10 +47,17 @@ from oracles import (
     is_cycle_cofinal,
     oracle_classify,
     oracle_cycles,
+    oracle_inner_preds,
     oracle_is_simple,
     oracle_least_cycle_at,
+    oracle_out_alphabet,
     oracle_path,
+    oracle_path_counts,
     oracle_paths,
+    oracle_paths_by_range,
+    oracle_reachable,
+    oracle_tail_counts,
+    oracle_vertex_tables,
 )
 
 
@@ -162,6 +174,14 @@ def test_vertex_classes_omega():
     assert of_kind(g, "is_infinite_emitter") == ("v",)
     assert of_kind(g, "is_sink") == ("w",)
     assert of_kind(g, "is_regular") == ()
+
+
+@pytest.mark.parametrize("gname", ["r2", "a2", "omega_spi"])
+@pytest.mark.parametrize("kind", ["is_infinite_emitter", "is_sink", "is_regular", "is_source"])
+def test_vertex_kinds_refuse_an_unknown_vertex(gname, kind, request):
+    g = request.getfixturevalue(gname)
+    with pytest.raises(UnknownVertex, match=r"^vertex 'nope' is not in the graph$"):
+        getattr(g, kind)("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -791,3 +811,63 @@ def test_path_matches_edge_by_edge_oracle(request):
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
     else:
         assert g.path(source, edges) == expected
+
+
+# ---------------------------------------------------------------------------
+# per-vertex tables and walks, against their definitions
+# ---------------------------------------------------------------------------
+
+
+def items(table: dict) -> list:
+    """A table's keys, their order and their values."""
+    return list(table.items())
+
+
+@given(st.one_of(random_graphs(), desingularized_graphs()))
+@settings(deadline=None, max_examples=150)
+def test_vertex_tables_and_reachability_match_their_definitions(g):
+    for name, table in oracle_vertex_tables(g).items():
+        assert items(getattr(g, name)) == items(table), name
+    for k in range(4):
+        assert items(g.out_alphabet(k)) == items(oracle_out_alphabet(g, k)), k
+    assert items(g.analysis._inner_preds) == items(oracle_inner_preds(g))
+    if g.is_row_finite:
+        for n in range(4):
+            assert items(paths_by_range(g, n)) == items(oracle_paths_by_range(g, n)), n
+    for v in g.vertices:
+        assert reachable_from(g, [v]) == oracle_reachable(g, [v])
+    assert reachable_from(g, g.vertices[::2]) == oracle_reachable(g, g.vertices[::2])
+
+
+@st.composite
+def random_dags(draw, cyclic=False):
+    """Multigraphs acyclic in a hidden vertex order, listed shuffled, with
+    isolated vertices, parallel edges and omega pairs anywhere (the counts
+    never read them).  ``cyclic`` adds one edge against the order or a loop."""
+    n = draw(st.integers(1, 7))
+    order = [f"v{i}" for i in range(n)]
+    index = st.integers(0, n - 1)
+    ends = [(order[i], order[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * n)) if i < j]
+    if cyclic:
+        i, j = draw(st.tuples(index, index))
+        for arrow in dict.fromkeys([(order[i], order[j]), (order[j], order[i])]):
+            ends.insert(draw(st.integers(0, len(ends))), arrow)
+    ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+    omega = draw(st.lists(st.tuples(st.sampled_from(order), st.sampled_from(order)), max_size=2))
+    edges = tuple((eid, s, d) for eid, (s, d) in zip(ids, ends))
+    return Graph(draw(st.permutations(order)), edges, omega)
+
+
+@given(random_dags())
+@settings(deadline=None, max_examples=200)
+def test_counts_are_the_numbers_of_paths_on_dags(g):
+    assert items(path_counts(g)) == items(oracle_path_counts(g))
+    assert items(tail_counts(g)) == items(oracle_tail_counts(g))
+
+
+@given(random_dags(cyclic=True))
+@settings(deadline=None, max_examples=100)
+def test_counts_refuse_every_cycle(g):
+    for count in (path_counts, tail_counts):
+        with pytest.raises(NotAcyclic, match="^the graph has a cycle$"):
+            count(g)

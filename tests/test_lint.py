@@ -308,3 +308,26 @@ def test_package_reads_json_in_one_place():
     # one reader, so every input meets the same parse errors (graph.parse_json)
     calls = {name: n for name, source in read_sources(SRC) if (n := json_loads_calls(source))}
     assert list(calls.values()) == [1], calls
+
+
+def empty_list_groupings(source: str) -> int:
+    """The dict comprehensions whose value is an empty list literal, such as
+    ``{v: [] for v in vertices}``: each one starts a grouping by key."""
+    return sum(
+        isinstance(node, ast.DictComp) and isinstance(node.value, ast.List) and not node.value.elts
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_empty_list_groupings_are_caught():
+    source = (
+        "a = {v: [] for v in vs}\nb = {v: [0] for v in vs}\nc = {v: () for v in vs}\n"
+        "d = [{k: [] for k in ks} for ks in kss]\ne = dict.fromkeys(vs, [])\n"
+    )
+    assert empty_list_groupings(source) == 2
+
+
+def test_package_groups_by_vertex_in_one_place():
+    # one grouping helper behind every per-vertex table (graph._grouped)
+    found = {name: n for name, source in read_sources(SRC) if (n := empty_list_groupings(source))}
+    assert found == {"graph.py": 1}, found
