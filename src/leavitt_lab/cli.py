@@ -9,8 +9,11 @@ other error exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
+from gettext import gettext
 
 # lazy modules (see __init__): each executes on its command's first call into it
 from . import pnorm, spi, transforms
@@ -70,17 +73,37 @@ EXIT_CODES = {
 
 
 # Every output goes to stdout in one write, so an output that fails to encode
-# (a lone surrogate in an id) leaves stdout empty.
+# (a lone surrogate in an id) leaves stdout empty.  The write is flushed, so a
+# stdout that cannot take it (a full disk, a closed pipe) is reported here;
+# fd 1 then points at os.devnull, which keeps the interpreter's final flush of
+# the unwritten text silent.
+def _print(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError):  # a stdout without a file descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise FormatError(f"cannot write stdout: {exc}") from exc
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(canonical_json(obj) + "\n")
+    _print(canonical_json(obj) + "\n")
 
 
 def _read(path: str) -> str:
+    """The file's text, as ``open(path, encoding="utf-8").read()`` gives it:
+    decoded in one pass, with CRLF and lone CR read as LF."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write(path: str, text: str) -> None:
@@ -136,7 +159,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         else f"hereditary saturated set {{{', '.join(w['vertices'])}}}" if "vertices" in w
         else "acyclic"
     )
-    sys.stdout.write(
+    _print(
         f"E: {label}\nL(E): {label} as a ring\nO^p(E): {label} as a Banach algebra\nwitness: {witness}\n"
     )
     return 0
@@ -151,7 +174,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     obj = w.to_json_obj()
     obj["verified"] = True
     if args.fmt == "text":
-        sys.stdout.write(
+        _print(
             f"v: {w.v}\nx: {canonical_json(obj['x'])}\ny: {canonical_json(obj['y'])}\nverified: true\n"
         )
     else:
@@ -203,14 +226,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.output:
         _write(args.output, text)
     else:
-        sys.stdout.write(text)
+        _print(text)
     return 0
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``parse_args`` returns a new
-    Namespace on every call, so calls share no state."""
+    """The parser, built once per process: each ``main`` call parses into a
+    new Namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="leavitt-lab",
         description="Exact computations with Leavitt path algebras of finite graph presentations.",
@@ -270,8 +293,32 @@ COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace that ``build_parser().parse_args(argv)`` returns, with the
+    same help, usage errors and exits.
+
+    argv's leading command words are followed down the parser tree here, and
+    the rest goes once to the parser they lead to; ``parse_args`` would
+    classify the whole argv again at each level.  An argv whose first word is
+    not a command goes to the top-level parser whole.  Words the parser
+    leaves are refused by the top-level parser, as ``parse_args`` refuses them.
+    """
+    top = parser = build_parser()
+    args = argparse.Namespace()
+    while argv and parser._subparsers is not None:
+        table = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        if argv[0] not in table.choices:
+            break
+        setattr(args, table.dest, argv[0])
+        parser, argv = table.choices[argv[0]], argv[1:]
+    args, extras = parser.parse_known_args(argv, args)
+    if extras:
+        top.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return COMMANDS[args.command](args)
     except (LeavittError, ValueError) as exc:

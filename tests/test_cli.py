@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import leavitt_lab
 from conftest import source_tail_into_rose
-from leavitt_lab import errors, transforms, zoo
+from leavitt_lab import cli, errors, transforms, zoo
 from leavitt_lab.cli import COMMANDS, build_parser, main
 from leavitt_lab.graph import Graph, graph_from_json, graph_to_json, graph_to_json_obj
 from leavitt_lab.lpa import (
@@ -1410,3 +1410,208 @@ def test_transform_operations_require_the_options_they_read(capsys, r2_file, arg
     out = capsys.readouterr()
     assert out.out == "" and f"the following arguments are required: {option}" in out.err
 
+
+
+# main hands argv's command words to the subcommand's own parser; each of
+# these must parse, fail or print help exactly as build_parser().parse_args
+ROUTE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["bogus"],
+    ["Classify", "--graph", "g.json"],
+    ["--graph", "g.json", "classify"],
+    ["-h", "classify"],
+    ["--", "classify", "--graph", "g.json"],
+    ["classify", "-h"],
+    ["classify", "--help", "--graph", "g.json"],
+    ["classify"],
+    ["classify", "--graph"],
+    ["classify", "--graph", "g.json"],
+    ["classify", "--gr", "g.json", "--fo", "text", "--fr", "sink"],
+    ["classify", "--graph=g.json", "--format=text"],
+    ["classify", "--graph", "g.json", "--f", "text"],
+    ["classify", "--graph", "g.json", "--format", "xml"],
+    ["classify", "--graph", "a.json", "--graph", "b.json"],
+    ["classify", "--graph", "g.json", "--"],
+    ["classify", "--", "--graph", "g.json"],
+    ["classify", "--graph", "g.json", "extra", "words"],
+    ["classify", "--graph", "g.json", "-x"],
+    ["classify", "transform", "--graph", "g.json"],
+    ["witness", "--graph", "g.json"],
+    ["witness", "--element", "a.json", "--graph", "g.json", "--format", "text"],
+    ["normalize", "--graph", "g.json", "--element", "a.json", "--help"],
+    ["norm", "--graph", "g.json", "--element", "a.json", "--p", "abc"],
+    ["norm", "--graph", "g.json", "--element", "a.json", "--p", "-1.5", "--seed", "3", "--tol", "0"],
+    ["norm", "--graph", "g.json", "--element", "a.json", "--seed", "1.5"],
+    ["transform"],
+    ["transform", "-h"],
+    ["transform", "bogus"],
+    ["transform", "--graph", "x", "reachable"],
+    ["transform", "reachable"],
+    ["transform", "reachable", "-h"],
+    ["transform", "reachable", "--graph", "g.json", "--from"],
+    ["transform", "reachable", "--graph", "g.json", "--from", "v"],
+    ["transform", "reachable", "--graph", "g.json", "--from", "v", "extra", "words"],
+    ["transform", "remove-sources", "--graph", "g.json", "--from", "v"],
+    ["transform", "desingularize", "--graph", "g.json", "--depth", "x"],
+    ["transform", "desingularize", "--graph=g.json", "--dep", "3", "-o", "out.dot", "--format", "dot"],
+    ["transform", "complete", "--graph", "g.json", "--subgraph", "f.json", "--emit-embedding", "e.json"],
+    ["transform", "complete", "--graph", "g.json", "--subgraph", "f.json", "--", "extra"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        args, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, args
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_argv_as_parse_args_does(capsys, argv):
+    expected = parse_outcome(capsys, build_parser().parse_args, argv)
+    assert parse_outcome(capsys, cli._parse, argv) == expected
+
+
+def valid_argvs(tmp_path):
+    """One argv that exits 0 for each command and each transform operation."""
+    graphs = {
+        "r2": zoo.r2(), "a2": zoo.a2(), "omega": zoo.omega_spi(),
+        "tail": zoo.source_into_rose(), "f": Graph(("v",), (("e", "v", "v"),)),
+    }
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.json").write_text(graph_to_json(g))
+    r2, a2, omega, tail, sub = (str(tmp_path / f"{name}.json") for name in graphs)
+    elem = write_element(tmp_path, zoo.r2(), vertex_element(zoo.r2(), "v"))
+    a2_elem = write_element(tmp_path, zoo.a2(), vertex_element(zoo.a2(), zoo.a2().vertices[0]), "a2e.json")
+    return {
+        "classify": ["classify", "--graph", r2, "--format", "text"],
+        "witness": ["witness", "--graph", r2, "--element", elem],
+        "normalize": ["normalize", "--graph", r2, "--element", elem],
+        "norm": ["norm", "--graph", a2, "--element", a2_elem, "--p", "1.5"],
+        "remove-sources": ["transform", "remove-sources", "--graph", tail],
+        "desingularize": ["transform", "desingularize", "--graph", omega, "--depth", "2"],
+        "reachable": ["transform", "reachable", "--graph", r2, "--from", "v"],
+        "complete": ["transform", "complete", "--graph", r2, "--subgraph", sub, "--format", "dot"],
+    }
+
+
+def test_each_call_parses_its_argv_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for name, argv in valid_argvs(tmp_path).items():
+        calls.clear()
+        assert main(argv) == 0, (name, capsys.readouterr().err)
+        assert calls == [f"leavitt-lab {' '.join(argv[:2 if argv[0] == 'transform' else 1])}"]
+    capsys.readouterr()
+
+
+def text_mode_read(path):
+    """The reader that cli._read replaces: a text-mode read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise errors.FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except errors.FormatError as exc:
+        return f"error: {exc}"
+
+
+GRAPH_TEXT = '{"vertices": ["v"],\n "edges": [{"id": "e", "src": "v", "dst": "v"}]}\n'
+READ_FILES = {
+    "crlf-syntax-error": GRAPH_TEXT.replace("\n", "\r\n").replace("]}", "}").encode(),
+    "cr-syntax-error": GRAPH_TEXT.replace("\n", "\r").replace("]}", "}").encode(),
+    "crlf-valid": GRAPH_TEXT.replace("\n", "\r\n").encode(),
+    "cr-mixed": GRAPH_TEXT.replace(",", ",\r\r\n\n\r").encode(),
+    "bom": b"\xef\xbb\xbf" + GRAPH_TEXT.encode(),
+    "ff-at-90002": (b" " * 90_002 + b"\xff" + b" " * 1000),
+    "non-ascii-id": GRAPH_TEXT.replace('"v"', '"vé中"').encode(),
+}
+
+
+@pytest.mark.parametrize("name", [*READ_FILES, "directory", "missing"])
+def test_read_gives_the_text_and_errors_of_a_text_mode_read(capsys, tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(READ_FILES[name])
+    expected = read_outcome(text_mode_read, str(path))
+    assert read_outcome(cli._read, str(path)) == expected
+    # and classify prints the same verdict or the same one error line
+    argv = ["classify", "--graph", str(path)]
+    got = run(capsys, argv)
+    monkeypatch.setattr(cli, "_read", text_mode_read)
+    assert got == run(capsys, argv)
+    if name in ("crlf-syntax-error", "cr-syntax-error"):
+        assert "(char " in got[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", "é".encode(), b"\xff", b"\xef\xbb\xbf", b"\xe4\xb8"])))
+def test_read_agrees_with_a_text_mode_read_on_any_bytes(tmp_path_factory, chunks):
+    path = tmp_path_factory.mktemp("read") / "input"
+    path.write_bytes(b"".join(chunks))
+    assert read_outcome(cli._read, str(path)) == read_outcome(text_mode_read, str(path))
+
+
+class _UnwritableStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_stdout_write_exits_2_with_one_line(r2_file):
+    out, err = _UnwritableStream(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--graph", r2_file])
+    assert (code, err.getvalue()) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+def unwritable_stdout_outcome(tmp_path, argv, stdout, unbuffered):
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "leavitt_lab", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", ["classify", "witness", "complete"])
+def test_stdout_on_a_full_disk_exits_2_without_a_traceback(tmp_path, name, unbuffered):
+    argv = valid_argvs(tmp_path)[name]
+    with open("/dev/full", "w") as full:
+        code, err = unwritable_stdout_outcome(tmp_path, argv, full, unbuffered)
+    assert "Traceback" not in err and "Exception ignored" not in err and code in README_EXIT_CODES
+    assert (code, err) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path, unbuffered):
+    argv = valid_argvs(tmp_path)["normalize"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = unwritable_stdout_outcome(tmp_path, argv, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in err and "Exception ignored" not in err and code in README_EXIT_CODES
+    assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
