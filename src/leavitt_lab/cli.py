@@ -118,8 +118,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return graph_from_json(_read(args.graph))
 
 
-def _load_element(args: argparse.Namespace, g: Graph) -> Element:
-    return element_from_json(g, _read(args.element))
+def _load_element(args: argparse.Namespace) -> Element:
+    """The element file read over the graph file, which is read first."""
+    return element_from_json(_load_graph(args), _read(args.element))
 
 
 def _witness_json(witness) -> dict:
@@ -166,11 +167,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    a = _load_element(args, g)
+    a = _load_element(args)
     # spi_witness re-checks x·a·y = v by exact multiplication (make_witness)
     # and raises when it fails, so a returned witness is verified.
-    w = spi.spi_witness(a)
+    try:
+        w = spi.spi_witness(a)
+    except OmegaUnsupported as exc:  # a precondition of witness, so it exits as NotSPI does
+        raise NotSPI(
+            f"{exc}\nhint: witness has no route over omega pairs: the CLI cannot carry an element"
+            " through 'transform desingularize', and witness refuses the truncation it prints"
+        ) from None
     obj = w.to_json_obj()
     obj["verified"] = True
     if args.fmt == "text":
@@ -183,15 +189,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    a = _load_element(args, g)
-    _emit(element_to_json_obj(a))
+    _emit(element_to_json_obj(_load_element(args)))
     return 0
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    a = _load_element(args, g)
+    a = _load_element(args)
     est = pnorm.element_norm_estimate(a, args.p, seed=args.seed, tol=args.tol)
     if est.exact or args.p == 2.0:
         _emit({"p": args.p, "norm": est.value, "exact": est.exact})
@@ -238,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="leavitt-lab",
         description="Exact computations with Leavitt path algebras of finite graph presentations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each parser with subcommands keeps their table as ``commands``, for _parse
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand, and each transform operation, declares only the
     # options its code reads
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = sub.add_parser("transform", help="graph surgeries")
-    ops = sp.add_subparsers(dest="op", required=True)
+    ops = sp.commands = sp.add_subparsers(dest="op", required=True)
     for op, summary in (
         ("remove-sources", "delete sources until none is left"),
         ("desingularize", "truncate the omega edge families"),
@@ -305,10 +309,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """
     top = parser = build_parser()
     args = argparse.Namespace()
-    while argv and parser._subparsers is not None:
-        table = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        if argv[0] not in table.choices:
-            break
+    while argv and (table := getattr(parser, "commands", None)) and argv[0] in table.choices:
         setattr(args, table.dest, argv[0])
         parser, argv = table.choices[argv[0]], argv[1:]
     args, extras = parser.parse_known_args(argv, args)
@@ -323,14 +324,12 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except (LeavittError, ValueError) as exc:
         internal = "internal error: " if isinstance(exc, InternalError) else ""
-        print(f"error: {internal}{exc}", file=sys.stderr)
-        if isinstance(exc, OmegaUnsupported) and args.command == "witness":
-            print(
-                "hint: witness has no route over omega pairs: the CLI cannot carry an element"
-                " through 'transform desingularize', and witness refuses the truncation it prints",
-                file=sys.stderr,
-            )
-            return 4
+        # a closed stderr (None, or a stream whose descriptor is gone) loses
+        # the message, not the exit code
+        if sys.stderr is not None:
+            with contextlib.suppress(OSError):
+                sys.stderr.write(f"error: {internal}{exc}\n")
+                sys.stderr.flush()
         return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 if __name__ == "__main__":

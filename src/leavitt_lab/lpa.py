@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded, FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
-from .graph import Graph, Path, canonical_json, enumerate_paths, parse_json
+from .graph import Graph, Path, _unknown_fields, canonical_json, enumerate_paths, parse_json
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,7 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
 
 
-def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
-    return GaussianRational(re, im)
+gauss = GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +289,7 @@ def zero(g: Graph) -> Element:
     return Element(g, {})
 
 def vertex_element(g: Graph, v: str) -> Element:
-    g.require_vertex(v)
-    p = Path(v)
-    return Element(g, {Monomial(p, p): GR_ONE})
+    return vertex_sum(g, (v,))
 
 
 def path_element(g: Graph, p: Union[Path, Iterable[str]]) -> Element:
@@ -302,9 +299,8 @@ def path_element(g: Graph, p: Union[Path, Iterable[str]]) -> Element:
         if not edges:
             raise ValueError("an empty edge sequence has no source; pass a Path")
         p = Path(g.edge_endpoints(edges[0])[0], edges)
-    p = g.path(p.source, p.edges)
-    r = Path(g.range_of(p))
-    return normalize_terms(g, {Monomial(p, r): GR_ONE})
+    p, r = g._walk(p.source, p.edges)
+    return normalize_terms(g, {Monomial(p, Path(r)): GR_ONE})
 
 
 def monomial_element(g: Graph, alpha: Path, beta: Path, coeff=GR_ONE) -> Element:
@@ -519,7 +515,7 @@ def _rational(entry: dict, key: str) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-_TERM_KEYS = frozenset(("alpha", "alpha_src", "beta", "beta_src", "re", "im"))
+_TERM_KEYS = ("alpha", "alpha_src", "beta", "beta_src", "re", "im")
 
 
 def element_from_json_obj(g: Graph, obj) -> Element:
@@ -551,7 +547,7 @@ def element_from_json_obj(g: Graph, obj) -> Element:
             raise FormatError(f"bad element term: {exc}") from exc
         # the six keys read above are all required, so a seventh is unknown
         if len(entry) != len(_TERM_KEYS):
-            raise FormatError(f"unknown element term JSON fields: {sorted(set(entry) - _TERM_KEYS)}")
+            raise _unknown_fields("element term", [entry], _TERM_KEYS)
         if alpha_range != beta_range:
             raise FormatError("monomial paths must share their range")
         add_term(raw, new(Monomial, (alpha, beta)), coeff)

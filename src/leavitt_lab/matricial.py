@@ -10,6 +10,7 @@ indexed by all paths into it.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     OmegaUnsupported,
     ZeroElement,
 )
-from .graph import Graph, Path, path_counts, path_levels, paths_by_range, tail_counts
+from .graph import Graph, Path, path_counts, paths_by_range, tail_counts
 from .lpa import (
     Element,
     GaussianRational,
@@ -183,15 +184,11 @@ def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
     expansion = stage_expansion(x, n)
 
     paths: dict[BlockKey, tuple[Path, ...]] = {}
-    for r, level in enumerate(path_levels(g, n)):
-        by_range: dict[str, list[Path]] = {}
-        for p in level:
-            by_range.setdefault(g.range_of(p), []).append(p)
-        for v, plist in by_range.items():
-            if g.is_sink(v):
-                paths[BlockKey("sink", v, r)] = tuple(plist)
-            elif r == n:
-                paths[BlockKey("regular", v, n)] = tuple(plist)
+    for v, into in paths_by_range(g, n).items():
+        kind = "sink" if g.is_sink(v) else "regular"
+        for r, plist in groupby(into, lambda p: len(p.edges)):
+            if kind == "sink" or r == n:
+                paths[BlockKey(kind, v, r)] = tuple(plist)
     return _assemble(g, paths, expansion)
 
 

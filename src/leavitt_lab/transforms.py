@@ -200,14 +200,12 @@ def complete_and_embed(g: Graph, F: Graph) -> EmbeddingData:
         if g.edge_by_id.get(e.id) != e:
             raise NotASubgraph(f"edge {e.id!r} is not an edge of the ambient graph")
 
-    incomplete = []
-    for v in F.vertices:
-        if not F.is_regular(v):
-            continue
-        f_out = {e.id for e in F.out_edges[v]}
-        g_out = {e.id for e in g.out_edges[v]}
-        if f_out < g_out or g.is_infinite_emitter(v):
-            incomplete.append(v)
+    # F's edges are g's (checked above), so F emits fewer edges at v exactly
+    # when it emits a proper subset of g's
+    incomplete = [
+        v for v in F.vertices
+        if F.is_regular(v) and (len(F.out_edges[v]) < len(g.out_edges[v]) or g.is_infinite_emitter(v))
+    ]
     incomplete_set = set(incomplete)
 
     used_vertices = set(F.vertices)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from leavitt_lab.errors import BecameEmpty, FormatError, InternalError, UnknownVertex
-from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at
+from leavitt_lab.graph import Graph, Path, find_cycles, least_cycle_at, path_levels
 from leavitt_lab.lpa import (
     Element,
     GaussianRational,
@@ -28,7 +28,7 @@ from leavitt_lab.lpa import (
     normalize_terms,
     path_element,
 )
-from leavitt_lab.matricial import acyclic_decompose
+from leavitt_lab.matricial import BlockKey, acyclic_decompose
 from leavitt_lab.pnorm import spatial_rep_acyclic
 from leavitt_lab.spi import incomparable_closed_path
 
@@ -826,3 +826,34 @@ def oracle_tail_counts(g: Graph) -> dict[str, int]:
     sinks = {v for v in g.vertices if all(e.src != v for e in g.edges)}
     starts = [s for s, at in _oracle_explicit_paths(g) if at in sinks]
     return {v: starts.count(v) for v in g.vertices}
+
+
+def oracle_filtration_paths(g: Graph, n: int) -> dict:
+    """The path lists of ``filtration_decompose``'s blocks, grouped level by
+    level: each length-r path under its range, a block per (sink, r) and per
+    regular vertex at r = n."""
+    paths = {}
+    for r, level in enumerate(path_levels(g, n)):
+        by_range: dict[str, list[Path]] = {}
+        for p in level:
+            by_range.setdefault(g.range_of(p), []).append(p)
+        for v, plist in by_range.items():
+            if g.is_sink(v):
+                paths[BlockKey("sink", v, r)] = tuple(plist)
+            elif r == n:
+                paths[BlockKey("regular", v, n)] = tuple(plist)
+    return paths
+
+
+def oracle_incomplete_vertices(g: Graph, F: Graph) -> list[str]:
+    """The vertices of a subgraph F that ``complete_and_embed`` gives a primed
+    twin: regular in F, and emitting in g an edge id F lacks or infinitely many."""
+    incomplete = []
+    for v in F.vertices:
+        if not F.is_regular(v):
+            continue
+        f_out = {e.id for e in F.out_edges[v]}
+        g_out = {e.id for e in g.out_edges[v]}
+        if f_out < g_out or g.is_infinite_emitter(v):
+            incomplete.append(v)
+    return incomplete

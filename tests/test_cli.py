@@ -1163,12 +1163,12 @@ def test_error_exit_codes(capsys, monkeypatch, cls, command):
 
     monkeypatch.setitem(COMMANDS, command, fail)
     code, out, err = run(capsys, [command, "--graph", "g.json", "--element", "a.json"])
-    omega_on_witness = cls is errors.OmegaUnsupported and command == "witness"
-    assert code == (4 if omega_on_witness else EXIT_CODE.get(cls, 1))
+    # main maps the class alone: witness rewords OmegaUnsupported itself, as
+    # NotSPI with the hint (test_witness_exit_4_with_hint_on_omega)
+    assert code == EXIT_CODE.get(cls, 1)
     assert out == ""
     internal = "internal error: " if cls is errors.InternalError else ""
-    assert err.splitlines()[0] == f"error: {internal}boom"
-    assert (OMEGA_HINT in err) == omega_on_witness
+    assert err == f"error: {internal}boom\n"
 
 
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch, tmp_path, r2_file):
@@ -1615,3 +1615,19 @@ def test_stdout_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path, unbuffe
         os.close(write_end)
     assert "Traceback" not in err and "Exception ignored" not in err and code in README_EXIT_CODES
     assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+
+def test_an_error_with_stderr_closed_still_exits_with_its_code(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    # a child started with fd 2 closed has sys.stderr None: the error line is
+    # dropped, not written to stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "leavitt_lab", "classify", "--graph", missing],
+        stdout=subprocess.PIPE, env=child_env(), timeout=120, preexec_fn=lambda: os.close(2),
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    # a stderr whose write fails (a descriptor closed after start) is skipped too
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_UnwritableStream()):
+        assert main(["classify", "--graph", missing]) == 2
+    assert out.getvalue() == ""

@@ -8,7 +8,7 @@ exit code in README's table.  ``norm`` runs at p = 1 only: at other p the
 last bits of the power iteration depend on the BLAS build.
 
 Record it again, from the tree on ``sys.path``, with
-``PYTHONPATH=src python tests/test_cli_golden.py``; a re-recording is a change
+``PYTHONPATH=src python -B tests/test_cli_golden.py``; a re-recording is a change
 of output, to be declared as one.
 """
 

@@ -310,11 +310,28 @@ def test_package_reads_json_in_one_place():
     assert list(calls.values()) == [1], calls
 
 
+def is_empty_list(node) -> bool:
+    return isinstance(node, ast.List) and not node.elts
+
+
+def is_range_of_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "range_of"
+
+
 def empty_list_groupings(source: str) -> int:
-    """The dict comprehensions whose value is an empty list literal, such as
-    ``{v: [] for v in vertices}``: each one starts a grouping by key."""
+    """The groupings by vertex started in the module: dict comprehensions whose
+    value is an empty list literal, such as ``{v: [] for v in vertices}``, and
+    ``setdefault`` calls that key an empty list by a path's range, such as
+    ``groups.setdefault(g.range_of(p), [])``."""
     return sum(
-        isinstance(node, ast.DictComp) and isinstance(node.value, ast.List) and not node.value.elts
+        (isinstance(node, ast.DictComp) and is_empty_list(node.value))
+        or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "setdefault"
+            and len(node.args) == 2
+            and is_range_of_call(node.args[0])
+            and is_empty_list(node.args[1])
+        )
         for node in ast.walk(ast.parse(source))
     )
 
@@ -323,8 +340,11 @@ def test_empty_list_groupings_are_caught():
     source = (
         "a = {v: [] for v in vs}\nb = {v: [0] for v in vs}\nc = {v: () for v in vs}\n"
         "d = [{k: [] for k in ks} for ks in kss]\ne = dict.fromkeys(vs, [])\n"
+        "for p in level:\n    by.setdefault(g.range_of(p), []).append(p)\n"
+        "    by.setdefault(range_of(g, p), []).append(p)\n"
+        "    by.setdefault(len(p), []).append(p)\n    by.setdefault(g.range_of(p), ())\n"
     )
-    assert empty_list_groupings(source) == 2
+    assert empty_list_groupings(source) == 4
 
 
 def test_package_groups_by_vertex_in_one_place():

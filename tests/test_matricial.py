@@ -38,7 +38,7 @@ from leavitt_lab.matricial import (
 from leavitt_lab.pnorm import degree_component_quadrature_error, element_norm_estimate
 from leavitt_lab.sample import random_element
 
-from oracles import oracle_expand
+from oracles import oracle_expand, oracle_filtration_paths
 
 
 def mono(g, alpha_edges, beta_edges, coeff=1, src=None):
@@ -333,6 +333,29 @@ def test_filtration_block_shape(r2):
     assert d.paths[key] == (Path("v", ("e",)), Path("v", ("f",)))
     assert d.blocks[key][0][1] == gauss(1, Fraction(-1, 2))
     assert d.blocks[key][0][0] == gauss(0)
+
+
+@st.composite
+def filtration_inputs(draw):
+    """A degree-zero element of stage n, for n of 0..3, over a row-finite
+    graph of 1..5 vertices in shuffled order, each emitting at most two edges
+    (loops and parallel edges allowed) whose ids are shuffled too."""
+    verts = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(1, 5)))]))
+    ends = [(v, dst) for v in verts for dst in draw(st.lists(st.sampled_from(verts), max_size=2))]
+    ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+    g = Graph(tuple(verts), tuple((eid, s, d) for eid, (s, d) in zip(ids, ends)))
+    n = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_element(g, rng, max_terms=draw(st.integers(1, 4)), stage=n, nonzero=False), n
+
+
+@given(filtration_inputs())
+@settings(deadline=None, max_examples=200)
+def test_filtration_blocks_match_the_level_by_level_oracle(case):
+    x, n = case
+    g = x.graph
+    layout = oracle_filtration_paths(g, n)
+    assert filtration_decompose(x, n) == matricial._assemble(g, layout, matricial.stage_expansion(x, n))
 
 
 # ---------------------------------------------------------------------------

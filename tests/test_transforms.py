@@ -31,7 +31,7 @@ from leavitt_lab.transforms import (
     reachable_subgraph,
     remove_sources,
 )
-from oracles import oracle_is_excluded, oracle_remove_sources
+from oracles import oracle_incomplete_vertices, oracle_is_excluded, oracle_remove_sources
 from test_graph import random_graphs
 
 
@@ -382,6 +382,26 @@ def test_embed_random_subgraphs_relations_hold():
             emb = complete_and_embed(g, F)
             assert set(emb.vertex_images) == set(emb.domain.vertices)
             assert set(emb.edge_images) == {e.id for e in emb.domain.edges}
+
+
+@st.composite
+def subgraphs_with_dropped_edges(draw):
+    """An ambient graph with one or two omega pairs, and a subgraph F of it:
+    some of its vertices, each edge among them kept or dropped at random."""
+    g = draw(random_graphs(max_vertices=5, min_omega=1))
+    verts = draw(st.lists(st.sampled_from(g.vertices), min_size=1, unique=True))
+    inside = [e for e in g.edges if e.src in verts and e.dst in verts]
+    keep = draw(st.lists(st.booleans(), min_size=len(inside), max_size=len(inside)))
+    return g, Graph(tuple(verts), tuple(e for e, kept in zip(inside, keep) if kept))
+
+
+@given(subgraphs_with_dropped_edges())
+@settings(deadline=None, max_examples=150)
+def test_completion_twins_the_oracle_incomplete_vertices(case):
+    g, F = case
+    emb = complete_and_embed(g, F)
+    # no vertex id holds a prime, so each twin is its vertex's id primed once
+    assert emb.domain.vertices == F.vertices + tuple(f"{v}'" for v in oracle_incomplete_vertices(g, F))
 
 
 def _monomial_basis(g, max_len):
