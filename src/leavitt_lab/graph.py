@@ -147,7 +147,7 @@ class Graph:
                 )
             prefixes[prefix] = (src, dst)
         self.__dict__["_omega_by_prefix"] = prefixes
-        for e in self.edges:
+        for e in self.edges if prefixes else ():  # without omega pairs no id is generated
             if self._parse_omega_id(e.id) is not None:
                 raise ValueError(f"edge id {e.id!r} collides with a generated omega edge id")
         if not self.frontier <= vset:
@@ -191,6 +191,8 @@ class Graph:
 
         Each omega pair contributes its first ``omega_copies`` generated edges.
         """
+        if not self.omega_pairs:  # every count of copies gives the one table
+            omega_copies = 1
         table = self._alphabets.get(omega_copies)
         if table is None:
             ks = range(1, omega_copies + 1)
@@ -584,7 +586,8 @@ class GraphAnalysis:
         """No cycle through v is a proper prefix of another, so the least one is
         built greedily: at each step take the least edge whose range is v or
         can still reach v without revisiting a vertex.  The backward search
-        for the vertices that can runs only where more than one edge remains.
+        for the vertices that can runs only where more than one edge remains
+        and the least of them does not close the cycle at v.
         """
         comp, c = self.component, self.component[v]
         visited = {v}
@@ -596,7 +599,7 @@ class GraphAnalysis:
                 for eid, dst in self.alphabet[at]
                 if comp[dst] == c and (dst == v or dst not in visited)
             ]
-            if len(options) > 1:
+            if len(options) > 1 and options[0][1] != v:
                 reach = self._reaching(v, visited)
                 options = [(eid, dst) for eid, dst in options if dst == v or dst in reach]
             eid, at = options[0]
@@ -618,29 +621,64 @@ class GraphAnalysis:
                     todo.append(u)
         return reach
 
+    def _first_failing_seed(self, emitters: set[str]) -> Optional[str]:
+        """The first non-frontier vertex, in input order, whose closure is proper.
+
+        Counting omega pairs as edges, a closure is the whole vertex set exactly
+        when its seed reaches every anchor: every sink, infinite emitter and
+        vertex of a cyclic SCC, for saturation adds only regular vertices off
+        the cycles.  So a seed passes when it reaches every top, an anchor SCC
+        that no other anchor SCC reaches.  ``self.component`` iterates sinks
+        first, SCC by SCC, so each sweep below sees an SCC after every SCC that
+        reaches it (reversed) or that it reaches (forward).
+        """
+        g, comp, alphabet = self.graph, self.component, self.alphabet
+        if next(reversed(comp.values()), 0) == 0:  # one SCC: every closure is the whole set
+            return None
+        tops: dict[int, str] = {}
+        hit: set[int] = set()  # SCCs that another anchor SCC reaches
+        for v in reversed(comp):
+            c = comp[v]
+            # every vertex of a cyclic SCC is a cycle base
+            anchor = v in self.cycle_bases or not alphabet[v] or v in emitters
+            if anchor and c not in hit:
+                tops.setdefault(c, v)
+            if anchor or c in hit:
+                hit.update(comp[w] for _, w in alphabet[v] if comp[w] != c)
+        passed: set[int] = set()
+        if len(tops) == 1:  # a seed passes exactly when it reaches the top
+            passed.update(tops)
+            for v in comp:
+                if any(comp[w] in passed for _, w in alphabet[v]):
+                    passed.add(comp[v])
+        reps = frozenset(tops.values())
+        for v in g.vertices:
+            if v in g.frontier or comp[v] in passed:
+                continue
+            # with two or more tops a seed inside one misses the others, so
+            # only the seeds before it are searched, once per SCC
+            if len(tops) == 1 or comp[v] in tops or not reps <= reachable_from(g, [v]):
+                return v
+            passed.add(comp[v])
+        return None
+
     @cached_property
     def classification(self) -> Classification:
-        """The trichotomy, with frontier vertices never used as closure seeds."""
+        """The trichotomy: condition (L), then the closure test in one pass over
+        the condensation, with frontier vertices never used as closure seeds.
+        The one closure computed is the NotSimple witness."""
         g, comp = self.graph, self.component
+        emitters = {src for src, _ in g.omega_pairs}
         # Condition (L) fails exactly on an SCC that is one cycle without exit:
         # a cyclic SCC whose every vertex emits one edge and no omega pair.
-        with_exit = {
-            comp[v] for v in g.vertices if len(g.out_edges[v]) != 1 or g.omega_by_src[v]
-        }
+        with_exit = {comp[v] for v in self.cycle_bases if len(self.alphabet[v]) != 1 or v in emitters}
         for _, v, _ in self.cycle_edges:
             if comp[v] not in with_exit:
                 return Classification(Verdict.NOT_SIMPLE, self.least_cycle_at(v))
 
-        # Vertices of one SCC have the same closure, so each SCC seeds at most once.
-        full = frozenset(g.vertices)
-        seeded: set[int] = set()
-        for v in g.vertices:
-            if v in g.frontier or comp[v] in seeded:
-                continue
-            seeded.add(comp[v])
-            closure = hereditary_saturated_closure(g, [v])
-            if closure != full:
-                return Classification(Verdict.NOT_SIMPLE, closure)
+        seed = self._first_failing_seed(emitters)
+        if seed is not None:
+            return Classification(Verdict.NOT_SIMPLE, hereditary_saturated_closure(g, [seed]))
 
         if self.cycle_edges:
             return Classification(
@@ -654,11 +692,12 @@ def classify_graph(g: Graph, frontier: str = "refuse") -> Classification:
 
     Simplicity is decided as: every cycle has an exit (condition (L)), and the
     only hereditary saturated vertex sets are the empty and the full one
-    (checked from every singleton seed, one closure per SCC).  The witness is
-    the least cycle without exit or the closure of the first vertex whose
-    closure is proper for NotSimple, the least cycle in canonical rotation for
-    SimplePurelyInfinite, and the token "acyclic" otherwise.  The result is
-    cached on the graph (``Graph.analysis``).
+    (every singleton seed's closure is full: read off one pass over the
+    condensation, with no closure computed).  The witness is the least cycle
+    without exit or the closure of the first vertex whose closure is proper
+    (the one closure computed) for NotSimple, the least cycle in canonical
+    rotation for SimplePurelyInfinite, and the token "acyclic" otherwise.
+    The result is cached on the graph (``Graph.analysis``).
 
     ``frontier`` controls graphs carrying desingularization truncation markers:
     "refuse" raises, "sink" classifies with frontier vertices understood as

@@ -304,9 +304,9 @@ def path_element(g: Graph, p: Union[Path, Iterable[str]]) -> Element:
 
 
 def monomial_element(g: Graph, alpha: Path, beta: Path, coeff=GR_ONE) -> Element:
-    alpha = g.path(alpha.source, alpha.edges)
-    beta = g.path(beta.source, beta.edges)
-    if g.range_of(alpha) != g.range_of(beta):
+    alpha, alpha_range = g._walk(alpha.source, alpha.edges)
+    beta, beta_range = g._walk(beta.source, beta.edges)
+    if alpha_range != beta_range:
         raise ValueError("monomial paths must share their range")
     coeff = coeff if isinstance(coeff, GaussianRational) else gauss(coeff)
     return normalize_terms(g, {Monomial(alpha, beta): coeff})

@@ -2,12 +2,14 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leavitt_lab import graph as graph_module
 from leavitt_lab import zoo
 from leavitt_lab.errors import (
     EmptyGraph,
@@ -41,7 +43,7 @@ from leavitt_lab.graph import (
 )
 from leavitt_lab.transforms import desingularize
 
-from conftest import random_relabel
+from conftest import random_relabel, source_tail_into_rose
 from oracles import (
     all_hereditary_saturated_sets,
     is_cycle_cofinal,
@@ -692,11 +694,15 @@ def test_graph_with_many_omega_pairs_and_edges_within_budget():
 # ---------------------------------------------------------------------------
 
 
-def test_classify_deep_ring_within_budget():
-    n = 2000
+def _ring_with_loop(n: int) -> Graph:
     verts = tuple(f"v{i}" for i in range(n))
     ring = tuple((f"e{i}", verts[i], verts[(i + 1) % n]) for i in range(n))
-    g = Graph(verts, ring + (("f", "v0", "v0"),))
+    return Graph(verts, ring + (("f", "v0", "v0"),))
+
+
+def test_classify_deep_ring_within_budget():
+    n = 2000
+    g = _ring_with_loop(n)
     start = time.perf_counter()
     c = classify_graph(g)
     elapsed = time.perf_counter() - start
@@ -705,11 +711,88 @@ def test_classify_deep_ring_within_budget():
     assert elapsed < 2.0
 
 
+def _line(n: int) -> Graph:
+    verts = tuple(f"v{i}" for i in range(n))
+    return Graph(verts, tuple((f"e{i}", verts[i], verts[i + 1]) for i in range(n - 1)))
+
+
+def _binary_tree(n: int) -> Graph:
+    verts = tuple(f"v{i}" for i in range(n))
+    return Graph(verts, tuple((f"e{i}", verts[(i - 1) // 2], verts[i]) for i in range(1, n)))
+
+
+def _comb(n: int) -> Graph:
+    """A spine s0 -> s1 -> ... of n/2 vertices, each with a tooth t_i, spine first."""
+    spine, teeth = [f"s{i}" for i in range(n // 2)], [f"t{i}" for i in range(n // 2)]
+    edges = [(f"a{i}", s, t) for i, (s, t) in enumerate(zip(spine, spine[1:]))]
+    edges += [(f"b{i}", s, t) for i, (s, t) in enumerate(zip(spine, teeth))]
+    return Graph((*spine, *teeth), edges)
+
+
+# one closure per SCC took 1.57-2.95 s on the 2,000-vertex line
+@pytest.mark.parametrize(
+    "build, verdict",
+    [
+        (lambda: _line(2000), Verdict.SIMPLE_ACYCLIC),
+        (lambda: _binary_tree(2000), Verdict.NOT_SIMPLE),
+        (lambda: _comb(2000), Verdict.NOT_SIMPLE),
+        (lambda: source_tail_into_rose(1500), Verdict.SIMPLE_PURELY_INFINITE),
+    ],
+    ids=["line", "binary_tree", "comb", "tail_into_rose"],
+)
+def test_classify_many_sccs_within_budget(build, verdict):
+    g = build()
+    start = time.perf_counter()
+    c = classify_graph(g)
+    elapsed = time.perf_counter() - start
+    assert c.verdict is verdict
+    assert elapsed < 0.5
+
+
+def test_classify_runs_one_closure_for_the_witness_alone(monkeypatch):
+    calls = []
+
+    def counted(g, seed):
+        calls.append(tuple(seed))
+        return hereditary_saturated_closure(g, seed)
+
+    monkeypatch.setattr(graph_module, "hereditary_saturated_closure", counted)
+    assert classify_graph(_ring_with_loop(50)).verdict is Verdict.SIMPLE_PURELY_INFINITE
+    assert classify_graph(_line(50)).verdict is Verdict.SIMPLE_ACYCLIC
+    assert calls == []
+    # v0 reaches both sinks; the closure of v1 misses the sink v3
+    g = Graph(("v0", "v1", "v2", "v3"), (("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v0", "v3")))
+    c = classify_graph(g)
+    assert c == (Verdict.NOT_SIMPLE, frozenset({"v1", "v2"}))
+    assert calls == [("v1",)]
+
+
+def test_classify_finds_the_top_through_a_vertex_off_the_cycles():
+    # the loop at v0 reaches the loop at v2 only through v1, which is no
+    # anchor; v2 is still no top, so v0 passes and v1 is the first to fail
+    edges = (("a", "v0", "v0"), ("b", "v0", "v1"), ("c", "v1", "v2"), ("d", "v2", "v2"), ("e", "v2", "v3"))
+    g = Graph(("v0", "v1", "v2", "v3"), edges)
+    assert classify_graph(g) == (Verdict.NOT_SIMPLE, frozenset({"v1", "v2", "v3"}))
+
+
+def test_classify_wide_star_memory_within_budget():
+    # an anchor bitset per SCC took about 110 MB on this star
+    n = 40_000
+    leaves = tuple(f"l{i}" for i in range(n))
+    g = Graph(("c", *leaves), tuple((f"e{i}", "c", leaf) for i, leaf in enumerate(leaves)))
+    tracemalloc.start()
+    try:
+        c = classify_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == (Verdict.NOT_SIMPLE, frozenset({"l0"}))
+    assert peak < 40 * 2**20
+
+
 def test_find_cycles_on_deep_ring():
     n = 2000
-    verts = tuple(f"v{i}" for i in range(n))
-    ring = tuple((f"e{i}", verts[i], verts[(i + 1) % n]) for i in range(n))
-    g = Graph(verts, ring + (("f", "v0", "v0"),))
+    g = _ring_with_loop(n)
     cycles = find_cycles(g)
     assert [c for c, _ in cycles] == [
         Path("v0", tuple(f"e{i}" for i in range(n))),
@@ -720,15 +803,17 @@ def test_find_cycles_on_deep_ring():
 
 
 @st.composite
-def random_graphs(draw, max_vertices=9, min_omega=0, max_omega=2):
-    """Multigraphs with loops, shuffled vertex order and edge ids, and omega pairs."""
+def random_graphs(draw, max_vertices=9, min_omega=0, max_omega=2, frontier=False):
+    """Multigraphs with loops, shuffled vertex order and edge ids, and omega
+    pairs; with ``frontier``, any subset of the vertices is frontier."""
     n = draw(st.integers(1, max_vertices))
     verts = tuple(draw(st.permutations([f"v{i}" for i in range(n)])))
     pair = st.tuples(st.sampled_from(verts), st.sampled_from(verts))
     ends = draw(st.lists(pair, max_size=2 * n))
     ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
     omega = draw(st.lists(pair, min_size=min_omega, max_size=max_omega))
-    return Graph(verts, tuple((eid, s, d) for eid, (s, d) in zip(ids, ends)), tuple(omega))
+    marked = draw(st.sets(st.sampled_from(verts))) if frontier else ()
+    return Graph(verts, tuple((eid, s, d) for eid, (s, d) in zip(ids, ends)), tuple(omega), marked)
 
 
 @st.composite
@@ -737,7 +822,7 @@ def desingularized_graphs(draw):
     return desingularize(g, draw(st.integers(1, 2)))
 
 
-@given(st.one_of(random_graphs(), desingularized_graphs()))
+@given(st.one_of(random_graphs(frontier=True), desingularized_graphs()))
 @settings(deadline=None, max_examples=250)
 def test_classify_matches_exhaustive_oracle(g):
     c = classify_graph(g, frontier="sink")
@@ -830,6 +915,8 @@ def test_vertex_tables_and_reachability_match_their_definitions(g):
         assert items(getattr(g, name)) == items(table), name
     for k in range(4):
         assert items(g.out_alphabet(k)) == items(oracle_out_alphabet(g, k)), k
+    if g.is_row_finite:  # every count of copies gives the one cached table
+        assert g.out_alphabet(3) is g.out_alphabet(0) is g.out_alphabet()
     assert items(g.analysis._inner_preds) == items(oracle_inner_preds(g))
     if g.is_row_finite:
         for n in range(4):

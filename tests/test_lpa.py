@@ -231,6 +231,14 @@ def test_monomial_is_a_named_tuple_value():
         m.extra = 1
 
 
+def test_monomial_element_refuses_bad_paths(a2):
+    assert monomial_element(a2, Path("u", ("e",)), Path("v")) == elem(a2, ["e"], [], beta_src="v")
+    with pytest.raises(ValueError, match="^monomial paths must share their range$"):
+        monomial_element(a2, Path("u", ("e",)), Path("u"))
+    with pytest.raises(ValueError, match="does not depart"):
+        monomial_element(a2, Path("v", ("e",)), Path("v"))
+
+
 @pytest.mark.parametrize("k, r", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6), (3, 7)])
 def test_normalize_rose_conjugation_sum_matches_oracle(k, r):
     # the sum of p·p* over the paths of length r collapses to the vertex
