@@ -655,11 +655,23 @@ class GraphAnalysis:
         for v in g.vertices:
             if v in g.frontier or comp[v] in passed:
                 continue
-            # with two or more tops a seed inside one misses the others, so
-            # only the seeds before it are searched, once per SCC
-            if len(tops) == 1 or comp[v] in tops or not reps <= reachable_from(g, [v]):
+            # with two or more tops a seed inside one misses the others
+            if len(tops) == 1 or comp[v] in tops:
                 return v
-            passed.add(comp[v])
+            # An SCC passes when a successor SCC does.  A vertex off the cycles
+            # is an SCC of its own, and with one successor SCC it passes exactly
+            # when that one does: so walk down from v to a vertex with a
+            # successor known to pass, or with several or none, or on a cycle,
+            # and search from v only where none is known to pass.
+            chain, u = [comp[v]], v
+            succ = {comp[w] for _, w in alphabet[v]}
+            while not succ & passed and u not in self.cycle_bases and len(succ) == 1:
+                u = alphabet[u][0][1]
+                chain.append(comp[u])
+                succ = {comp[w] for _, w in alphabet[u]}
+            if not succ & passed and not reps <= reachable_from(g, [v]):
+                return v
+            passed.update(chain)
         return None
 
     @cached_property

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -27,6 +28,7 @@ from .graph import (
     Graph,
     Path,
     Verdict,
+    _grouped,
     canonical_json,
     classify_graph,
     least_cycle_at,
@@ -65,9 +67,14 @@ def closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2) -> lis
 
 
 def _steps_to(g: Graph, targets: Iterable[str]) -> dict[str, int]:
-    """Steps from each vertex to the nearest of ``targets``, by BFS over
-    predecessors; a vertex that reaches none is missing.  Omega pairs count
-    as edges: for a walk whose alphabet has none, that is a lower bound."""
+    """Steps from each vertex to the nearest of ``targets``, by BFS over the
+    predecessors in ``g.out_alphabet()``; a vertex that reaches none is
+    missing.  Omega pairs count as edges: for a walk whose alphabet has none,
+    that is a lower bound."""
+    alphabet = g.out_alphabet()
+    preds = _grouped(
+        g.vertices, [(u, w) for u in alphabet for _, w in alphabet[u]], itemgetter(1), itemgetter(0)
+    )
     steps_to = dict.fromkeys(targets, 0)
     level = list(steps_to)
     steps = 0
@@ -75,7 +82,7 @@ def _steps_to(g: Graph, targets: Iterable[str]) -> dict[str, int]:
         steps += 1
         nxt = []
         for w in level:
-            for u in [e.src for e in g.in_edges[w]] + list(g.omega_by_dst[w]):
+            for u in preds[w]:
                 if u not in steps_to:
                     steps_to[u] = steps
                     nxt.append(u)
@@ -111,18 +118,61 @@ def _closed_paths(
             extend(at, i + 1)
 
 
+def _descend(alphabet, steps: dict[str, int], at: str) -> tuple[str, ...]:
+    """The least shortest path from ``at`` to a vertex at 0 ``steps``: at each
+    step the least edge whose range is one step nearer."""
+    edges = []
+    for left in range(steps[at] - 1, -1, -1):
+        for eid, at in alphabet[at]:
+            if steps.get(at) == left:
+                break
+        edges.append(eid)
+    return tuple(edges)
+
+
 def incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
-    """Shortest-lex closed path at v incomparable with alpha in the path order."""
+    """The least closed path at v, by (length, lex) over ``g.out_alphabet(2)``,
+    incomparable with alpha in the path order.
+
+    Such a path follows alpha's first i edges and then leaves alpha by another
+    edge e, for some i < |alpha|; when alpha starts elsewhere than v, every
+    closed path at v is incomparable with it, so it is left at once, at i = 0.
+    The least length through (i, e) is i + 1 + the steps from r(e) back to v.
+    Two candidates of one length are ordered where they diverge: e against
+    alpha[i], or e against another edge at the same i.  So one scan along
+    alpha picks (i, e), and the tail is the least shortest return.  The scan
+    stops where alpha leaves the alphabet (an omega copy ^3, say), as every
+    closed path in it must diverge there.  O(|alpha|·out-degree + V + E).
+    """
     g.require_vertex(v)
-    cap = 2 * alpha.length + len(g.vertices) + 2
-    steps_to_v = _steps_to(g, {v})
-    for length in range(1, cap + 1):
-        for sigma in _closed_paths(g, v, length, 2, steps_to_v):
-            if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha)):
-                return sigma
-    raise InternalError(
-        "no incomparable closed path found; the graph cannot be simple purely infinite"
-    )
+    alphabet = g.out_alphabet(2)
+    steps = _steps_to(g, {v})
+    ahead = alpha.edges if alpha.source == v else (None,)  # None matches no edge
+    best = None  # (length, i, e, r(e)) of the least candidate so far
+    at = v
+    for i, edge in enumerate(ahead):
+        if best is not None and i >= best[0]:  # every later candidate is longer
+            break
+        follow = None
+        for eid, dst in alphabet[at]:
+            if eid == edge:
+                follow = dst
+            elif dst in steps:
+                length = i + 1 + steps[dst]
+                # on a tie, a later i wins where it keeps alpha[best i] < best e
+                if best is None or length < best[0] or (
+                    length == best[0] and best[1] < i and ahead[best[1]] < best[2]
+                ):
+                    best = (length, i, eid, dst)
+        if follow is None:
+            break
+        at = follow
+    if best is None:
+        raise InternalError(
+            "no incomparable closed path found; the graph cannot be simple purely infinite"
+        )
+    _, i, eid, dst = best
+    return Path(v, alpha.edges[:i] + (eid,) + _descend(alphabet, steps, dst))
 
 
 def path_to_cycle_base(g: Graph, v: str) -> Path:
@@ -135,12 +185,7 @@ def path_to_cycle_base(g: Graph, v: str) -> Path:
     steps = _steps_to(g, bases)
     if v not in steps:
         raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
-    alphabet = g.out_alphabet()
-    edges, at = [], v
-    for left in range(steps[v] - 1, -1, -1):
-        eid, at = next((eid, dst) for eid, dst in alphabet[at] if steps.get(dst) == left)
-        edges.append(eid)
-    return Path(v, tuple(edges))
+    return Path(v, _descend(g.out_alphabet(), steps, v))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ from leavitt_lab.lpa import (
     multiply,
     normalize_terms,
     path_element,
+    zero,
 )
 from leavitt_lab.matricial import BlockKey, acyclic_decompose
 from leavitt_lab.pnorm import spatial_rep_acyclic
-from leavitt_lab.spi import incomparable_closed_path
+from leavitt_lab.spi import _closed_paths, _steps_to, incomparable_closed_path
+from leavitt_lab.transforms import EmbeddingData
 
 
 def _raw_out(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -158,6 +160,22 @@ def oracle_closed_paths_at(g: Graph, v: str, length: int, omega_copies: int = 2)
 
     walk(v, [])
     return sorted(found, key=lambda p: p.edges)
+
+
+def oracle_incomparable_closed_path(g: Graph, v: str, alpha: Path) -> Path:
+    """The least closed path at v incomparable with alpha, by listing the
+    closed paths at v of each length in lex order (``spi._closed_paths``)
+    until one is, up to a length that any such path undercuts."""
+    g.require_vertex(v)
+    cap = 2 * alpha.length + len(g.vertices) + 2
+    steps_to_v = _steps_to(g, {v})
+    for length in range(1, cap + 1):
+        for sigma in _closed_paths(g, v, length, 2, steps_to_v):
+            if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha)):
+                return sigma
+    raise InternalError(
+        "no incomparable closed path found; the graph cannot be simple purely infinite"
+    )
 
 
 def oracle_path_to_cycle_base(g: Graph, v: str) -> Path:
@@ -857,3 +875,36 @@ def oracle_incomplete_vertices(g: Graph, F: Graph) -> list[str]:
         if f_out < g_out or g.is_infinite_emitter(v):
             incomplete.append(v)
     return incomplete
+
+
+def oracle_verify_embedding(emb: EmbeddingData) -> None:
+    """Every Leavitt relation of the completed graph on the images, by
+    multiplying every pair of vertex images and every pair of edge images;
+    raises InternalError at the first that fails."""
+    dom, g = emb.domain, emb.codomain
+    vs = emb.vertex_images
+    es = emb.edge_images
+    for u in dom.vertices:
+        for w in dom.vertices:
+            prod = multiply(vs[u], vs[w])
+            want = vs[u] if u == w else zero(g)
+            if prod != want:
+                raise InternalError(f"vertex images of {u!r}, {w!r} are not orthogonal idempotents")
+    ghosts = {e.id: involute(es[e.id]) for e in dom.edges}
+    for e in dom.edges:
+        img = es[e.id]
+        if multiply(vs[e.src], img) != img or multiply(img, vs[e.dst]) != img:
+            raise InternalError(f"edge image of {e.id!r} is not compatible with its endpoints")
+        for f in dom.edges:
+            prod = multiply(ghosts[e.id], es[f.id])
+            want = vs[e.dst] if f.id == e.id else zero(g)
+            if prod != want:
+                raise InternalError(f"ghost relation fails at {e.id!r}, {f.id!r}")
+    for v in dom.vertices:
+        if not dom.is_regular(v):
+            continue
+        acc = zero(g)
+        for e in dom.out_edges[v]:
+            acc = acc + multiply(es[e.id], ghosts[e.id])
+        if acc != vs[v]:
+            raise InternalError(f"range relation fails at regular vertex {v!r}")

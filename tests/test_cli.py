@@ -666,6 +666,23 @@ def test_norm_checks_p_before_the_graph(capsys, tmp_path, r2_file):
     assert err.startswith("error: p must lie in")
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (zoo.omega_spi(), "matricial decompositions need a row-finite finite graph"),
+        (zoo.r2(), "the graph has a cycle"),
+    ],
+    ids=["omega_pairs", "cycles"],
+)
+def test_norm_exit_1_off_finite_acyclic_graphs(capsys, tmp_path, g, message):
+    # norm has no route over omega pairs or cycles: both are "other errors"
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(g))
+    elem = write_element(tmp_path, g, vertex_element(g, "v"))
+    code, out, err = run(capsys, ["norm", "--graph", str(gp), "--element", elem, "--p", "2"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_norm_on_the_empty_graph(capsys, tmp_path):
     # no sink block at all: the norm is 0 and exact at every p
     gp, ep = tmp_path / "empty.json", tmp_path / "zero.json"

@@ -767,6 +767,37 @@ def test_classify_runs_one_closure_for_the_witness_alone(monkeypatch):
     assert calls == [("v1",)]
 
 
+def test_classify_decides_each_scc_once_with_two_tops(monkeypatch):
+    # a line v0 -> ... -> v1999 -> {s1, s2}, listed head first, ran one
+    # search per line vertex: 0.34-0.51 s.  Now the line is a chain of
+    # one-successor SCCs that takes the answer of v1999's one search, s1
+    # fails as a top, and the second call is the witness closure.
+    calls = []
+
+    def counted(g, starts):
+        calls.append(tuple(starts))
+        return reachable_from(g, starts)
+
+    monkeypatch.setattr(graph_module, "reachable_from", counted)
+    n = 2000
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    edges += [("x", verts[-1], "s1"), ("y", verts[-1], "s2")]
+    start = time.perf_counter()
+    c = classify_graph(Graph((*verts, "s1", "s2"), edges))
+    elapsed = time.perf_counter() - start
+    assert c == (Verdict.NOT_SIMPLE, frozenset({"s1"}))
+    assert len(calls) <= 2
+    assert elapsed < 0.5
+    # listed tail first, with a tooth from each line vertex into s1: each has
+    # two successor SCCs and passes because the next one along the line did
+    calls.clear()
+    teeth = [(f"t{i}", verts[i], "s1") for i in range(n - 1)]
+    c = classify_graph(Graph((*reversed(verts), "s1", "s2"), edges + teeth))
+    assert c == (Verdict.NOT_SIMPLE, frozenset({"s1"}))
+    assert len(calls) <= 2
+
+
 def test_classify_finds_the_top_through_a_vertex_off_the_cycles():
     # the loop at v0 reaches the loop at v2 only through v1, which is no
     # anchor; v2 is still no top, so v0 passes and v1 is the first to fail

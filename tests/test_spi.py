@@ -50,6 +50,7 @@ from leavitt_lab.transforms import desingularize
 from oracles import (
     oracle_closed_paths_at,
     oracle_cohn_pair,
+    oracle_incomparable_closed_path,
     oracle_path_to_cycle_base,
     oracle_word_candidates,
 )
@@ -130,27 +131,43 @@ def test_closed_paths_match_recursive_oracle(g, length, omega_copies):
         )
 
 
-@given(random_graphs(max_vertices=5), st.integers(0, 2))
-@settings(deadline=None, max_examples=150)
-def test_incomparable_closed_path_matches_per_length_search(g, alpha_length):
-    # one BFS shared by every length finds what a fresh closed_paths_at per length finds
+@given(random_graphs(max_vertices=5), st.data())
+@settings(deadline=None, max_examples=300)
+def test_incomparable_closed_path_matches_per_length_search(g, data):
+    # alpha is a closed path at v, or a walk in out_alphabet(3) (so through an
+    # omega copy ^3 when the graph has omega pairs) from v or another vertex,
+    # trivial when it takes no step
+    walks = g.out_alphabet(3)
     for v in g.vertices:
-        alpha = next(iter(closed_paths_at(g, v, alpha_length)), Path(v))
-        cap = 2 * alpha.length + len(g.vertices) + 2
-        expected = next(
-            (
-                sigma
-                for length in range(1, cap + 1)
-                for sigma in closed_paths_at(g, v, length)
-                if not (g.path_ge(alpha, sigma) or g.path_ge(sigma, alpha))
-            ),
-            None,
-        )
-        if expected is None:
+        start = data.draw(st.sampled_from((v,) + g.vertices))
+        if data.draw(st.booleans()):
+            alpha = next(iter(closed_paths_at(g, v, data.draw(st.integers(0, 2)))), Path(start))
+        else:
+            at, edges = start, []
+            for _ in range(data.draw(st.integers(0, 4))):
+                if not walks[at]:
+                    break
+                eid, at = data.draw(st.sampled_from(walks[at]))
+                edges.append(eid)
+            alpha = Path(start, tuple(edges))
+        try:
+            expected = oracle_incomparable_closed_path(g, v, alpha)
+        except InternalError:
             with pytest.raises(InternalError):
                 incomparable_closed_path(g, v, alpha)
         else:
             assert incomparable_closed_path(g, v, alpha) == expected
+
+
+def test_incomparable_closed_path_leaves_an_alpha_that_leaves_the_alphabet():
+    # the search walks two copies of each omega pair: no closed path follows ^3
+    g = zoo.omega_spi()
+    first, second, third = (f"v~w^{k}" for k in (1, 2, 3))
+    assert incomparable_closed_path(g, "v", Path("v", (third, "f"))) == Path("v", (first, "f"))
+    assert incomparable_closed_path(g, "v", Path("v", (first, "f"))) == Path("v", (second, "f"))
+    assert incomparable_closed_path(g, "v", Path("w", ("f",))) == Path("v", (first, "f"))
+    with pytest.raises(InternalError, match="no incomparable closed path"):
+        incomparable_closed_path(g, "v", Path("v"))
 
 
 edge_words = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple)
@@ -206,6 +223,18 @@ def test_witness_of_long_loop_power_within_budget(r2):
     elapsed = time.perf_counter() - start
     check_witness(r2, a, w)
     assert elapsed < 1.0
+
+
+def test_incomparable_closed_path_on_deep_ring_within_budget():
+    # listing the closed paths of each length in turn took 1.08 s at n = 2,000
+    n = 4000
+    g = ring_with_loops(n, [0])
+    alpha = least_cycle_at(g, "v0")
+    start = time.perf_counter()
+    beta = incomparable_closed_path(g, "v0", alpha)
+    elapsed = time.perf_counter() - start
+    assert beta == Path("v0", tuple(f"e{i}" for i in range(n)))
+    assert elapsed < 0.2
 
 
 def test_incomparable_closed_path_on_looped_ring_within_budget():

@@ -11,6 +11,7 @@ from leavitt_lab.errors import (
     BecameEmpty,
     BudgetExceeded,
     GraphMismatch,
+    InternalError,
     NoInfiniteEmitters,
     NotASubgraph,
     UnknownVertex,
@@ -21,6 +22,7 @@ from leavitt_lab.lpa import (
     Monomial,
     involute,
     multiply,
+    normalize_terms,
     path_element,
     vertex_element,
 )
@@ -31,7 +33,12 @@ from leavitt_lab.transforms import (
     reachable_subgraph,
     remove_sources,
 )
-from oracles import oracle_incomplete_vertices, oracle_is_excluded, oracle_remove_sources
+from oracles import (
+    oracle_incomplete_vertices,
+    oracle_is_excluded,
+    oracle_remove_sources,
+    oracle_verify_embedding,
+)
 from test_graph import random_graphs
 
 
@@ -402,6 +409,76 @@ def test_completion_twins_the_oracle_incomplete_vertices(case):
     emb = complete_and_embed(g, F)
     # no vertex id holds a prime, so each twin is its vertex's id primed once
     assert emb.domain.vertices == F.vertices + tuple(f"{v}'" for v in oracle_incomplete_vertices(g, F))
+
+
+def _accepts(check, emb) -> bool:
+    try:
+        check(emb)
+    except InternalError:
+        return False
+    return True
+
+
+@given(subgraphs_with_dropped_edges(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_grouped_embedding_check_agrees_with_the_pairwise_oracle(case, data):
+    g, F = case
+    emb = complete_and_embed(g, F)  # the grouped check accepts it, or this raises
+    oracle_verify_embedding(emb)
+    # with two vertex images or two edge images swapped, both give one verdict
+    field = data.draw(st.sampled_from(["vertex_images", "edge_images"]))
+    images = dict(getattr(emb, field))
+    if len(images) >= 2:
+        a, b = data.draw(st.lists(st.sampled_from(sorted(images)), min_size=2, max_size=2, unique=True))
+        images[a], images[b] = images[b], images[a]
+        swapped = emb._replace(**{field: images})
+        assert _accepts(transforms._verify_embedding, swapped) == _accepts(oracle_verify_embedding, swapped)
+
+
+def _planted_faults():
+    """Embeddings of a subgraph of the two-vertex graph with loops a at u and
+    d at w and edges b: u -> w, c: w -> u, each with one image spoiled."""
+    g = Graph(("u", "w"), (("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u"), ("d", "w", "w")))
+    emb = complete_and_embed(g, Graph(("u", "w"), (("a", "u", "u"), ("c", "w", "u"))))
+    # w is complete here, so its image w lets an image of c lead with d too
+    full_w = complete_and_embed(g, Graph(("u", "w"), (("a", "u", "u"), ("c", "w", "u"), ("d", "w", "w"))))
+    vs, es = emb.vertex_images, emb.edge_images
+    m_u = vs["u"]  # u - b·b*
+    assert len(m_u) == 2
+    c = full_w.edge_images["c"]
+    return {
+        "vertex_moved_off_its_corner": emb._replace(vertex_images={**vs, "w'": vs["u'"]}),
+        "vertex_over_two_corners": emb._replace(vertex_images={**vs, "w'": vs["w'"] + vs["u'"]}),
+        "edge_with_two_leading_edges": full_w._replace(
+            edge_images={**full_w.edge_images, "c": c + multiply(path_element(g, ("d",)), c)}
+        ),
+        "edge_and_twin_swapped": emb._replace(edge_images={**es, "a": es["a'"], "a'": es["a"]}),
+        "m_v_missing_a_term": emb._replace(
+            vertex_images={**vs, "u": normalize_terms(g, dict(m_u.terms()[1:]))}
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_planted_faults()))
+def test_both_embedding_checks_reject_a_planted_fault(fault):
+    emb = _planted_faults()[fault]
+    for check in (transforms._verify_embedding, oracle_verify_embedding):
+        with pytest.raises(InternalError):
+            check(emb)
+
+
+def test_complete_line_family_within_budget():
+    # multiplying every pair of images took 3.1 s at n = 400
+    n = 4000
+    verts = tuple(f"v{i}" for i in range(n))
+    line = tuple((f"e{i}", verts[i], verts[i + 1]) for i in range(n - 1))
+    back = tuple((f"b{i}", verts[i], verts[0]) for i in range(n))
+    g, F = Graph(verts, line + back), Graph(verts, line)
+    start = time.perf_counter()
+    emb = complete_and_embed(g, F)
+    elapsed = time.perf_counter() - start
+    assert len(emb.domain.vertices) == 2 * n - 1
+    assert elapsed < 2.0
 
 
 def _monomial_basis(g, max_len):
