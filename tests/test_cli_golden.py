@@ -49,6 +49,22 @@ def input_files() -> dict[str, str]:
         "spi3_sub": {"vertices": ["a", "b", "c"], "edges": [{"id": "e1", "src": "a", "dst": "b"}, {"id": "e2", "src": "b", "dst": "c"}, {"id": "e3", "src": "c", "dst": "a"}]},
         "a3_sub": {"vertices": ["u", "v"], "edges": [{"id": "e1", "src": "u", "dst": "v"}]},
         "not_sub": {"vertices": ["a", "b"], "edges": [{"id": "e9", "src": "a", "dst": "b"}]},
+        # A ring v0..v6 with an edge to the next vertex and one to the next but
+        # one, the skip edge sorting first at v0, v3 and v6.  The least cycle at
+        # v0 runs v0 v2 v3 v5 v6 v0; its search enters v1 from v6 and backs out,
+        # for both edges out of v1 lead onto the path.
+        "skip_ring": {
+            "vertices": [f"v{i}" for i in range(7)],
+            "edges": [
+                {"id": eid, "src": src, "dst": dst}
+                for eid, src, dst in (
+                    ("e00", "v0", "v2"), ("e01", "v0", "v1"), ("e10", "v1", "v2"), ("e11", "v1", "v3"),
+                    ("e20", "v2", "v3"), ("e21", "v2", "v4"), ("e30", "v3", "v5"), ("e31", "v3", "v4"),
+                    ("e40", "v4", "v5"), ("e41", "v4", "v6"), ("e50", "v5", "v6"), ("e51", "v5", "v0"),
+                    ("e60", "v6", "v1"), ("e61", "v6", "v0"),
+                )
+            ],
+        },
     }
     elements = {
         "r2_v": [term("v")],
@@ -67,6 +83,8 @@ def input_files() -> dict[str, str]:
         "a3_sum": [term("u", ["e1", "e2"], "w", [], "1"), term("v", ["e2"], "v", ["e2"], "-1/3"), term("u")],
         "omega_v": [term("v")],
         "frontier_w": [term("w")],
+        "skip_v0": [term("v0")],
+        "skip_mix": [term("v1"), term("v0", ["e00"], "v0", ["e00"], "-1/2")],
         "zero": [],
         "bad_term": [{**term("v"), "extra": 1}],
         "bad_vertex": [term("zz")],
@@ -80,7 +98,7 @@ def input_files() -> dict[str, str]:
 
 def calls() -> list[list[str]]:
     out = []
-    for g in ("r1", "r2", "r3", "a2", "a3", "spi3", "spi4", "rand4a", "rand4b", "two_roses", "loop_with_sink", "source_into_rose", "omega_spi", "omega_to_sink"):
+    for g in ("r1", "r2", "r3", "a2", "a3", "spi3", "spi4", "rand4a", "rand4b", "two_roses", "loop_with_sink", "source_into_rose", "omega_spi", "omega_to_sink", "skip_ring"):
         out.append(["classify", "--graph", f"{g}.json"])
         out.append(["classify", "--graph", f"{g}.json", "--format", "text"])
     out += [
@@ -93,7 +111,7 @@ def calls() -> list[list[str]]:
         ["classify", "--graph", "bad_json.json"],
         ["classify", "--graph", "unknown_field.json"],
     ]
-    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q")):
+    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q"), ("skip_ring", "skip_v0"), ("skip_ring", "skip_mix")):
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json"])
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json", "--format", "text"])
     out += [
