@@ -804,15 +804,6 @@ def oracle_reachable(g: Graph, starts) -> frozenset[str]:
     return frozenset(seen)
 
 
-def oracle_inner_preds(g: Graph) -> dict[str, tuple[str, ...]]:
-    """Sources of the cycle edges into each vertex, least edge id first.  An
-    edge of the one-copy alphabet lies on a cycle when its range reaches its
-    source."""
-    arrows = sorted([(e.id, e.src, e.dst) for e in g.edges] + [(f"{s}~{d}^1", s, d) for s, d in g.omega_pairs])
-    on_cycle = [(s, d) for _, s, d in arrows if s in oracle_reachable(g, [d])]
-    return {v: tuple(s for s, d in on_cycle if d == v) for v in g.vertices}
-
-
 def oracle_paths_by_range(g: Graph, n: int) -> dict[str, tuple[Path, ...]]:
     """The paths of length 0..n ending at each vertex, shortest first and
     lexicographic by edge ids within one length, from ``oracle_paths``."""

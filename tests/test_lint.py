@@ -45,10 +45,12 @@ def names_read(tree: ast.Module) -> set[str]:
 
 
 def unread_private_names(source: str) -> list[str]:
-    """Module-level functions, classes and constants named with one leading
-    underscore that their own module never reads: nothing else should use them."""
+    """Module-level functions, classes and constants, and the methods and
+    properties of a class body, named with one leading underscore that their
+    own module never reads: nothing else should use them.  A method or
+    property is read where an attribute of its name is loaded."""
     tree = ast.parse(source)
-    defined: dict[str, int] = {}
+    defined: list[tuple[int, str, bool]] = []  # (line, name, is a class member)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -57,11 +59,19 @@ def unread_private_names(source: str) -> list[str]:
             targets = [t.id for t in nodes if isinstance(t, ast.Name)]
         else:
             continue
-        for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
+        defined += [(node.lineno, name, False) for name in targets]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            defined += [(f.lineno, f.name, True) for f in node.body if isinstance(f, ast.FunctionDef)]
     read = names_read(tree)
-    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+    loaded = {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name} (line {line})"
+        for line, name, member in sorted(defined)
+        if name.startswith("_") and not name.startswith("__") and name not in (loaded if member else read)
+    ]
 
 
 def test_unused_imports_are_caught():
@@ -105,6 +115,19 @@ def test_unread_private_names_are_caught():
         "def public():\n    return _Box\n"
     )
     assert unread_private_names(source) == ["_LIMIT (line 2)", "_helper (line 4)"]
+
+
+def test_unread_private_methods_and_properties_are_caught():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n        self._table = None\n"
+        "    def _grow(self):\n        return self._step\n"
+        "    @property\n    def _step(self):\n        return 1\n"
+        "    @cached_property\n    def _table(self):\n        return {}\n"
+        "    def _left(self):\n        pass\n"
+        "    def public(self):\n        return self._grow(), _left\n"
+    )
+    assert unread_private_names(source) == ["_table (line 10)", "_left (line 12)"]
 
 
 def test_package_has_no_unread_private_names():
