@@ -727,9 +727,13 @@ def graph_to_json_obj(g: Graph) -> dict:
     return obj
 
 
+# one encoder for every output: json.dumps with these options builds a new one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
     """The one JSON encoding of every output: no spaces, non-ASCII kept as is."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 def graph_to_json(g: Graph) -> str:

@@ -38,7 +38,8 @@ from .lpa import (
 BLOCK_BUDGET = 2**22
 # terms of an acyclic expansion, what the norm builds at every p (about
 # 1 KB each, with its norm components): the doubled line's vertex v0 makes
-# 2^(n-1) of them on n vertices, so it answers up to n = 19, in seconds
+# 2^(n-1) of them on n vertices, so it answers up to n = 19, in seconds;
+# also the terms of a stage-n expansion (Step 3 of the witness)
 EXPANSION_BUDGET = 2**18
 
 
@@ -149,13 +150,46 @@ def _assemble(g: Graph, paths: dict, expansion: dict) -> BlockDecomposition:
     return BlockDecomposition(g, blocks, paths)
 
 
+def _stage_terms(g: Graph, terms, n: int) -> int:
+    """The number of terms ``_expand(g, terms, n)`` makes, before it is run.
+
+    a·b* makes c(r(a), n - |a|), where c(u, 0) = 1, c(u, k) = 1 at a sink and
+    otherwise c(u, k) is the sum of c(r(e), k - 1) over the edges e leaving
+    u.  Rather than c itself, the walk's nodes are counted level by level:
+    how many nodes sit at each vertex with k steps left, from the largest k
+    down, each regular vertex passing its count to the ranges of its edges
+    and each sink or k = 0 ending that many walks.  That is O(n·E) steps,
+    with no recursion and no path built."""
+    succ = g.out_edges
+    total = 0
+    levels: dict[int, dict[str, int]] = {}
+    for m, _ in terms:
+        k = n - len(m.alpha.edges)
+        if k == 0:
+            total += 1
+            continue
+        at = levels.setdefault(k, {})
+        u = g.range_of(m.alpha)
+        at[u] = at.get(u, 0) + 1
+    for k in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(k - 1, {})
+        for u, walks in levels.pop(k, {}).items():
+            if not succ[u]:
+                total += walks
+            for _, _, dst in succ[u]:
+                below[dst] = below.get(dst, 0) + walks
+    return total + sum(levels.get(0, {}).values())
+
+
 def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
     """Expand a degree-zero element into the stage-n spanning monomials.
 
     Monomials ending at a regular vertex are pushed to length n by inserting
     the outgoing edges on both sides; monomials ending at a sink stay at their
     length.  Raises NotInFiltration when a term has nonzero degree or a length
-    beyond the stage.
+    beyond the stage, then BudgetExceeded, before any term is built, when the
+    expansion would make more than ``EXPANSION_BUDGET`` terms, as
+    ``_stage_terms`` counts them.
     """
     g = x.graph
     _require_row_finite_finite(g)
@@ -167,6 +201,11 @@ def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
             raise NotInFiltration(
                 f"term {m!r} has length {len(m.alpha.edges)} beyond stage {n}"
             )
+    made = _stage_terms(g, terms, n)
+    if made > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"the stage-{n} expansion would make {made} terms, over the budget of {EXPANSION_BUDGET}"
+        )
     return _expand(g, terms, n)
 
 

@@ -236,12 +236,19 @@ def _components(entries, key) -> list[tuple[int, int, list]]:
     column b for each entry (a, b, z) whose z is nonzero, each as (rows,
     columns, cells): its rows and its columns numbered in ``key`` order, and
     its entries as cells (row, column, z) in row-major order, the submatrix
-    on them when ``key`` is the matrix's own order.  No zero is filled in,
-    and rows and columns with no nonzero entry lie in no component."""
+    on them when ``key`` is the matrix's own order.  Components come in the
+    order of their first entries.  No zero is filled in, and rows and columns
+    with no nonzero entry lie in no component.  A component of one entry is
+    (1, 1, [(0, 0, z)]), with no sorting or numbering."""
     entries = [(a, b, z) for a, b, z in entries if z]
-    # the rows, then the columns, as the nodes 0, 1, ... of a union-find
-    rows = {a: i for i, a in enumerate(dict.fromkeys(a for a, _, _ in entries))}
-    cols = {b: len(rows) + j for j, b in enumerate(dict.fromkeys(b for _, b, _ in entries))}
+    # the rows, then the columns, numbered as they first appear: the nodes
+    # 0, 1, ... of one union-find
+    rows: dict = {}
+    for a, _, _ in entries:
+        rows.setdefault(a, len(rows))
+    cols: dict = {}
+    for _, b, _ in entries:
+        cols.setdefault(b, len(rows) + len(cols))
     parent = list(range(len(rows) + len(cols)))
 
     def find(i: int) -> int:
@@ -258,6 +265,9 @@ def _components(entries, key) -> list[tuple[int, int, list]]:
         groups.setdefault(find(rows[entry[0]]), []).append(entry)
     components = []
     for group in groups.values():
+        if len(group) == 1:
+            components.append((1, 1, [(0, 0, group[0][2])]))
+            continue
         row_of = {a: i for i, a in enumerate(sorted({a for a, _, _ in group}, key=key))}
         col_of = {b: j for j, b in enumerate(sorted({b for _, b, _ in group}, key=key))}
         # the (row, column) pairs are distinct, so z is never compared
@@ -286,8 +296,10 @@ def _component_norm(m: int, n: int, cells, p: float, seed: int, tol: float) -> t
     (|c|); otherwise a single row gives its l^q norm, q = p/(p-1), and a
     single column its l^p norm (Hölder), all in Python floats from the
     nonzero cells.  Any other component is filled as a dense array and runs
-    numpy: its largest singular value at p = 2, and at other p the power
-    iteration's lower bound, which alone can leave ``converged`` False.
+    numpy: at p = 2 the largest of its singular values straight from
+    ``np.linalg.svd``, the float ``np.linalg.norm(dense, 2)`` gives bit for
+    bit (a NaN among them wins) without its wrapper, and at other p the
+    power iteration's lower bound, which alone can leave ``converged`` False.
     """
     if p == 1.0 or m == n == 1:
         # rows added in order, as numpy's sum(axis=0) over a C-ordered dense
@@ -309,7 +321,7 @@ def _component_norm(m: int, n: int, cells, p: float, seed: int, tol: float) -> t
         dense = np.zeros((m, n), dtype=np.complex128)
         dense[rows, cols] = zs
         if p == 2.0:
-            return float(np.linalg.norm(dense, 2)), True
+            return float(np.linalg.svd(dense, compute_uv=False).max()), True
         est = power_iteration_lower_bound(dense, p, seed=seed, tol=tol)
     return est.value, est.converged
 

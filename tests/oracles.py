@@ -746,6 +746,38 @@ def oracle_dense_norm_estimate(M, p: float, seed: int = 0, tol: float = 1e-10):
     return value, False, converged
 
 
+def oracle_components(entries, key) -> list[tuple[int, int, list]]:
+    """The connected components of the nonzero pattern, every one numbered
+    alike: each component's rows and columns sorted by ``key`` and its cells
+    sorted, a component of one entry included, in the order of the
+    components' first entries."""
+    entries = [(a, b, z) for a, b, z in entries if z]
+    # the rows, then the columns, as the nodes 0, 1, ... of a union-find
+    rows = {a: i for i, a in enumerate(dict.fromkeys(a for a, _, _ in entries))}
+    cols = {b: len(rows) + j for j, b in enumerate(dict.fromkeys(b for _, b, _ in entries))}
+    parent = list(range(len(rows) + len(cols)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b, _ in entries:
+        i, j = find(rows[a]), find(cols[b])
+        if i != j:
+            parent[j] = i
+    groups: dict[int, list] = {}
+    for entry in entries:
+        groups.setdefault(find(rows[entry[0]]), []).append(entry)
+    components = []
+    for group in groups.values():
+        row_of = {a: i for i, a in enumerate(sorted({a for a, _, _ in group}, key=key))}
+        col_of = {b: j for j, b in enumerate(sorted({b for _, b, _ in group}, key=key))}
+        cells = sorted((row_of[a], col_of[b], z) for a, b, z in group)
+        components.append((len(row_of), len(col_of), cells))
+    return components
+
+
 def oracle_quadrature_error(x: Element, n: int) -> float:
     """The quadrature check on the dense sink blocks: the circle average of
     the gauge rotations of x's spatial image, entry by entry over every k²

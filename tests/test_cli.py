@@ -24,7 +24,9 @@ from leavitt_lab.lpa import (
     element_from_json,
     element_to_json,
     element_to_json_obj,
+    gauss,
     involute,
+    monomial_element,
     multiply,
     path_element,
     vertex_element,
@@ -474,6 +476,21 @@ def test_witness_exit_2_on_a_coefficient_it_cannot_write(capsys, tmp_path, r2_fi
         "",
         "error: a coefficient has over 4300 digits, the most that Python writes\n",
     )
+
+
+def test_witness_exit_2_on_a_stage_expansion_over_budget(capsys, tmp_path, r2_file):
+    # Step 3 expands v + 2·e^n(e^n)* to stage n, 2^(n+1) - 1 terms: 0.49 s at
+    # n = 16 and a MemoryError traceback at n = 21 under a 600 MB cap, before
+    # the terms were counted; at n = 40 the count alone refuses it
+    g = zoo.r2()
+    en = g.path("v", ("e",) * 40)
+    x = vertex_element(g, "v") + monomial_element(g, en, en, gauss(2))
+    elem = write_element(tmp_path, g, x)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["witness", "--graph", r2_file, "--element", elem])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the stage-40 expansion would make {2**41 - 1} terms, over the budget of {2**18}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from leavitt_lab.lpa import (
 from leavitt_lab.matricial import (
     BlockKey,
     _expand,
+    _stage_terms,
     acyclic_decompose,
     acyclic_expansion,
     blockwise_product,
@@ -38,6 +40,7 @@ from leavitt_lab.matricial import (
 from leavitt_lab.pnorm import degree_component_quadrature_error, element_norm_estimate
 from leavitt_lab.sample import random_element
 
+import oracles
 from oracles import oracle_expand, oracle_filtration_paths
 
 
@@ -403,6 +406,42 @@ def test_expansion_loop_matches_the_object_oracle(case):
     g, terms, n = case
     # the same terms and coefficients, inserted in the same order
     assert list(_expand(g, terms, n).items()) == list(oracle_expand(g, terms, n).items())
+
+
+@given(expansion_inputs())
+@settings(deadline=None, max_examples=400)
+def test_stage_count_is_the_number_of_terms_the_expansion_makes(case):
+    # every leaf of the oracle's walk is one add_term call, cancelled or not
+    g, terms, n = case
+    leaves = []
+    with mock.patch.object(oracles, "add_term", lambda out, m, c: leaves.append(m)):
+        oracle_expand(g, terms, n)
+    assert _stage_terms(g, terms, n) == len(leaves)
+
+
+def test_stage_expansion_counts_before_it_builds(monkeypatch):
+    # the terms v + 2·e^n(e^n)* over rose(2) make 2^n + 1 stage-n terms; as an
+    # element they normalize to 3·v - 2·sum of e^k f(e^k f)* over k < n, which
+    # makes 2^(n+1) - 1; at n = 40 neither would fit in memory, so both are
+    # counted, and the element is refused
+    g = zoo.r2()
+    for n, made in ((3, 9), (40, 2**40 + 1)):
+        en = Path("v", ("e",) * n)
+        terms = [(Monomial(Path("v"), Path("v")), gauss(1)), (Monomial(en, en), gauss(2))]
+        assert _stage_terms(g, terms, n) == made
+    x = vertex_element(g, "v") + monomial_element(g, en, en, gauss(2))
+    assert _stage_terms(g, x.terms(), 40) == 2**41 - 1
+    with pytest.raises(BudgetExceeded, match=f"stage-40 expansion would make {2**41 - 1} terms"):
+        matricial.stage_expansion(x, 40)
+    with pytest.raises(BudgetExceeded):
+        filtration_decompose(x, 40)
+    # the budget is inclusive
+    x = vertex_element(g, "v")
+    monkeypatch.setattr(matricial, "EXPANSION_BUDGET", 8)
+    assert len(matricial.stage_expansion(x, 3)) == 8
+    monkeypatch.setattr(matricial, "EXPANSION_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match="stage-3 expansion would make 8 terms"):
+        matricial.stage_expansion(x, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from leavitt_lab.sample import random_element
 
 from oracles import (
     oracle_column_sum_norm,
+    oracle_components,
     oracle_dense_norm_estimate,
     oracle_power_iteration,
     oracle_quadrature_error,
@@ -619,6 +620,79 @@ def test_norm_never_hides_a_non_finite_component(bad, p, bad_first):
     if p != 1.0:
         with pytest.raises(FloatRange):
             power_iteration_lower_bound(M, p)
+
+
+# rows and columns of the element route: paths whose block order differs
+# from the order in which they are drawn, no two with the same edges
+COMPONENT_PATHS = [
+    Path("u", ("e1", "e2")), Path("w"), Path("v", ("e2",)), Path("x", ("d1",)),
+    Path("u", ("e1", "e3")), Path("v", ("e3",)),
+]
+
+
+@st.composite
+def component_entries(draw):
+    """(entries, key): distinct cells over at most 6 rows and 6 columns, so
+    rows and columns repeat, with zero and nonzero values, under ``int`` or
+    under ``_block_order`` with paths for rows and columns; or a diagonal,
+    all of whose components are 1×1."""
+    cells = draw(
+        st.one_of(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=14),
+            st.permutations(range(6)).map(lambda perm: list(enumerate(perm))),
+        )
+    )
+    values = st.sampled_from([0j, 1 + 0j, -2.5j, 3 + 4j, 1e-300 + 0j, -7.0 + 0j])
+    entries = [(a, b, draw(values)) for a, b in cells]
+    if draw(st.booleans()):
+        return entries, int
+    return [(COMPONENT_PATHS[a], COMPONENT_PATHS[b], z) for a, b, z in entries], pnorm._block_order
+
+
+@given(component_entries())
+@example(([(0, 0, 1j), (1, 1, 0j), (2, 1, 2 + 0j), (1, 3, 0j)], int))
+@settings(deadline=None, max_examples=400)
+def test_components_match_the_oracle(case):
+    # the same components, in the same order, with the same cells; a
+    # component of one entry skips the numbering and sorting
+    entries, key = case
+    assert repr(pnorm._components(iter(entries), key)) == repr(oracle_components(entries, key))
+
+
+def test_component_2_norm_is_numpys_bitwise():
+    # the largest singular value straight from the SVD is the float
+    # np.linalg.norm(dense, 2) gives, on random components from 2×2 to 6×6,
+    # some with zeros, over scales from 1e-150 to 1e150
+    rng = np.random.default_rng(38)
+    for _ in range(600):
+        m, n = (int(k) for k in rng.integers(2, 7, size=2))
+        dense = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * 10.0 ** int(
+            rng.integers(-150, 151)
+        )
+        dense[rng.random((m, n)) < 0.3] = 0
+        cells = [(i, j, complex(dense[i, j])) for i in range(m) for j in range(n) if dense[i, j]]
+        value = pnorm._component_norm(m, n, cells, 2.0, 0, 1e-10)
+        assert repr(value) == repr((float(np.linalg.norm(dense, 2)), True))
+
+
+@pytest.mark.filterwarnings("error")
+def test_component_2_norm_keeps_its_nan():
+    # finite entries whose modulus is no double, and an infinite entry: the
+    # SVD gives NaN, as np.linalg.norm did, and the element's norm is refused
+    huge = 1.5e308 * (1 + 1j)
+    for cells in (
+        [(0, 0, huge), (0, 1, huge), (1, 0, huge), (1, 1, huge)],
+        [(0, 0, complex(math.inf)), (0, 1, 1 + 0j), (1, 0, 1 + 0j), (1, 1, 1 + 0j)],
+    ):
+        value, converged = pnorm._component_norm(2, 2, cells, 2.0, 0, 1e-10)
+        assert math.isnan(value) and converged is True
+    a3 = zoo.a3()
+    f, ef = Path("v", ("e2",)), Path("u", ("e1", "e2"))
+    x = zero(a3)
+    for a, b in ((f, f), (f, ef), (ef, f)):
+        x = x + monomial_element(a3, a, b, gauss(15 * 10**307, 15 * 10**307))
+    with pytest.raises(FloatRange, match="overflowed a double"):
+        element_norm_estimate(x, 2.0)
 
 
 # ---------------------------------------------------------------------------
