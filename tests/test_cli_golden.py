@@ -65,6 +65,17 @@ def input_files() -> dict[str, str]:
                 )
             ],
         },
+        # spi3 with ids that JSON must escape: a quote, a backslash, a tab, a
+        # control character, a non-ASCII letter and an astral character
+        "escapes": {
+            "vertices": ['a"', "b\\", "c\t"],
+            "edges": [
+                {"id": "e\u0001", "src": 'a"', "dst": "b\\"},
+                {"id": "é", "src": "b\\", "dst": "c\t"},
+                {"id": "\U0001d538", "src": "c\t", "dst": 'a"'},
+                {"id": 'f"\\', "src": "b\\", "dst": 'a"'},
+            ],
+        },
     }
     elements = {
         "r2_v": [term("v")],
@@ -85,6 +96,12 @@ def input_files() -> dict[str, str]:
         "frontier_w": [term("w")],
         "skip_v0": [term("v0")],
         "skip_mix": [term("v1"), term("v0", ["e00"], "v0", ["e00"], "-1/2")],
+        "escapes_mix": [
+            term('a"', ["e\u0001", "é", "\U0001d538"], 'a"', ["e\u0001", 'f"\\'], "1234567890123456789012345678901234567890/7", "-3/4"),
+            term("b\\", ['f"\\'], "b\\", ["é", "\U0001d538"], "-5/6", "0"),
+            term("c\t", [], "c\t", [], "-1"),
+        ],
+        "omega_gen": [term("v", ["v~w^1"], "v", ["v~w^1"], "2", "-1"), term("w", ["f", "v~w^3"], "w", ["f", "v~w^2"], "-1/2"), term("v")],
         "zero": [],
         "bad_term": [{**term("v"), "extra": 1}],
         "bad_vertex": [term("zz")],
@@ -111,7 +128,7 @@ def calls() -> list[list[str]]:
         ["classify", "--graph", "bad_json.json"],
         ["classify", "--graph", "unknown_field.json"],
     ]
-    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q"), ("skip_ring", "skip_v0"), ("skip_ring", "skip_mix")):
+    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q"), ("skip_ring", "skip_v0"), ("skip_ring", "skip_mix"), ("escapes", "escapes_mix")):
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json"])
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json", "--format", "text"])
     out += [
@@ -126,7 +143,7 @@ def calls() -> list[list[str]]:
         ["witness", "--graph", "r2.json", "--element", "bad_vertex.el.json"],
         ["witness", "--graph", "empty.json", "--element", "zero.el.json"],
     ]
-    for g, el in (("r2", "r2_mixed"), ("r2", "r2_cancel"), ("r2", "zero"), ("r3", "r3_sum"), ("spi3", "spi3_mix"), ("a2", "a2_e"), ("a3", "a3_sum"), ("omega_spi", "omega_v")):
+    for g, el in (("r2", "r2_mixed"), ("r2", "r2_cancel"), ("r2", "zero"), ("r3", "r3_sum"), ("spi3", "spi3_mix"), ("a2", "a2_e"), ("a3", "a3_sum"), ("omega_spi", "omega_v"), ("escapes", "escapes_mix"), ("omega_spi", "omega_gen")):
         out.append(["normalize", "--graph", f"{g}.json", "--element", f"{el}.el.json"])
     out += [
         ["normalize", "--graph", "a2.json", "--element", "bad_range.el.json"],
