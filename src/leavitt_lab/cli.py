@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from gettext import gettext
 
@@ -46,7 +47,7 @@ from .graph import (
 )
 # cli.multiply is unused here but kept: perfbench/test_perfbench.py expects
 # the tracer to find a binding of lpa.multiply in this module.
-from .lpa import Element, element_from_json, element_to_json_obj, multiply  # noqa: F401
+from .lpa import Element, element_from_json, element_to_json, multiply  # noqa: F401
 
 LABELS = {
     Verdict.SIMPLE_PURELY_INFINITE: "simple purely infinite",
@@ -107,9 +108,24 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write text to path as UTF-8.
+
+    The text is encoded before the file is opened, so a text that cannot be
+    encoded leaves an existing file as it was.  The file is opened without
+    ``O_TRUNC`` and a regular file is cut to the new length after the write:
+    truncating on open makes ext4 start writeback of the old blocks at close.
+    Devices and FIFOs (``/dev/null``) are written and not cut."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
@@ -177,19 +193,19 @@ def cmd_witness(args: argparse.Namespace) -> int:
             f"{exc}\nhint: witness has no route over omega pairs: the CLI cannot carry an element"
             " through 'transform desingularize', and witness refuses the truncation it prints"
         ) from None
+    # built in both formats, so that a coefficient of over 4300 digits anywhere
+    # in the witness or its trace is refused in both
     obj = w.to_json_obj()
     obj["verified"] = True
     if args.fmt == "text":
-        _print(
-            f"v: {w.v}\nx: {canonical_json(obj['x'])}\ny: {canonical_json(obj['y'])}\nverified: true\n"
-        )
+        _print(f"v: {w.v}\nx: {element_to_json(w.x)}\ny: {element_to_json(w.y)}\nverified: true\n")
     else:
         _emit(obj)
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    _emit(element_to_json_obj(_load_element(args)))
+    _print(element_to_json(_load_element(args)) + "\n")
     return 0
 
 

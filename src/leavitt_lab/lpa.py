@@ -10,11 +10,12 @@ deterministic function of the graph alone.
 from __future__ import annotations
 
 from contextlib import suppress
+from json.encoder import encode_basestring
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded, FormatError, GraphMismatch, OmegaUnsupported, UnknownVertex
-from .graph import Graph, Path, _unknown_fields, canonical_json, enumerate_paths, parse_json
+from .graph import Graph, Path, _unknown_fields, enumerate_paths, parse_json
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +474,28 @@ def element_to_json_obj(x: Element) -> list:
     ]
 
 
+class _Literals(dict):
+    """The JSON string literal of each id, made on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> str:
+        literal = self[s] = encode_basestring(s)
+        return literal
+
+
 def element_to_json(x: Element) -> str:
-    return canonical_json(element_to_json_obj(x))
+    """``canonical_json(element_to_json_obj(x))``, byte for byte, written
+    directly: each id becomes its JSON literal once per call, each coefficient
+    goes through ``_ratio_str``, and the text is joined once, with no term dict
+    built or encoded."""
+    lit = _Literals().__getitem__
+    return "[" + ",".join([
+        f'{{"alpha":[{",".join(map(lit, alpha))}],"alpha_src":{lit(alpha_src)},'
+        f'"beta":[{",".join(map(lit, beta))}],"beta_src":{lit(beta_src)},'
+        f'"re":"{_ratio_str(c.a, c.d)}","im":"{_ratio_str(c.b, c.d)}"}}'
+        for ((alpha_src, alpha), (beta_src, beta)), c in x.terms()
+    ]) + "]"
 
 
 def _edge_list(entry: dict, key: str) -> list:
@@ -515,31 +536,45 @@ def _rational(entry: dict, key: str) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def _cached_rational(cache: dict[str, tuple[int, int]], entry: dict, key: str) -> tuple[int, int]:
+    """``_rational(entry, key)``, each distinct string converted once per cache."""
+    value = entry[key]
+    if type(value) is not str:  # refused by _rational, and perhaps unhashable
+        return _rational(entry, key)
+    ratio = cache.get(value)
+    if ratio is None:
+        ratio = cache[value] = _rational(entry, key)
+    return ratio
+
+
 _TERM_KEYS = ("alpha", "alpha_src", "beta", "beta_src", "re", "im")
 
 
 def element_from_json_obj(g: Graph, obj) -> Element:
     """Parse a list of terms; paths must be lists of edge ids, coefficients strings.
 
-    One walk along each path both checks it and finds its range, and each
-    distinct pair of ``re``, ``im`` strings is converted once per call.
+    One walk along each path both checks it and finds its range.  Each
+    distinct ``re`` or ``im`` string is converted to (numerator, denominator)
+    once per call, ``re`` read and refused before ``im``, and the terms of
+    each distinct (``re``, ``im``) pair share one coefficient object.
     """
     if not isinstance(obj, list):
         raise FormatError("element JSON must be a list of terms")
     walk, new = g._walk, tuple.__new__
     raw: dict[Monomial, GaussianRational] = {}
-    coeffs: dict[tuple[str, str], GaussianRational] = {}  # (re, im) strings already converted
+    ratios: dict[str, tuple[int, int]] = {}  # coefficient strings already converted
+    coeffs: dict[tuple[str, str], GaussianRational] = {}  # one shared coefficient per (re, im)
     for entry in obj:
         try:
             alpha, alpha_range = walk(entry["alpha_src"], _edge_list(entry, "alpha"))
             beta, beta_range = walk(entry["beta_src"], _edge_list(entry, "beta"))
-            # a missing "im" is _rational's to report, after "re" has been read
+            # a missing "im" is _cached_rational's to report, after "re" has been read
             re_im = (entry["re"], entry.get("im"))
             strings = type(re_im[0]) is str and type(re_im[1]) is str
             coeff = coeffs.get(re_im) if strings else None
             if coeff is None:
-                a, da = _rational(entry, "re")
-                b, db = _rational(entry, "im")
+                a, da = _cached_rational(ratios, entry, "re")
+                b, db = _cached_rational(ratios, entry, "im")
                 coeff = _reduced(a * db, b * da, da * db)
                 if strings:
                     coeffs[re_im] = coeff

@@ -1262,6 +1262,39 @@ def test_transform_unwritable_output_exits_2(capsys, tmp_path, r2_file, option):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_transform_output_file_rewrite_leaves_exactly_the_new_bytes(capsys, tmp_path):
+    # the file is opened without truncation and cut to length after the write
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(zoo.source_into_rose()))
+    out_file = tmp_path / "out.json"
+    out_file.write_text("x" * 10_000)
+    argv = ["transform", "remove-sources", "--graph", str(gp), "-o", str(out_file)]
+    assert run(capsys, argv) == (0, "", "")
+    assert out_file.read_bytes() == (graph_to_json(zoo.r2()) + "\n").encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this system")
+def test_transform_output_to_dev_null_exits_0(capsys, r2_file):
+    assert run(capsys, ["transform", "remove-sources", "--graph", r2_file, "-o", "/dev/null"]) == (0, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_transform_output_to_a_full_disk_exits_2(capsys, r2_file):
+    code, out, err = run(capsys, ["transform", "remove-sources", "--graph", r2_file, "-o", "/dev/full"])
+    assert (code, out, err) == (2, "", "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+
+
+def test_transform_output_that_cannot_be_encoded_leaves_the_old_file(capsys, tmp_path):
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps({"vertices": ["\ud800"]}))
+    out_file = tmp_path / "out.json"
+    out_file.write_text("old\n")
+    code, out, err = run(capsys, ["transform", "reachable", "--graph", str(gp), "--from", "\ud800", "-o", str(out_file)])
+    assert (code, out) == (2, "")
+    assert "surrogates not allowed" in err
+    assert out_file.read_text() == "old\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism and round trips
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
-from leavitt_lab.graph import Graph, Path, enumerate_paths, graph_from_json
+from leavitt_lab.graph import Graph, Path, canonical_json, enumerate_paths, graph_from_json
 from leavitt_lab.lpa import (
     Element,
     GR_ONE,
@@ -639,6 +639,93 @@ def test_element_json_rejects_garbage(r2):
         with pytest.raises(FormatError, match="must be"):
             element_from_json(r2, "[{" + term.replace(field, loose) + "}]")
 
+
+# any id: lone surrogates, control characters, quotes and backslashes included
+ANY_ID = st.text(st.characters(exclude_categories=()), max_size=4)
+
+
+@st.composite
+def elements_with_any_ids(draw) -> Element:
+    """A normal-form element on a random graph whose ids are any strings, some
+    edges generated by omega pairs, with coefficients that have numerators of
+    up to 60 digits and zero real or imaginary parts."""
+    vertices = draw(st.lists(ANY_ID, min_size=1, max_size=4, unique=True))
+    vertex = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ANY_ID, vertex, vertex), max_size=6, unique_by=lambda e: e[0]))
+    omega = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    try:
+        g = Graph(vertices, edges, omega)
+    except ValueError:  # an edge id or omega prefix that collides with a generated one
+        assume(False)
+    out = g.out_alphabet(2)
+
+    def walk(src: str) -> Path:
+        edges, at = [], src
+        for _ in range(draw(st.integers(0, 3))):
+            if not out[at]:
+                break
+            eid, at = draw(st.sampled_from(out[at]))
+            edges.append(eid)
+        return Path(src, tuple(edges))
+
+    part = st.just(0) | st.integers(-(10**60), 10**60)
+    raw: dict[Monomial, GaussianRational] = {}
+    for _ in range(draw(st.integers(0, 5))):
+        alpha = walk(draw(vertex))
+        beta = walk(draw(vertex))
+        if g.range_of(alpha) != g.range_of(beta):
+            beta = alpha
+        c = gauss(Fraction(draw(part), draw(st.integers(1, 10**6))), Fraction(draw(part), draw(st.integers(1, 10**6))))
+        add_term(raw, Monomial(alpha, beta), c)
+    return normalize_terms(g, raw)
+
+
+@given(elements_with_any_ids())
+@settings(deadline=None, max_examples=300)
+def test_element_writer_matches_the_dict_encoding(x):
+    assert element_to_json(x) == canonical_json(element_to_json_obj(x))
+
+
+def coefficient_error(re="1/2", im="0") -> str:
+    term = {"alpha": ["e"], "alpha_src": "v", "beta": ["f"], "beta_src": "v", "re": re, "im": im}
+    with pytest.raises(FormatError) as info:
+        element_from_json_obj(zoo.r2(), [term])
+    return str(info.value)
+
+
+def test_element_parser_coefficient_errors():
+    # re is read, and refused, before im; a missing im is reported once re is read
+    assert coefficient_error(re="1/0", im="x") == "bad element term: Fraction(1, 0)"
+    assert coefficient_error(im="2/0") == "bad element term: Fraction(2, 0)"
+    assert coefficient_error(im="1.2.3") == "bad element term: Invalid literal for Fraction: '1.2.3'"
+    missing_im = {"alpha": ["e"], "alpha_src": "v", "beta": ["f"], "beta_src": "v"}
+    for re, message in (("q", "Invalid literal for Fraction: 'q'"), ("1/2", "'im'")):
+        with pytest.raises(FormatError) as info:
+            element_from_json_obj(zoo.r2(), [{**missing_im, "re": re}])
+        assert str(info.value) == "bad element term: " + message
+    must = ' must be an exact rational string such as "1/2"'
+    assert coefficient_error(re=1) == "bad element term: 're'" + must
+    assert coefficient_error(im=None) == "bad element term: 'im'" + must
+    assert coefficient_error(re=["1"], im=["x"]) == "bad element term: 're'" + must
+    assert coefficient_error(im=["1"]) == "bad element term: 'im'" + must
+
+
+def test_element_parser_converts_each_string_once_whatever_its_partner(r2):
+    # each string is read once per call, in either part, next to any partner
+    terms = [
+        {"alpha": ["e"], "alpha_src": "v", "beta": ["f"], "beta_src": "v", "re": "1/2", "im": "3"},
+        {"alpha": ["f"], "alpha_src": "v", "beta": ["e"], "beta_src": "v", "re": "3", "im": "1/2"},
+        {"alpha": [], "alpha_src": "v", "beta": [], "beta_src": "v", "re": "1/2", "im": "1/2"},
+    ]
+    x = element_from_json_obj(r2, terms)
+    assert [(m.alpha.edges, m.beta.edges, c) for m, c in x.terms()] == [
+        ((), (), gauss(Fraction(1, 2), Fraction(1, 2))),
+        (("e",), ("f",), gauss(Fraction(1, 2), 3)),
+        (("f",), ("e",), gauss(3, Fraction(1, 2))),
+    ]
+    # a string already read is refused where the other part goes wrong
+    with pytest.raises(FormatError, match=r"^bad element term: Fraction\(1, 0\)$"):
+        element_from_json_obj(r2, [terms[0], {**terms[1], "im": "1/0"}])
 
 
 # Pieces of coefficient strings: ASCII digits, non-ASCII decimal digits (an
