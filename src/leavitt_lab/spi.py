@@ -4,14 +4,13 @@ For a finite row-finite graph whose classifier verdict is simple purely
 infinite, every nonzero element a admits x, y and a vertex v with x·a·y = v,
 exactly.  The witness is produced in stages: shift a nonzero
 homogeneous component to degree zero, extract a matrix entry there, route to a
-cycle base, and kill the off-degree remainder with an annihilating closed
-path.  Because the arithmetic is exact, no invertible correction factor is
-needed at the last stage.
+cycle base, and kill the off-degree remainder with a closed path that leaves
+the least cycle there by an exit.  Because the arithmetic is exact, no
+invertible correction factor is needed at the last stage.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -302,55 +301,41 @@ def cohn_embedding(g: Graph, v: str) -> CohnQuadruple:
 # ---------------------------------------------------------------------------
 
 
-def _word_candidates(alpha: Path, beta: Path, max_blocks: int) -> Iterator[Path]:
-    """Nonempty words of at most ``max_blocks`` blocks in {alpha, beta},
-    ordered by (path length, lex).  A word is longer than the word it
-    extends, so popping a heap keyed that way yields them in order."""
-    heap: list[tuple[int, tuple[str, ...], int]] = [(0, (), 0)]
-    while heap:
-        length, edges, blocks = heappop(heap)
-        if blocks:
-            yield Path(alpha.source, edges)
-        if blocks < max_blocks:
-            for block in (alpha, beta):
-                heappush(heap, (length + block.length, edges + block.edges, blocks + 1))
-
-
 def annihilating_closed_path(b: Element, v: str) -> Path:
-    """A closed path s at v with s*·b·s = 0, for b with zero degree-zero part.
+    """A closed path σ at v with σ*·b·σ = 0, for b with zero degree-zero part,
+    built from an exit of the least cycle c at v with no product formed (the
+    Reduction Theorem argument: Abrams, Ara and Siles Molina, *Leavitt Path
+    Algebras*, LNM 2191, 2017, §2.2).
 
-    The search walks words in two incomparable closed paths at v in order of
-    increasing length, then falls back to the canonical aperiodic prefixes
-    a·b·a²·b·a³·..., which are guaranteed to annihilate once long enough.
+    Walk c from v to the first position i whose vertex emits, in
+    ``g.out_alphabet(2)``, an edge other than c[i]; f is the least such edge
+    (an omega pair's ^2 copy counts), and condition (L) of an SPI graph gives
+    c one.  Let π = c^N·c[:i]·f with the least N >= 0 that makes π longer
+    than every path in b.  A term λ·μ* of b has |λ| ≠ |μ|, and π*·λ·μ*·π is
+    nonzero only where π = λ·τ = μ·τ', when it is τ*·τ' for nontrivial
+    suffixes τ, τ' of π of different lengths.  c is a simple cycle, so f
+    occurs in π only at its end, neither suffix is a prefix of the other, and
+    τ*·τ' = 0.  So π*·b·π = 0, and σ = π·ρ keeps it 0, where ρ is the least
+    shortest path from r(f) back to v.  A zero b takes σ = v.
     """
     g = b.graph
     if not degree_component(b, 0).is_zero:
         raise NotDegreeFree("the element has a nonzero degree-zero component")
     _require_spi(g)
-    alpha = least_cycle_at(g, v)
-    beta = incomparable_closed_path(g, v, alpha)
-    block = alpha.length + beta.length
-    cap = (b.max_path_length() + 2) * block * 4
-
-    def annihilates(sigma: Path) -> bool:
-        s = path_element(g, sigma)
-        return multiply(multiply(involute(s), b), s).is_zero
-
-    # a word of at most 6 blocks is shorter than cap >= 8·block, so no cap check
-    for sigma in _word_candidates(alpha, beta, max_blocks=6):
-        if annihilates(sigma):
-            return sigma
-
-    prefix = Path(v)
-    power = 1
-    while prefix.length <= cap:
-        prefix = Path(v, prefix.edges + alpha.edges * power + beta.edges)
-        power += 1
-        if prefix.length <= cap and annihilates(prefix):
-            return prefix
-    raise InternalError(
-        "annihilating closed path not found within the guaranteed bound"
-    )
+    c = least_cycle_at(g, v)
+    if b.is_zero:
+        return Path(v)
+    alphabet = g.out_alphabet(2)
+    at = v
+    for i, edge in enumerate(c.edges):
+        exits = [out for out in alphabet[at] if out[0] != edge]
+        if exits:
+            break
+        ((_, at),) = alphabet[at]  # at emits c[i] alone
+    f, dst = exits[0]
+    laps = max(0, -((i - b.max_path_length()) // c.length))  # least N: N·|c| + i >= max
+    rho = _descend(g.out_alphabet(), _steps_to(g, {v}), dst)
+    return Path(v, c.edges * laps + c.edges[:i] + (f,) + rho)
 
 
 # ---------------------------------------------------------------------------

@@ -202,22 +202,6 @@ def oracle_path_to_cycle_base(g: Graph, v: str) -> Path:
     raise InternalError(f"no path from {v!r} to a cycle; the graph is not simple purely infinite")
 
 
-def oracle_word_candidates(alpha: Path, beta: Path, max_blocks: int) -> list[Path]:
-    """Every nonempty word of at most ``max_blocks`` blocks in {alpha, beta},
-    built level by level and sorted by (path length, lex)."""
-    words: list[Path] = []
-    level: list[Path] = [Path(alpha.source)]
-    for _ in range(max_blocks):
-        nxt = []
-        for w in level:
-            for block in (alpha, beta):
-                nxt.append(Path(w.source, w.edges + block.edges))
-        words.extend(nxt)
-        level = nxt
-    words.sort(key=lambda p: (p.length, p.edges))
-    return words
-
-
 def oracle_cycle_has_exit(g: Graph, cycle: tuple[str, ...]) -> bool:
     out = _raw_out(g)
     om = _raw_omega_src(g)
