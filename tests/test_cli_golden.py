@@ -7,6 +7,9 @@ every subcommand, every ``--format``, every transform operation and every
 exit code in README's table.  ``norm`` runs at p = 1 only: at other p the
 last bits of the power iteration depend on the BLAS build.
 
+Each witness that exits 0 is also read back and checked by ``multiply``
+alone: x·a·y = v, and Step 2's sigma is a closed path at v.
+
 Record it again, from the tree on ``sys.path``, with
 ``PYTHONPATH=src python -B tests/test_cli_golden.py``; a re-recording is a change
 of output, to be declared as one.
@@ -20,6 +23,8 @@ import os
 import pytest
 
 from leavitt_lab import cli
+from leavitt_lab.graph import Path, graph_from_json
+from leavitt_lab.lpa import element_from_json, element_from_json_obj, multiply, vertex_element
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.jsonl")
 
@@ -215,6 +220,7 @@ def write_inputs(files: dict) -> None:
 
 
 FILES, RECORDS = load_corpus() if os.path.exists(CORPUS) else ({}, [])
+WITNESSES = [r for r in RECORDS if r["argv"][0] == "witness" and r["code"] == 0]
 
 
 @pytest.fixture
@@ -235,11 +241,35 @@ def test_corpus_covers_every_command_format_op_and_exit_code():
     assert any(r["code"] == 4 and "hint:" in r["stderr"] for r in RECORDS)
     assert any(r["written"] for r in RECORDS)
     assert os.path.getsize(CORPUS) < 150_000
+    assert len(WITNESSES) == 25  # each is checked by test_recorded_witness_holds
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: " ".join(r["argv"]))
 def test_cli_output_matches_the_corpus(corpus_dir, record):
     assert replay(record["argv"]) == record
+
+
+@pytest.mark.parametrize("record", WITNESSES, ids=lambda r: " ".join(r["argv"]))
+def test_recorded_witness_holds(record):
+    # the recorded bytes, read back by the parsers and checked by multiply
+    # alone, so a re-recording is checked by code other than the code that
+    # wrote it: x·a·y = v, and Step 2's sigma is a closed path at v
+    argv = record["argv"]
+    g = graph_from_json(FILES[argv[argv.index("--graph") + 1]])
+    a = element_from_json(g, FILES[argv[argv.index("--element") + 1]])
+    if argv[-2:] == ["--format", "text"]:
+        lines = dict(line.split(": ", 1) for line in record["stdout"].splitlines())
+        assert lines["verified"] == "true"
+        v, x, y = lines["v"], json.loads(lines["x"]), json.loads(lines["y"])
+    else:
+        out = json.loads(record["stdout"])
+        assert out["verified"] is True
+        v, x, y = out["v"], out["x"], out["y"]
+        (step2,) = [t for t in out["trace"] if t["step"] == "Step2"]
+        sigma = Path(step2["sigma_src"], tuple(step2["sigma"]))
+        assert sigma.source == v and g.range_of(sigma) == v
+    x, y = element_from_json_obj(g, x), element_from_json_obj(g, y)
+    assert multiply(multiply(x, a), y) == vertex_element(g, v)
 
 
 if __name__ == "__main__":
