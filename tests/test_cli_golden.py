@@ -93,6 +93,10 @@ def input_files() -> dict[str, str]:
         "spi3_mix": [term("a", ["e1", "f"]), term("b", ["f"], "b", ["e2", "e3"], "-1/2", "1/2")],
         "spi4_c": [term("c"), term("a", ["e1", "e2"], "a", ["e1", "e2"], "-1")],
         "rand4b_q": [term("q", ["g3", "g4"], "q", ["g3", "g4"], "1", "1")],
+        # Step 2 remainders b = 2e and b = (1/3)·e1·e2·e3·e4; a shift with n < 0
+        "r2_step2": [term("v", ["e"]), term("v", ["e", "e"], re="2")],
+        "r2_efstar": [term("v", [], "v", ["e", "f"])],
+        "spi4_step2": [term("c", ["f"], "c", ["f"], "3"), term("c", ["f", "e1", "e2", "e3", "e4"], "c", ["f"])],
         "a2_u": [term("u")],
         "a2_e": [term("u", ["e"], "v", [], "2", "-3")],
         "a2_big": [term("u", [], "u", [], "3"), term("u", ["e"], "u", ["e"], "-1"), term("v", [], "v", [], "1/2", "1/2")],
@@ -133,7 +137,7 @@ def calls() -> list[list[str]]:
         ["classify", "--graph", "bad_json.json"],
         ["classify", "--graph", "unknown_field.json"],
     ]
-    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q"), ("skip_ring", "skip_v0"), ("skip_ring", "skip_mix"), ("escapes", "escapes_mix")):
+    for g, el in (("r2", "r2_v"), ("r2", "r2_e"), ("r2", "r2_mixed"), ("r2", "r2_ff"), ("r3", "r3_sum"), ("spi3", "spi3_e1"), ("spi3", "spi3_mix"), ("spi4", "spi4_c"), ("rand4b", "rand4b_q"), ("r2", "r2_step2"), ("r2", "r2_efstar"), ("spi4", "spi4_step2"), ("skip_ring", "skip_v0"), ("skip_ring", "skip_mix"), ("escapes", "escapes_mix")):
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json"])
         out.append(["witness", "--graph", f"{g}.json", "--element", f"{el}.el.json", "--format", "text"])
     out += [
@@ -241,7 +245,7 @@ def test_corpus_covers_every_command_format_op_and_exit_code():
     assert any(r["code"] == 4 and "hint:" in r["stderr"] for r in RECORDS)
     assert any(r["written"] for r in RECORDS)
     assert os.path.getsize(CORPUS) < 150_000
-    assert len(WITNESSES) == 25  # each is checked by test_recorded_witness_holds
+    assert len(WITNESSES) == 31  # each is checked by test_recorded_witness_holds
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: " ".join(r["argv"]))
