@@ -2,8 +2,9 @@
 """Random witness soundness experiment.
 
 Samples seeded random nonzero elements over an SPI fixture, runs the witness
-construction, re-checks x·a·y = v exactly, and reports timing and trace-shape
-statistics.
+construction, re-checks x·a·y = v exactly and that x and y have one term each
+(a scalar times a path's adjoint, and a path), and reports timing and
+trace-shape statistics.
 
 Usage:
     python scripts/witness_experiment.py [--graph r2] [--count 100] [--seed 0]
@@ -37,11 +38,12 @@ def main() -> None:
         a = random_element(g, rng, max_terms=args.max_terms, max_len=args.max_len)
         w = spi_witness(a)
         assert multiply(multiply(w.x, a), w.y) == vertex_element(g, w.v), i
+        assert len(w.x) == len(w.y) == 1, i
         shapes[tuple(step["step"] for step in w.trace)] += 1
     elapsed = time.perf_counter() - start
 
-    print(f"{args.count} witnesses over {args.graph}: all exact, {elapsed:.2f}s "
-          f"({1000 * elapsed / args.count:.1f} ms each)")
+    print(f"{args.count} witnesses over {args.graph}: all exact, x and y one term each, "
+          f"{elapsed:.2f}s ({1000 * elapsed / args.count:.1f} ms each)")
     for shape, n in shapes.most_common():
         print(f"  {n:>5}  {' -> '.join(shape)}")
 

@@ -49,7 +49,7 @@ _EXPORTS = {
         "hereditary_saturated_closure",
     ),
     "lpa": (
-        "Element", "GaussianRational", "Monomial", "degree_component",
+        "Element", "GaussianRational", "Monomial", "corner", "degree_component",
         "element_from_json", "element_to_json", "gauss", "involute", "monomial_element",
         "multiply", "normalize_terms", "path_conjugate_sum", "path_element",
         "vertex_element", "vertex_sum", "zero",

@@ -193,13 +193,14 @@ def cmd_witness(args: argparse.Namespace) -> int:
             f"{exc}\nhint: witness has no route over omega pairs: the CLI cannot carry an element"
             " through 'transform desingularize', and witness refuses the truncation it prints"
         ) from None
-    # built in both formats, so that a coefficient of over 4300 digits anywhere
-    # in the witness or its trace is refused in both
-    obj = w.to_json_obj()
-    obj["verified"] = True
+    # spi_witness wrote the trace's coefficients as it built the trace, and
+    # both formats write x and y, so a coefficient of over 4300 digits is
+    # refused in both
     if args.fmt == "text":
         _print(f"v: {w.v}\nx: {element_to_json(w.x)}\ny: {element_to_json(w.y)}\nverified: true\n")
     else:
+        obj = w.to_json_obj()
+        obj["verified"] = True
         _emit(obj)
     return 0
 

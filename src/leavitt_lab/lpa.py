@@ -248,12 +248,7 @@ class Element:
     __hash__ = None
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for m, c in self.terms():
-            bits.append(f"({c!r})·{m!r}")
-        return " + ".join(bits)
+        return " + ".join(f"({c!r})·{m!r}" for m, c in self.terms()) or "0"
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -301,7 +296,7 @@ def path_element(g: Graph, p: Union[Path, Iterable[str]]) -> Element:
             raise ValueError("an empty edge sequence has no source; pass a Path")
         p = Path(g.edge_endpoints(edges[0])[0], edges)
     p, r = g._walk(p.source, p.edges)
-    return normalize_terms(g, {Monomial(p, Path(r)): GR_ONE})
+    return Element(g, {Monomial(p, Path(r)): GR_ONE})  # β is trivial: already normal
 
 
 def monomial_element(g: Graph, alpha: Path, beta: Path, coeff=GR_ONE) -> Element:
@@ -310,7 +305,10 @@ def monomial_element(g: Graph, alpha: Path, beta: Path, coeff=GR_ONE) -> Element
     if alpha_range != beta_range:
         raise ValueError("monomial paths must share their range")
     coeff = coeff if isinstance(coeff, GaussianRational) else gauss(coeff)
-    return normalize_terms(g, {Monomial(alpha, beta): coeff})
+    terms = {Monomial(alpha, beta): coeff}
+    if coeff and not (alpha.edges and beta.edges and alpha.edges[-1] == beta.edges[-1]):
+        return Element(g, terms)  # no shared last edge, so no redex: already normal
+    return normalize_terms(g, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +407,34 @@ def multiply(x: Element, y: Element) -> Element:
             m = _monomial_product(g, m1, m2)
             if m is not None:
                 add_term(raw, m, c1 * c2)
+    return normalize_terms(g, raw)
+
+
+def corner(x: Element, mu: Optional[Path], nu: Optional[Path]) -> Element:
+    """μ*·x·ν for paths μ and ν, either of which may be None (no factor on
+    that side): ``multiply(multiply(μ*, x), ν)`` in one pass over x's terms
+    and one ``normalize_terms``.  With s the shorter of |μ| and |α|, μ*·α·β*
+    is 0 unless μ and α agree on their first s edges, and else α[s:]·(β·μ[s:])*,
+    one of the two tails being empty; the extended β meets ν the same way."""
+    g = x.graph
+    new = tuple.__new__  # Path and Monomial without their Python-level constructors
+    if mu is not None:
+        (mu_src, mu_edges), mu_range = g._walk(*mu)
+    if nu is not None:
+        (nu_src, nu_edges), nu_range = g._walk(*nu)
+    raw: dict[Monomial, GaussianRational] = {}
+    for ((a_src, a), (b_src, b)), c in x._terms.items():
+        if mu is not None:
+            s = min(len(a), len(mu_edges))
+            if a_src != mu_src or a[:s] != mu_edges[:s]:
+                continue
+            a_src, a, b = mu_range, a[s:], b + mu_edges[s:]
+        if nu is not None:
+            s = min(len(b), len(nu_edges))
+            if b_src != nu_src or b[:s] != nu_edges[:s]:
+                continue
+            a, b_src, b = a + nu_edges[s:], nu_range, b[s:]
+        add_term(raw, new(Monomial, (new(Path, (a_src, a)), new(Path, (b_src, b)))), c)
     return normalize_terms(g, raw)
 
 

@@ -26,7 +26,7 @@ from .lpa import (
     GR_ZERO,
     Monomial,
     add_term,
-    involute,
+    monomial_element,
     normalize_terms,
     path_element,
 )
@@ -111,26 +111,29 @@ def _require_row_finite_finite(g: Graph) -> None:
         raise OmegaUnsupported("matricial decompositions need a row-finite finite graph")
 
 
-def _expand(g: Graph, terms, n: int) -> dict[Monomial, GaussianRational]:
+def _expand(g: Graph, terms, starts, n: int, ends=None) -> dict[Monomial, GaussianRational]:
     """Push each a·b* through u = sum of e·e* over the edges e leaving its
     range, on both sides, until the range is a sink or the paths reach length n.
 
-    One depth-first walk per term, each node carrying its paths' edges and
-    their range, read off ``g.out_edges``: a vertex with no edge there is a
-    sink, since the callers refuse omega pairs.  The terms land in walk
-    order, through ``add_term``."""
+    One depth-first walk per term from its range, listed in ``starts``, each
+    node carrying its paths' edges and their range, read off ``g.out_edges``:
+    a vertex with no edge there is a sink, since the callers refuse omega
+    pairs.  The terms land in walk order, through ``add_term``; a dict
+    ``ends`` is given each term's range."""
     succ = g.out_edges
     new = tuple.__new__  # Path and Monomial without their Python-level constructors
     out: dict[Monomial, GaussianRational] = {}
-    for m, c in terms:
+    for (m, c), start in zip(terms, starts):
         (a_src, a_edges), (b_src, b_edges) = m
-        stack = [(a_edges, b_edges, g.range_of(m.alpha))]
+        stack = [(a_edges, b_edges, start)]
         while stack:
             alpha, beta, at = stack.pop()
             step = succ[at]
             if not step or len(alpha) == n:
-                pair = (new(Path, (a_src, alpha)), new(Path, (b_src, beta)))
-                add_term(out, new(Monomial, pair), c)
+                leaf = new(Monomial, (new(Path, (a_src, alpha)), new(Path, (b_src, beta))))
+                add_term(out, leaf, c)
+                if ends is not None:
+                    ends[leaf] = at
                 continue
             for eid, _, dst in step:
                 stack.append((alpha + (eid,), beta + (eid,), dst))
@@ -150,8 +153,8 @@ def _assemble(g: Graph, paths: dict, expansion: dict) -> BlockDecomposition:
     return BlockDecomposition(g, blocks, paths)
 
 
-def _stage_terms(g: Graph, terms, n: int) -> int:
-    """The number of terms ``_expand(g, terms, n)`` makes, before it is run.
+def _stage_terms(g: Graph, terms, starts, n: int) -> int:
+    """The number of terms ``_expand(g, terms, starts, n)`` makes, before it is run.
 
     a·b* makes c(r(a), n - |a|), where c(u, 0) = 1, c(u, k) = 1 at a sink and
     otherwise c(u, k) is the sum of c(r(e), k - 1) over the edges e leaving
@@ -163,13 +166,12 @@ def _stage_terms(g: Graph, terms, n: int) -> int:
     succ = g.out_edges
     total = 0
     levels: dict[int, dict[str, int]] = {}
-    for m, _ in terms:
+    for (m, _), u in zip(terms, starts):
         k = n - len(m.alpha.edges)
         if k == 0:
             total += 1
             continue
         at = levels.setdefault(k, {})
-        u = g.range_of(m.alpha)
         at[u] = at.get(u, 0) + 1
     for k in range(max(levels, default=0), 0, -1):
         below = levels.setdefault(k - 1, {})
@@ -181,15 +183,16 @@ def _stage_terms(g: Graph, terms, n: int) -> int:
     return total + sum(levels.get(0, {}).values())
 
 
-def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
+def stage_expansion(x: Element, n: int, ends=None) -> dict[Monomial, GaussianRational]:
     """Expand a degree-zero element into the stage-n spanning monomials.
 
     Monomials ending at a regular vertex are pushed to length n by inserting
     the outgoing edges on both sides; monomials ending at a sink stay at their
-    length.  Raises NotInFiltration when a term has nonzero degree or a length
-    beyond the stage, then BudgetExceeded, before any term is built, when the
-    expansion would make more than ``EXPANSION_BUDGET`` terms, as
-    ``_stage_terms`` counts them.
+    length; a dict ``ends`` is given each monomial's range.  Raises
+    NotInFiltration when a term has nonzero degree or a length beyond the
+    stage, then BudgetExceeded, before any term is built, when the expansion
+    would make more than ``EXPANSION_BUDGET`` terms, as ``_stage_terms``
+    counts them.
     """
     g = x.graph
     _require_row_finite_finite(g)
@@ -201,12 +204,13 @@ def stage_expansion(x: Element, n: int) -> dict[Monomial, GaussianRational]:
             raise NotInFiltration(
                 f"term {m!r} has length {len(m.alpha.edges)} beyond stage {n}"
             )
-    made = _stage_terms(g, terms, n)
+    starts = [g.range_of(m.alpha) for m, _ in terms]
+    made = _stage_terms(g, terms, starts, n)
     if made > EXPANSION_BUDGET:
         raise BudgetExceeded(
             f"the stage-{n} expansion would make {made} terms, over the budget of {EXPANSION_BUDGET}"
         )
-    return _expand(g, terms, n)
+    return _expand(g, terms, starts, n, ends)
 
 
 def filtration_decompose(x: Element, n: int) -> BlockDecomposition:
@@ -255,13 +259,14 @@ def acyclic_expansion(x: Element) -> dict[Monomial, GaussianRational]:
     g = x.graph
     _require_row_finite_finite(g)
     tails, terms = tail_counts(g), x.terms()
-    made = sum(tails[g.range_of(m.alpha)] for m, _ in terms)
+    starts = [g.range_of(m.alpha) for m, _ in terms]
+    made = sum(tails[u] for u in starts)
     if made > EXPANSION_BUDGET:
         raise BudgetExceeded(
             f"the expansion would make {made} terms, over the budget of {EXPANSION_BUDGET}"
         )
     # no path reaches length |V|, so the expansion stops only at sinks
-    return _expand(g, terms, len(g.vertices))
+    return _expand(g, terms, starts, len(g.vertices))
 
 
 def check_sink_blocks(x: Element) -> None:
@@ -319,16 +324,16 @@ def degree_zero_witness(a: Element) -> DegreeZeroWitness:
     _require_row_finite_finite(g)
     if a.is_zero:
         raise ZeroElement("cannot extract a witness from 0")
-    n = a.max_path_length()
-    expansion = stage_expansion(a, n)
+    ends: dict[Monomial, str] = {}
+    expansion = stage_expansion(a, a.max_path_length(), ends)
 
     def order(item: tuple[Monomial, GaussianRational]) -> tuple:
         m, _ = item
-        v = g.range_of(m.alpha)
-        kind = "sink" if g.is_sink(v) else "regular"
-        return (kind, v, len(m.alpha.edges), m.alpha.edges, m.beta.edges)
+        v = ends[m]
+        # the kind: "regular" sorts before "sink", a vertex with no edge out
+        return (not g.out_edges[v], v, len(m.alpha.edges), m.alpha.edges, m.beta.edges)
 
     m, c = min(expansion.items(), key=order)
-    x = involute(path_element(g, m.alpha)).scale(c.reciprocal())
+    x = monomial_element(g, Path(ends[m]), m.alpha, c.reciprocal())
     y = path_element(g, m.beta)
-    return DegreeZeroWitness(x, y, g.range_of(m.alpha), len(m.alpha.edges))
+    return DegreeZeroWitness(x, y, ends[m], len(m.alpha.edges))

@@ -2,11 +2,14 @@
 
 For a finite row-finite graph whose classifier verdict is simple purely
 infinite, every nonzero element a admits x, y and a vertex v with x·a·y = v,
-exactly.  The witness is produced in stages: shift a nonzero
-homogeneous component to degree zero, extract a matrix entry there, route to a
-cycle base, and kill the off-degree remainder with a closed path that leaves
-the least cycle there by an exit.  Because the arithmetic is exact, no
-invertible correction factor is needed at the last stage.
+exactly.  The witness is produced in stages: shift a nonzero homogeneous
+component to degree zero, extract a matrix entry c there, route to a cycle
+base, and kill the off-degree remainder with a closed path that leaves the
+least cycle there by an exit.  Each stage multiplies by a path or a path's
+adjoint, so x = (1/c)·π_x* and y = π_y for two paths that end at v: both are
+built from their edges, and the one product formed is the exact re-check of
+x·a·y = v.  Because the arithmetic is exact, no invertible correction factor
+is needed at the last stage.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from .graph import (
 )
 from .lpa import (
     Element,
+    corner,
     degree_component,
-    element_from_json_obj,
     element_to_json_obj,
     involute,
+    monomial_element,
     multiply,
     path_element,
     vertex_element,
@@ -222,16 +226,11 @@ def equal_length_closed_paths(g: Graph, V: Iterable[str], m: int) -> EqualLength
     for v in V:
         alpha = least_cycle_at(g, v)
         beta = incomparable_closed_path(g, v, alpha)
-        deltas = []
-        for i in range(1, m + 1):
-            edges = alpha.edges * i + beta.edges + alpha.edges * (m - i)
-            deltas.append(Path(v, edges))
-        base[v] = tuple(deltas)
+        a, b = alpha.edges, beta.edges
+        base[v] = tuple(Path(v, a * i + b + a * (m - i)) for i in range(1, m + 1))
         lengths[v] = m * alpha.length + beta.length
     common = lcm(*lengths.values()) if lengths else 1
-    paths = {
-        v: tuple(g.path_power(d, common // lengths[v]) for d in base[v]) for v in V
-    }
+    paths = {v: tuple(g.path_power(d, common // lengths[v]) for d in base[v]) for v in V}
     return EqualLengthFamily(paths, common)
 
 
@@ -363,12 +362,6 @@ class Witness(NamedTuple):
         return canonical_json(self.to_json_obj())
 
 
-def witness_from_json_obj(g: Graph, obj: dict) -> Witness:
-    x = element_from_json_obj(g, obj["x"])
-    y = element_from_json_obj(g, obj["y"])
-    return Witness(x, y, obj["v"], tuple(obj.get("trace", [])))
-
-
 def make_witness(a: Element, x: Element, y: Element, v: str, trace) -> Witness:
     """Assemble a witness, re-checking x·a·y = v by exact multiplication."""
     if multiply(multiply(x, a), y) != vertex_element(a.graph, v):
@@ -391,12 +384,17 @@ def spi_witness(a: Element) -> Witness:
       the right, when n < 0.  gamma·gamma*·a_n (or a_n·gamma·gamma*) is the
       part of a_n whose terms start with gamma, which holds the least term,
       so the shifted degree-zero part is nonzero.
-    * Step 3: extract a matrix entry of the degree-zero part, giving
-      homogeneous x0, y0 with x0·a·y0 = u for a vertex u.
-    * Step 2: route u to a cycle base along a path and kill the off-degree
-      remainder with an annihilating closed path; exact arithmetic makes
-      the resulting identity hold on the nose, so no invertible correction
-      is needed (recorded in the trace as "z omitted").
+    * Step 3: extract a matrix entry c of the degree-zero part, giving
+      x0 = k·row* and y0 = col, k = 1/c, with x0·a·y0 = u for a vertex u.
+    * Step 2: route u to a cycle base v along a path eta and kill the
+      off-degree remainder b = k·(row·eta)*·a·(col·eta) - v with an
+      annihilating closed path sigma; exact arithmetic makes the resulting
+      identity hold on the nose, so no invertible correction is needed
+      (recorded in the trace as "z omitted").
+
+    The shift and b are one ``corner`` each; x = k·(gamma·row·eta·sigma)* and
+    y = col·eta·sigma (gamma on y's path when n < 0) are one term each, built
+    from edges, so no product precedes ``make_witness``'s re-check of x·a·y = v.
     """
     g = a.graph
     if g.omega_pairs:
@@ -410,66 +408,37 @@ def spi_witness(a: Element) -> Witness:
         raise ZeroElement("no witness for 0")
 
     trace: list[dict] = [{"step": "Normalize", "a": element_to_json_obj(a)}]
-    work = a
-    left = right = None  # Step 4's shift: gamma* on the left or gamma on the right
-
+    work, n = a, 0  # Step 4 takes gamma* on the left when n > 0, gamma on the right when n < 0
     if degree_component(work, 0).is_zero:
         n = min(work.degrees(), key=lambda d: (abs(d), d < 0))
         least = degree_component(work, n).terms()[0][0]
         if n > 0:
             gamma = Path(least.alpha.source, least.alpha.edges[:n])
-            left = involute(path_element(g, gamma))
-            work = multiply(left, work)
+            work = corner(work, gamma, None)
         else:
             gamma = Path(least.beta.source, least.beta.edges[:-n])
-            right = path_element(g, gamma)
-            work = multiply(work, right)
-        trace.append(
-            {
-                "step": "Step4",
-                "n": n,
-                "alpha": list(gamma.edges),
-                "alpha_src": gamma.source,
-                "vertex": g.range_of(gamma),
-            }
-        )
+            work = corner(work, None, gamma)
+        trace.append({"step": "Step4", "n": n, "alpha": list(gamma.edges),
+                      "alpha_src": gamma.source, "vertex": g.range_of(gamma)})
 
-    a0 = degree_component(work, 0)
-    dzw = degree_zero_witness(a0)
-    trace.append(
-        {
-            "step": "Step3",
-            "x0": element_to_json_obj(dzw.x),
-            "y0": element_to_json_obj(dzw.y),
-            "u": dzw.vertex,
-            "h": dzw.h,
-        }
-    )
-    work2 = multiply(multiply(dzw.x, work), dzw.y)
+    dzw = degree_zero_witness(degree_component(work, 0))
+    trace.append({"step": "Step3", "x0": element_to_json_obj(dzw.x),
+                  "y0": element_to_json_obj(dzw.y), "u": dzw.vertex, "h": dzw.h})
+    ((x0, k),), ((y0, _),) = dzw.x.terms(), dzw.y.terms()  # x0 = k·row*, y0 = col
 
     eta = path_to_cycle_base(g, dzw.vertex)
     v_out = g.range_of(eta)
-    eta_elem = path_element(g, eta)
-    conj = multiply(multiply(involute(eta_elem), work2), eta_elem)
-    b = conj - vertex_element(g, v_out)
+    row, col = g.concat(x0.beta, eta), g.concat(y0.alpha, eta)
+    b = corner(work, row, col).scale(k) - vertex_element(g, v_out)
     sigma = annihilating_closed_path(b, v_out)
-    trace.append(
-        {
-            "step": "Step2",
-            "eta": list(eta.edges),
-            "eta_src": eta.source,
-            "b": element_to_json_obj(b),
-            "sigma": list(sigma.edges),
-            "sigma_src": sigma.source,
-            "z": "omitted (exact)",
-        }
-    )
+    trace.append({"step": "Step2", "eta": list(eta.edges), "eta_src": eta.source,
+                  "b": element_to_json_obj(b), "sigma": list(sigma.edges),
+                  "sigma_src": sigma.source, "z": "omitted (exact)"})
 
-    tail = path_element(g, g.concat(eta, sigma))
-    x = multiply(involute(tail), dzw.x)
-    y = multiply(dzw.y, tail)
-    if left is not None:
-        x = multiply(x, left)
-    if right is not None:
-        y = multiply(right, y)
+    if n > 0:
+        row = g.concat(gamma, row)
+    elif n < 0:
+        col = g.concat(gamma, col)
+    x = monomial_element(g, Path(v_out), g.concat(row, sigma), k)
+    y = path_element(g, g.concat(col, sigma))
     return make_witness(a, x, y, v_out, trace)

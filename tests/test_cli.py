@@ -478,6 +478,26 @@ def test_witness_exit_2_on_a_coefficient_it_cannot_write(capsys, tmp_path, r2_fi
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_witness_refuses_a_long_trace_coefficient_in_both_formats(capsys, tmp_path, r2_file, fmt):
+    # e + e·e/P + e·e·e·e*/Q normalizes to e + (1/P + 1/Q)·e·e - ..., P and Q
+    # coprime with 2,201 digits each: a's trace entry needs 4,401 digits, while
+    # x = (e·σ)* and y = σ have coefficient 1; the text format, which prints
+    # no trace, refuses it too
+    p, q = 10**2200 + 1, 10**2200 + 3
+    terms = [(["e"], [], "1"), (["e", "e"], [], f"1/{p}"), (["e", "e", "e"], ["e"], f"1/{q}")]
+    elem = tmp_path / "long.json"
+    elem.write_text(json.dumps([
+        {"alpha": alpha, "alpha_src": "v", "beta": beta, "beta_src": "v", "re": re, "im": "0"}
+        for alpha, beta, re in terms
+    ]))
+    assert run(capsys, ["witness", "--graph", r2_file, "--element", str(elem), "--format", fmt]) == (
+        2,
+        "",
+        "error: a coefficient has over 4300 digits, the most that Python writes\n",
+    )
+
+
 def test_witness_exit_2_on_a_stage_expansion_over_budget(capsys, tmp_path, r2_file):
     # Step 3 expands v + 2·e^n(e^n)* to stage n, 2^(n+1) - 1 terms: 0.49 s at
     # n = 16 and a MemoryError traceback at n = 21 under a 600 MB cap, before

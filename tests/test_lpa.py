@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from leavitt_lab import zoo
 from leavitt_lab.errors import FormatError, GraphMismatch, OmegaUnsupported
-from leavitt_lab.graph import Graph, Path, canonical_json, enumerate_paths, graph_from_json
+from leavitt_lab.graph import Graph, Path, canonical_json, enumerate_paths, graph_from_json, paths_by_range
 from leavitt_lab.lpa import (
     Element,
     GR_ONE,
     GaussianRational,
     Monomial,
     add_term,
+    corner,
     degree_component,
     element_from_json,
     element_from_json_obj,
@@ -50,6 +51,7 @@ from oracles import (
     oracle_normalize,
     oracle_redexes,
 )
+from test_spi import spi_graphs
 
 
 def elem(g, alpha_edges, beta_edges, coeff=1, alpha_src=None, beta_src=None):
@@ -384,6 +386,37 @@ def test_path_conjugate_sum_depth_8_within_budget(r3):
 # ---------------------------------------------------------------------------
 # involution
 # ---------------------------------------------------------------------------
+
+
+def test_corner_examples(r2):
+    e, f, ee = Path("v", ("e",)), Path("v", ("f",)), Path("v", ("e", "e"))
+    a = path_element(r2, ("e", "f")) + path_element(r2, ("f",))
+    assert corner(a, None, None) == a
+    # e*·(e·f + f) = f: the term f, incomparable with e, drops out
+    assert corner(a, e, None) == path_element(r2, ("f",))
+    assert corner(a, ee, None).is_zero  # e·e is comparable with neither term
+    # μ longer than α extends β: e*·v = (e)*, and (e·f*)·(f·e) = e·e
+    v = vertex_element(r2, "v")
+    assert corner(v, e, None) == involute(path_element(r2, ("e",)))
+    ef_star = multiply(path_element(r2, ("e",)), involute(path_element(r2, ("f",))))
+    assert corner(ef_star, None, Path("v", ("f", "e"))) == path_element(r2, ("e", "e"))
+    assert corner(a, f, e) == path_element(r2, ("e",))  # f*·(e·f + f)·e = v·e
+
+
+@given(spi_graphs(), st.integers(0, 2**32 - 1), st.data())
+@settings(deadline=None, max_examples=200)
+def test_corner_is_the_two_sided_product(g, seed, data):
+    # μ*·a·ν in one pass against two multiplies, over paths of length up to
+    # 3, most of them incomparable with most terms; either side may be absent
+    a = random_element(g, random.Random(seed), max_terms=5, max_len=3, nonzero=False)
+    paths = [p for ps in paths_by_range(g, 3).values() for p in ps]
+    mu, nu = (data.draw(st.none() | st.sampled_from(paths)) for _ in range(2))
+    expected = a
+    if mu is not None:
+        expected = multiply(involute(path_element(g, mu)), expected)
+    if nu is not None:
+        expected = multiply(expected, path_element(g, nu))
+    assert corner(a, mu, nu) == expected
 
 
 def test_involute_examples(r2):

@@ -400,12 +400,17 @@ def expansion_inputs(draw):
     return g, terms, n
 
 
+def starts(g, terms):
+    """The range r(a) of each term a·b*, as ``_expand`` and ``_stage_terms`` take them."""
+    return [g.range_of(m.alpha) for m, _ in terms]
+
+
 @given(expansion_inputs())
 @settings(deadline=None, max_examples=400)
 def test_expansion_loop_matches_the_object_oracle(case):
     g, terms, n = case
     # the same terms and coefficients, inserted in the same order
-    assert list(_expand(g, terms, n).items()) == list(oracle_expand(g, terms, n).items())
+    assert list(_expand(g, terms, starts(g, terms), n).items()) == list(oracle_expand(g, terms, n).items())
 
 
 @given(expansion_inputs())
@@ -416,7 +421,7 @@ def test_stage_count_is_the_number_of_terms_the_expansion_makes(case):
     leaves = []
     with mock.patch.object(oracles, "add_term", lambda out, m, c: leaves.append(m)):
         oracle_expand(g, terms, n)
-    assert _stage_terms(g, terms, n) == len(leaves)
+    assert _stage_terms(g, terms, starts(g, terms), n) == len(leaves)
 
 
 def test_stage_expansion_counts_before_it_builds(monkeypatch):
@@ -428,9 +433,9 @@ def test_stage_expansion_counts_before_it_builds(monkeypatch):
     for n, made in ((3, 9), (40, 2**40 + 1)):
         en = Path("v", ("e",) * n)
         terms = [(Monomial(Path("v"), Path("v")), gauss(1)), (Monomial(en, en), gauss(2))]
-        assert _stage_terms(g, terms, n) == made
+        assert _stage_terms(g, terms, starts(g, terms), n) == made
     x = vertex_element(g, "v") + monomial_element(g, en, en, gauss(2))
-    assert _stage_terms(g, x.terms(), 40) == 2**41 - 1
+    assert _stage_terms(g, x.terms(), starts(g, x.terms()), 40) == 2**41 - 1
     with pytest.raises(BudgetExceeded, match=f"stage-40 expansion would make {2**41 - 1} terms"):
         matricial.stage_expansion(x, 40)
     with pytest.raises(BudgetExceeded):

@@ -43,7 +43,6 @@ from leavitt_lab.spi import (
     least_cycle_at,
     path_to_cycle_base,
     spi_witness,
-    witness_from_json_obj,
 )
 from leavitt_lab.transforms import desingularize
 
@@ -763,6 +762,61 @@ def test_witness_json_roundtrip(r2):
     a = path_element(r2, ("e",))
     w = spi_witness(a)
     obj = json.loads(w.to_json())
-    w2 = witness_from_json_obj(r2, obj)
+    x, y = element_from_json_obj(r2, obj["x"]), element_from_json_obj(r2, obj["y"])
+    w2 = spi.Witness(x, y, obj["v"], tuple(obj["trace"]))
     assert w2.to_json() == w.to_json()
     check_witness(r2, a, w2)
+
+
+@st.composite
+def spi_graphs(draw):
+    """Random row-finite graphs that classify simple purely infinite, fed by
+    up to two edges from one more vertex, a source, when any are drawn."""
+    g = draw(random_graphs(max_vertices=4, max_omega=0, edges_per_vertex=(1, 3)))
+    assume(classify_graph(g).verdict is Verdict.SIMPLE_PURELY_INFINITE)
+    feeds = draw(st.lists(st.sampled_from(g.vertices), max_size=2))
+    if not feeds:
+        return g
+    feed_edges = tuple((f"s{j}", "s", v) for j, v in enumerate(feeds))
+    return Graph(("s",) + tuple(g.vertices), tuple(g.edges) + feed_edges)
+
+
+@given(spi_graphs(), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=150)
+def test_witness_is_one_scalar_and_two_paths(g, seed):
+    # x = k·(r(π_x)·π_x*) with k the inverse of the Step 3 entry, y = π_y with
+    # coefficient 1, both paths ending at v; x·a·y = v by multiply alone
+    a = random_element(g, random.Random(seed), max_terms=5, max_len=3)
+    w = spi_witness(a)
+    ((mx, k),), ((my, one),) = w.x.terms(), w.y.terms()
+    assert mx.alpha == Path(w.v) and g.range_of(mx.beta) == w.v
+    assert my.beta == Path(w.v) and g.range_of(my.alpha) == w.v and one == gauss(1)
+    (step3,) = [t for t in w.trace if t["step"] == "Step3"]
+    ((_, k0),) = element_from_json_obj(g, step3["x0"]).terms()
+    assert k == k0
+    check_witness(g, a, w)
+
+
+def test_witness_multiplies_only_in_its_recheck(r2, spi4, monkeypatch):
+    # every stage multiplies by a path or a path's adjoint, so x and y are
+    # built from edges: the only products are make_witness's exact re-check
+    callers = []
+
+    def counted(x, y):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return multiply(x, y)
+
+    monkeypatch.setattr(spi, "multiply", counted)
+    e, tail = path_element(r2, ("e",)), source_tail_into_rose(2)
+    cases = [
+        e + multiply(e, e).scale(2),  # Step 4 with n > 0, then b = 2e
+        involute(path_element(r2, ("e", "f"))),  # Step 4 with n < 0
+        monomial_element(spi4, Path("c", ("f",)), Path("c", ("f",)), 3)
+        + monomial_element(spi4, Path("c", ("f", "e1", "e2", "e3", "e4")), Path("c", ("f",))),
+        vertex_element(tail, "t0") + path_element(tail, ("g0", "g1", "e")),  # η = g0·g1
+    ]
+    for a in cases:
+        callers.clear()
+        w = spi_witness(a)
+        assert callers == ["make_witness", "make_witness"]
+        check_witness(a.graph, a, w)
